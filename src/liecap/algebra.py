@@ -19,6 +19,7 @@ from .linalg import (
     Subspace,
     kernel_from_rows,
     _check_same_field,
+    _dense_to_sparse,
 )
 
 
@@ -343,10 +344,6 @@ class AlgebraMap:
                     return False
         return True
 
-    def image(self):
-        return Subspace.from_vectors(self.target.field, self.target.dim,
-                                     [self.matrix.column(i) for i in range(self.source.dim)])
-
     def kernel_space(self):
         from .linalg import kernel
         return kernel(self.matrix)
@@ -402,8 +399,7 @@ def subalgebra_on(algebra, space):
     sub = LieAlgebra(algebra.field, len(rows), brackets,
                      labels=tuple(f"w{t + 1}" for t in range(len(rows))))
     embed = AlgebraMap(sub, algebra,
-                       Matrix.from_columns(algebra.field,
-                                           [tuple(space.basis_vectors()[t]) for t in range(len(rows))],
+                       Matrix.from_columns(algebra.field, space.basis_vectors(),
                                            algebra.dim))
     return sub, embed
 
@@ -414,16 +410,18 @@ def transform(algebra, basis_matrix):
         raise DimensionMismatch("basis matrix must be dim x dim")
     inv = basis_matrix.inverse()
     n = algebra.dim
-    cols = [basis_matrix.column(j) for j in range(n)]
+    f = algebra.field
+    cols = [_dense_to_sparse(c) for c in zip(*basis_matrix.rows)]
+    inv_cols = [_dense_to_sparse(c) for c in zip(*inv.rows)]
     brackets = {}
     for a in range(n):
         for b in range(a + 1, n):
-            w = algebra.bracket(cols[a], cols[b])
-            coords = inv.apply(w)
-            row = {k: c for k, c in enumerate(coords) if c}
-            if row:
-                brackets[(a, b)] = row
-    return LieAlgebra(algebra.field, n, brackets, labels=algebra.labels)
+            # new coordinates of [b_a, b_b]: sum_k w_k (column k of the inverse)
+            row = brackets[(a, b)] = {}
+            for k, w in algebra.bracket_sparse(cols[a], cols[b]).items():
+                for t, c in inv_cols[k].items():
+                    row[t] = f.add(row.get(t, f.zero), f.mul(w, c))
+    return LieAlgebra(f, n, brackets, labels=algebra.labels)
 
 
 # -- JSON interchange --------------------------------------------------------
@@ -453,6 +451,8 @@ def from_json(obj):
     else:
         raise AlgebraError(f"unknown field spec {fobj!r}")
     dim = int(obj["dim"])
+    if dim < 0:
+        raise ValueError(f"dim must be >= 0, got {dim}")
     brackets = {}
     for item in obj.get("brackets", []):
         i, j = int(item["i"]) - 1, int(item["j"]) - 1

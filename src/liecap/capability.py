@@ -1,10 +1,10 @@
 """Capability verdicts and the cross-checks tying the three routes together.
 
 A nilpotent algebra is capable exactly when its exterior center vanishes.
-The decision procedure is the cover-based exterior center; the one
-dimensional test through multiplier dimensions and the injectivity of the
-induced multiplier map are independent certificates that must agree with it
-line by line.
+The decision procedure is the exterior center read off Lambda^2 L / im d3
+in ``homology``; the one dimensional test through multiplier dimensions and
+the injectivity of the induced multiplier map are independent certificates
+that must agree with it line by line.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .algebra import (
     quotient,
     subalgebra_on,
 )
-from .covers import Cover, exterior_center, exterior_square
 from .homology import NotCentral, schur_multiplier
 from .linalg import QQ, Subspace, subspace_intersect
 from .recognize import recognize
@@ -42,8 +41,8 @@ class CapabilityReport:
     witness: Subspace  # basis of Z^(L); zero subspace for capable algebras
 
 
-def is_capable(algebra_or_cover, label=""):
-    zw = exterior_center(algebra_or_cover)
+def is_capable(algebra, label=""):
+    zw = schur_multiplier(algebra).exterior_center()
     return CapabilityReport(label=label or repr(zw.parent),
                             exterior_center_dim=zw.dim,
                             capable=zw.dim == 0,
@@ -114,7 +113,7 @@ def noncapable_census(max_dim, field=QQ, epsilon_samples=catalog.DEFAULT_EPSILON
     out = []
     for key in catalog.all_keys(max_dim, field, epsilon_samples):
         entry = catalog.build(key, field)
-        if exterior_center(entry.algebra).dim > 0:
+        if schur_multiplier(entry.algebra).exterior_center().dim > 0:
             out.append(key)
     return out
 
@@ -128,8 +127,7 @@ class SweepRow:
 
 
 def exterior_square_capability_sweep(dims=(3, 4, 5, 6), field=QQ,
-                                     epsilon_samples=catalog.DEFAULT_EPSILON_SAMPLES,
-                                     cover_cache=None):
+                                     epsilon_samples=catalog.DEFAULT_EPSILON_SAMPLES):
     """Z^(L ^ L) for every nonabelian catalog entry of the given dimensions."""
     rows = []
     for dim in dims:
@@ -137,9 +135,8 @@ def exterior_square_capability_sweep(dims=(3, 4, 5, 6), field=QQ,
             entry = catalog.build(key, field)
             if entry.algebra.is_abelian():
                 continue
-            cover = cover_cache[key] if cover_cache else Cover(entry.algebra)
-            w = exterior_square(cover)
-            zw = exterior_center(w)
+            w = schur_multiplier(entry.algebra).exterior_square()
+            zw = schur_multiplier(w).exterior_center()
             rows.append(SweepRow(key, recognize(w).label(), zw.dim, zw.dim == 0))
     return rows
 
@@ -161,7 +158,7 @@ class BoundCheck:
     holds: bool = False
 
 
-def theorem2_bound_check(algebra, label="", cover=None):
+def theorem2_bound_check(algebra, label=""):
     """dim Z^(L^L) <= dim M(L/Z^(L)) whenever L^2/Z^(L) is capable."""
     if algebra.is_abelian():
         return BoundCheck(label, "skipped", reason="abelian")
@@ -169,8 +166,8 @@ def theorem2_bound_check(algebra, label="", cover=None):
         return BoundCheck(label, "skipped", reason="dimension below 3")
     if not is_nilpotent(algebra):
         return BoundCheck(label, "skipped", reason="not nilpotent")
-    cover = cover or Cover(algebra)
-    zw = exterior_center(cover)
+    multiplier = schur_multiplier(algebra)
+    zw = multiplier.exterior_center()
     der = derived_subalgebra(algebra)
     assert der.space.contains_subspace(zw.space), "Z^(L) escaped L^2"
     dsub, _ = subalgebra_on(algebra, der)
@@ -178,10 +175,9 @@ def theorem2_bound_check(algebra, label="", cover=None):
         algebra.field, dsub.dim,
         [der.space.coords(v) for v in zw.space.basis_vectors()])
     dq, _ = quotient(dsub, inner)
-    if dq.dim > 0 and exterior_center(dq).dim > 0:
+    if dq.dim > 0 and schur_multiplier(dq).exterior_center().dim > 0:
         return BoundCheck(label, "skipped", reason="L^2/Z^(L) not capable")
-    w = exterior_square(cover)
-    lhs = exterior_center(w).dim
+    lhs = schur_multiplier(multiplier.exterior_square()).exterior_center().dim
     lbar, _ = quotient(algebra, zw.space)
     rhs = schur_multiplier(lbar).dim
     return BoundCheck(label, "checked", lhs=lhs, rhs=rhs, holds=lhs <= rhs)

@@ -291,7 +291,3 @@ def parse_key(text, field=QQ):
         raise UnknownKey(f"no indexed entries in dimension {dim}")
     eps = m.group("eps")
     return indexed_key(dim, idx, field.parse(eps) if eps is not None else None)
-
-
-def key_str(key):
-    return str(key)

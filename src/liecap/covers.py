@@ -11,6 +11,10 @@ From the cover come, in one sweep:
   * the nonabelian exterior square as the derived subalgebra of L*,
   * the exterior center of L as the image of Z(L*) in L.
 
+The user-facing invariants come from Lambda^2 L / im d3 in ``homology``;
+this module is the independent route the tests compare them against, and
+the source of ``liecap cover``.  Its functions take a ``Cover``.
+
 The span of [R, F] is generated by brackets of an R-basis against the free
 generators alone: [r, [u,v]] = [[r,u],v] - [[r,v],u] and both inner brackets
 stay inside R because R is an ideal, so induction on word degree closes the
@@ -35,6 +39,7 @@ from .algebra import (
     NotNilpotent,
 )
 from .catalog import abelian_algebra
+from .homology import diagonal_square_dim
 from .linalg import QQ, Echelon, Matrix, Subspace
 
 
@@ -373,30 +378,19 @@ class Cover:
         return True
 
 
-def exterior_cover(algebra, lift=None, extra_class=0, limit=None):
-    return Cover(algebra, lift=lift, extra_class=extra_class, limit=limit)
-
-
-def _as_cover(x, limit=None):
-    return x if isinstance(x, Cover) else Cover(x, limit=limit)
-
-
-def exterior_square(algebra_or_cover, limit=None):
+def exterior_square(cover):
     """L ^ L, realized as the derived subalgebra of the cover."""
-    cover = _as_cover(algebra_or_cover, limit)
     sub, _ = subalgebra_on(cover.star, cover.derived_part)
     return sub
 
 
-def exterior_square_dim(algebra_or_cover, limit=None):
+def exterior_square_dim(cover):
     """dim L^L without building the star table: dim M(L) + dim L^2."""
-    cover = _as_cover(algebra_or_cover, limit)
     return cover.multiplier_dim + derived_subalgebra(cover.algebra).dim
 
 
-def exterior_center(algebra_or_cover, limit=None):
+def exterior_center(cover):
     """Z^(L) = {l : l ^ l' = 0 for all l'}, the image of Z(L*) under pi."""
-    cover = _as_cover(algebra_or_cover, limit)
     algebra = cover.algebra
     z_star = center(cover.star).space
     vectors = [cover.pi.apply(v) for v in z_star.basis_vectors()]
@@ -405,16 +399,8 @@ def exterior_center(algebra_or_cover, limit=None):
     return IdealSubspace(algebra, space)
 
 
-def diagonal_square_dim(algebra):
-    """dim of the diagonal ideal: (n - m)(n - m + 1)/2 for m = dim L^2."""
-    n = algebra.dim
-    m = derived_subalgebra(algebra).dim
-    return (n - m) * (n - m + 1) // 2
-
-
-def tensor_square(algebra_or_cover, limit=None):
+def tensor_square(cover):
     """L x L = (L ^ L) + diagonal ideal; the diagonal part is abelian."""
-    cover = _as_cover(algebra_or_cover, limit)
     wedge = exterior_square(cover)
     diag = abelian_algebra(diagonal_square_dim(cover.algebra), cover.algebra.field)
     return direct_sum(wedge, diag)

@@ -8,14 +8,29 @@ with d2(x ^ y) = [x, y] and d3(x ^ y ^ z) = [x,y]^z - [x,z]^y + [y,z]^x;
 d2 . d3 vanishing is a rewrite of the Jacobi identity.  The multiplier is
 ker d2 / im d3, reported with an explicit basis so maps induced by central
 quotients can be written down as matrices.
+
+The same image presents the nonabelian exterior square: L ^ L is
+Lambda^2 L / im d3 with bracket [a, b] = d2(a) ^ d2(b) (Ellis, "A
+non-abelian tensor product of Lie algebras", Glasgow Math. J., 1991).  The
+exterior center Z^(L) and the tensor square L x L = (L ^ L) + A(diagonal)
+follow from it without a free algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .algebra import IdealSubspace, center, derived_subalgebra, quotient
-from .linalg import Echelon, Matrix, Subspace, express_in
+from .algebra import (
+    IdealSubspace,
+    LieAlgebra,
+    center,
+    derived_subalgebra,
+    direct_sum,
+    quotient,
+)
+from .catalog import abelian_algebra
+from .linalg import Echelon, Matrix, Subspace, express_in, kernel_from_rows
 
 
 class NotCentral(Exception):
@@ -36,10 +51,6 @@ class ExteriorBasis:
         triples = tuple((i, j, k) for i in range(n)
                         for j in range(i + 1, n) for k in range(j + 1, n))
         return cls(n, pairs, triples)
-
-    def pair_index(self, i, j):
-        # index of (i, j) with i < j in lexicographic order
-        return self._pair_map()[(i, j)]
 
     def _pair_map(self):
         # tiny, rebuilt on demand; instances are throwaway
@@ -101,13 +112,61 @@ class MultiplierResult:
 
     The basis spans a complement of im d3 inside ker d2, chosen by pivoting
     in lexicographic Lambda^2 order so induced-map matrices are reproducible.
-    The multiplier is an abelian Lie algebra of this dimension.
+    The multiplier is an abelian Lie algebra of this dimension.  The squares
+    and the exterior center are read off the same im d3.
     """
 
     dim: int
     basis: Subspace
     image: Subspace   # im d3
     cycles: Subspace  # ker d2
+    algebra: LieAlgebra
+
+    @cached_property
+    def _square(self):
+        alg = self.algebra
+        f = alg.field
+        ext = ExteriorBasis.for_dim(alg.dim)
+        pmap = ext._pair_map()
+        pivots = set(self.image.pivots)
+        kept = [t for t in range(len(ext.pairs)) if t not in pivots]
+        pos = {t: a for a, t in enumerate(kept)}
+        d2 = [alg.bracket_basis(*ext.pairs[t]) for t in kept]
+        live = [a for a in range(len(kept)) if d2[a]]
+        brackets = {}
+        for x, a in enumerate(live):
+            for b in live[x + 1:]:
+                wedge = {}
+                for i, ci in d2[a].items():
+                    for j, cj in d2[b].items():
+                        _wedge_entry(f, wedge, pmap, i, j, f.mul(ci, cj))
+                residue = self.image.reduce(wedge)
+                brackets[(a, b)] = {pos[t]: c for t, c in residue.items()}
+        return LieAlgebra(f, len(kept), brackets)
+
+    def exterior_square(self):
+        """L ^ L on the pairs that are not pivots of im d3, in pair order,
+        with [a, b] = d2(a) ^ d2(b) mod im d3."""
+        return self._square
+
+    def exterior_center(self):
+        """Z^(L), the kernel of l -> (l ^ e_j mod im d3) over all j."""
+        alg = self.algebra
+        f = alg.field
+        rows = {}
+        for t, (i, j) in enumerate(ExteriorBasis.for_dim(alg.dim).pairs):
+            # l ^ e_j takes l_i (e_i ^ e_j); l ^ e_i takes -l_j (e_i ^ e_j)
+            for s, c in self.image.reduce({t: f.one}).items():
+                rows.setdefault((j, s), {})[i] = c
+                rows.setdefault((i, s), {})[j] = f.neg(c)
+        space = kernel_from_rows(f, alg.dim, rows.values())
+        assert center(alg).space.contains_subspace(space)
+        return IdealSubspace(alg, space)
+
+    def tensor_square(self):
+        """L x L = (L ^ L) + diagonal ideal; the diagonal part is abelian."""
+        diag = abelian_algebra(diagonal_square_dim(self.algebra), self.algebra.field)
+        return direct_sum(self._square, diag)
 
 
 def _d3_image(algebra):
@@ -133,11 +192,18 @@ def schur_multiplier(algebra):
     basis = Subspace._from_sparse(algebra.field, cycles.ambient_dim, chosen)
     dim = cycles.dim - image.dim
     assert basis.dim == dim
-    return MultiplierResult(dim, basis, image, cycles)
+    return MultiplierResult(dim, basis, image, cycles, algebra)
 
 
 def multiplier_dim(algebra):
     return schur_multiplier(algebra).dim
+
+
+def diagonal_square_dim(algebra):
+    """dim of the diagonal ideal: (n - m)(n - m + 1)/2 for m = dim L^2."""
+    n = algebra.dim
+    m = derived_subalgebra(algebra).dim
+    return (n - m) * (n - m + 1) // 2
 
 
 def _lambda2_map(field, matrix, n_src, n_tgt):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from liecap.algebra import LieAlgebra
 from liecap.homology import ExteriorBasis, ce_d3
-from liecap.linalg import QQ, kernel_from_rows
+from liecap.linalg import QQ, Matrix, kernel_from_rows
 
 
 def central_extension(algebra, kdim, rng):
@@ -31,3 +31,20 @@ def central_extension(algebra, kdim, rng):
                 row[algebra.dim + s] = row.get(algebra.dim + s, Fraction(0)) + val
                 brackets[(i, j)] = row
     return LieAlgebra(QQ, algebra.dim + kdim, brackets)
+
+
+def random_basis_change(rng, n, field=QQ):
+    """Random permutation composed with a unit upper-triangular matrix."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = []
+    for i in range(n):
+        row = [field.zero] * n
+        row[i] = field.one
+        for j in range(i + 1, n):
+            row[j] = field.from_int(rng.randint(-2, 2))
+        rows.append(row)
+    upper = Matrix(field, rows, ncols=n)
+    p = Matrix(field, [[field.one if perm[i] == j else field.zero
+                        for j in range(n)] for i in range(n)], ncols=n)
+    return p @ upper

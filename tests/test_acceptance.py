@@ -6,6 +6,10 @@ as L5_8+A(1), is proven to be H(1)+A(3) by
 tests/test_homology.py::TestL614ExteriorSquare.  Criterion 6 checks that row
 against tables.EXTERIOR_6_ERRATA and still prints the divergence from the
 published label.
+
+Criteria 3, 4, 6, 7, 11 and 12 read the squares and exterior centers off
+Lambda^2 L / im d3, the route the command line uses; criteria 1, 8, 9, 13
+and the fixed sums of criterion 10 use the cover route.
 """
 
 import random
@@ -24,13 +28,13 @@ from liecap.capability import (
 from liecap.covers import (
     Cover,
     default_generator_lift,
-    diagonal_square_dim,
     exterior_center,
     exterior_square,
     exterior_square_dim,
     tensor_square,
 )
 from liecap.homology import (
+    diagonal_square_dim,
     induced_map_injective,
     kunneth_exterior_dim,
     schur_multiplier,
@@ -70,10 +74,10 @@ def test_criterion_01_dim4_invariants():
         m = schur_multiplier(L).dim
         if m != tables.DIM4_MULTIPLIER[k]:
             failures.append(f"L4_{k}: multiplier {m} != {tables.DIM4_MULTIPLIER[k]}")
-        wedge = recognize(exterior_square(L)).label()
+        wedge = recognize(exterior_square(Cover(L))).label()
         if wedge != tables.DIM4_EXTERIOR[k]:
             failures.append(f"L4_{k}: wedge {wedge} != {tables.DIM4_EXTERIOR[k]}")
-        tensor = recognize(tensor_square(L)).label()
+        tensor = recognize(tensor_square(Cover(L))).label()
         if tensor != tables.DIM4_TENSOR[k]:
             failures.append(f"L4_{k}: tensor {tensor} != {tables.DIM4_TENSOR[k]}")
         diag = f"A({diagonal_square_dim(L)})"
@@ -92,25 +96,25 @@ def test_criterion_02_dim5_multipliers():
     report(2, "dim-5 multiplier table", failures)
 
 
-def test_criterion_03_dim5_exterior(covers_map):
+def test_criterion_03_dim5_exterior(entries):
     failures = []
     for k in range(1, 10):
         key = catalog.indexed_key(5, k)
-        label = recognize(exterior_square(covers_map[key])).label()
+        label = recognize(schur_multiplier(entries[key]).exterior_square()).label()
         if label != tables.EXTERIOR_5[k]:
             failures.append(f"L5_{k}: {label} != {tables.EXTERIOR_5[k]}")
     report(3, "dim-5 exterior squares with isomorphism type", failures)
 
 
-def test_criterion_04_dim5_diagonal_and_tensor(covers_map):
+def test_criterion_04_dim5_diagonal_and_tensor(entries):
     failures = []
     for k in range(1, 10):
         key = catalog.indexed_key(5, k)
-        L = covers_map[key].algebra
+        L = entries[key]
         if diagonal_square_dim(L) != tables.DIAGONAL_5[k]:
             failures.append(f"L5_{k}: diagonal {diagonal_square_dim(L)}"
                             f" != {tables.DIAGONAL_5[k]}")
-        label = recognize(tensor_square(covers_map[key])).label()
+        label = recognize(schur_multiplier(L).tensor_square()).label()
         if label != tables.TENSOR_5[k]:
             failures.append(f"L5_{k}: tensor {label} != {tables.TENSOR_5[k]}")
     report(4, "dim-5 diagonal dims and tensor squares", failures)
@@ -127,14 +131,14 @@ def test_criterion_05_dim6_multipliers(entries):
     report(5, "dim-6 multiplier table over all epsilon samples", failures)
 
 
-def test_criterion_06_dim6_exterior(covers_map):
+def test_criterion_06_dim6_exterior(entries):
     failures, notes = [], []
     errata_checked = set()
-    for key, cov in covers_map.items():
+    for key, L in entries.items():
         if not (key.kind == "L" and key.a == 6):
             continue
         published = tables.exterior_6_label(key.b, key.epsilon)
-        label = recognize(exterior_square(cov)).label()
+        label = recognize(schur_multiplier(L).exterior_square()).label()
         erratum = tables.EXTERIOR_6_ERRATA.get(key.b)
         if erratum is None:
             if label != published:
@@ -154,7 +158,7 @@ def test_criterion_06_dim6_exterior(covers_map):
               " (published table, one proven erratum)", failures, notes)
 
 
-def test_criterion_07_noncapable_census(covers_map):
+def test_criterion_07_noncapable_census(entries):
     failures = []
     census = {str(k) for k in noncapable_census(6, QQ, EPSILON_SAMPLES)}
     expected = {"A1", "L5_4", "L6_4", "L6_10", "L6_14", "L6_16", "L6_20"}
@@ -162,8 +166,8 @@ def test_criterion_07_noncapable_census(covers_map):
     if census != expected:
         failures.append(f"census mismatch: extra={census - expected},"
                         f" missing={expected - census}")
-    for key, cov in covers_map.items():
-        zw = exterior_center(cov)
+    for key, L in entries.items():
+        zw = schur_multiplier(L).exterior_center()
         should_be_noncapable = str(key) in expected
         if (zw.dim > 0) != should_be_noncapable:
             failures.append(f"{key}: exterior center dim {zw.dim}")
@@ -227,7 +231,7 @@ def test_criterion_10_kunneth(entries):
     for t1, t2 in (("H1", "A2"), ("L4_2", "A1"), ("H1", "H1")):
         h = catalog.build(catalog.parse_key(t1)).algebra
         k = catalog.build(catalog.parse_key(t2)).algebra
-        if exterior_square_dim(direct_sum(h, k)) != kunneth_exterior_dim(h, k):
+        if exterior_square_dim(Cover(direct_sum(h, k))) != kunneth_exterior_dim(h, k):
             failures.append(f"cover route {t1}+{t2}")
     for n in range(1, 9):
         alg = catalog.abelian_algebra(n)
@@ -242,25 +246,25 @@ def test_criterion_10_kunneth(entries):
     report(10, "Kunneth formula on 50 random pairs plus closed forms", failures)
 
 
-def test_criterion_11_capable_exterior_squares(covers_map):
+def test_criterion_11_capable_exterior_squares(entries):
     failures = []
-    for key, cov in covers_map.items():
-        if cov.algebra.is_abelian():
+    for key, L in entries.items():
+        if L.is_abelian():
             continue
-        w = exterior_square(cov)
-        zw = exterior_center(w)
+        w = schur_multiplier(L).exterior_square()
+        zw = schur_multiplier(w).exterior_center()
         if zw.dim != 0:
             failures.append(f"{key}: Z^(LwL) has dim {zw.dim}")
     report(11, "every nonabelian entry has capable exterior square", failures)
 
 
-def test_criterion_12_bound_shadow(entries, covers_map):
+def test_criterion_12_bound_shadow(entries):
     failures = []
     checked = skipped = 0
     for key, L in entries.items():
         if L.dim < 3:
             continue
-        res = theorem2_bound_check(L, label=str(key), cover=covers_map[key])
+        res = theorem2_bound_check(L, label=str(key))
         if res.status == "skipped":
             skipped += 1
             continue

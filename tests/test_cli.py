@@ -1,6 +1,11 @@
 import json
 
-from liecap.cli import main
+import pytest
+
+from liecap import catalog, covers
+from liecap.algebra import direct_sum
+from liecap.cli import invariant_report, main
+from liecap.homology import kunneth_exterior_dim, kunneth_tensor_dim
 
 
 def run(capsys, *argv):
@@ -88,6 +93,13 @@ class TestInvariants:
         assert code == 2
         assert "nilpotent" in err
 
+    def test_negative_dim_exit2(self, tmp_path, capsys):
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps({"dim": -1, "field": "Q", "brackets": []}))
+        code, out, err = run(capsys, "invariants", "--file", str(path))
+        assert code == 2 and out == ""
+        assert "dim" in err
+
     def test_jacobi_violation_exit3(self, tmp_path, capsys):
         doc = {"dim": 3, "field": "Q",
                "brackets": [{"i": 1, "j": 2, "out": [{"k": 3, "c": "1"}]},
@@ -98,6 +110,14 @@ class TestInvariants:
         assert code == 3
         assert "Jacobi" in err
 
+    def test_beyond_the_word_cap(self, capsys):
+        # a cover of H(20) would need F(40, 3), far over the Hall-word cap
+        code, out, _ = run(capsys, "invariants", "H20", "--format", "json")
+        assert code == 0
+        d = json.loads(out)
+        assert d["multiplier_dim"] == 2 * 20 * 20 - 20 - 1
+        assert d["exterior_type"] == "A(780)" and d["capable"] is False
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "invariants", "L6_10", "--format", "json")
         _, out2, _ = run(capsys, "invariants", "L6_10", "--format", "json")
@@ -106,6 +126,42 @@ class TestInvariants:
     def test_missing_key_exit2(self, capsys):
         code, _, err = run(capsys, "invariants")
         assert code == 2
+
+
+@pytest.mark.parametrize("field", ["Fp:4", "Fp:9", "GF7"])
+@pytest.mark.parametrize("argv", [("invariants", "L5_4"),
+                                  ("verify-tables", "multipliers5"),
+                                  ("cover", "L4_3")])
+def test_bad_field_exit2(capsys, argv, field):
+    code, out, err = run(capsys, *argv, "--field", field)
+    assert code == 2
+    assert err.startswith("error: ") and out == ""
+
+
+class TestNoFreeAlgebra:
+    """The user paths never build the free nilpotent algebra of a cover."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_free_algebras(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a user path built a free algebra")
+        monkeypatch.setattr(covers.FreeNilpotent, "__init__", refuse)
+        monkeypatch.setattr(covers, "_FREE_CACHE", {})
+
+    def test_verify_tables_all(self, capsys):
+        code, out, _ = run(capsys, "verify-tables", "all")
+        assert code == 1
+        failing = [l for l in out.splitlines() if l.startswith("FAIL")]
+        assert len(failing) == 1 and "L6_14" in failing[0]
+
+    def test_invariant_reports(self):
+        for key in catalog.all_keys(6):
+            invariant_report(catalog.build(key).algebra, str(key))
+        h = catalog.build(catalog.parse_key("L6_17")).algebra
+        k = catalog.build(catalog.parse_key("L6_22(e=1)")).algebra
+        report = invariant_report(direct_sum(h, k), "L6_17+L6_22(e=1)")
+        assert report.exterior_dim == kunneth_exterior_dim(h, k)
+        assert report.tensor_dim == kunneth_tensor_dim(h, k)
 
 
 class TestVerifyTables:

@@ -2,23 +2,22 @@ import random
 
 import pytest
 
+from conftest import central_extension, random_basis_change
 from liecap import catalog
-from liecap.algebra import derived_subalgebra, validate
+from liecap.algebra import derived_subalgebra, transform, validate
 from liecap.covers import (
     Cover,
     ResourceLimit,
     default_generator_lift,
-    diagonal_square_dim,
     exterior_center,
-    exterior_cover,
     exterior_square,
     exterior_square_dim,
     free_nilpotent,
     hall_basis,
     tensor_square,
 )
-from liecap.homology import schur_multiplier
-from liecap.linalg import QQ
+from liecap.homology import diagonal_square_dim, schur_multiplier
+from liecap.linalg import QQ, PrimeField
 from liecap.recognize import recognize
 
 
@@ -199,21 +198,21 @@ class TestCover:
 class TestExteriorSquare:
     def test_abelian(self):
         for n in (1, 2, 4, 6):
-            W = exterior_square(catalog.abelian_algebra(n))
+            W = exterior_square(Cover(catalog.abelian_algebra(n)))
             assert recognize(W).label() == f"A({n * (n - 1) // 2})"
 
     def test_l56(self):
-        assert recognize(exterior_square(build("L5_6"))).label() == "H(1)+A(3)"
+        assert recognize(exterior_square(Cover(build("L5_6")))).label() == "H(1)+A(3)"
 
     def test_l614_computed_value(self):
         # the published table says L5_8+A(1); the computed square is H(1)+A(3)
         # (proved without the cover route in
         # tests/test_homology.py::TestL614ExteriorSquare)
-        assert recognize(exterior_square(build("L6_14"))).label() == "H(1)+A(3)"
+        assert recognize(exterior_square(Cover(build("L6_14")))).label() == "H(1)+A(3)"
 
     def test_l621_split(self):
-        assert recognize(exterior_square(build("L6_21(e=0)"))).label() == "H(1)+A(5)"
-        assert recognize(exterior_square(build("L6_21(e=2)"))).label() == "L5_8+A(3)"
+        assert recognize(exterior_square(Cover(build("L6_21(e=0)")))).label() == "H(1)+A(5)"
+        assert recognize(exterior_square(Cover(build("L6_21(e=2)")))).label() == "L5_8+A(3)"
 
     def test_dim_identity(self):
         for dim in range(3, 7):
@@ -226,24 +225,24 @@ class TestExteriorSquare:
     def test_abelian_when_derived_is_line(self):
         # dim L^2 = 1 forces an abelian exterior square
         for text in ("L5_4", "H1", "L4_2"):
-            W = exterior_square(build(text))
+            W = exterior_square(Cover(build(text)))
             assert W.is_abelian()
 
 
 class TestExteriorCenter:
     def test_l43_capable(self):
-        assert exterior_center(build("L4_3")).dim == 0
+        assert exterior_center(Cover(build("L4_3"))).dim == 0
 
     def test_h2(self):
         L = build("L5_4")
-        zw = exterior_center(L)
+        zw = exterior_center(Cover(L))
         assert zw.dim == 1
         assert zw.space == derived_subalgebra(L).space
 
     def test_abelian(self):
-        assert exterior_center(build("A1")).dim == 1
+        assert exterior_center(Cover(build("A1"))).dim == 1
         for n in (2, 3, 5):
-            assert exterior_center(catalog.abelian_algebra(n)).dim == 0
+            assert exterior_center(Cover(catalog.abelian_algebra(n))).dim == 0
 
 
 class TestDiagonalAndTensor:
@@ -253,16 +252,55 @@ class TestDiagonalAndTensor:
         assert diagonal_square_dim(build("L4_3")) == 3
 
     def test_tensor_l59(self):
-        assert recognize(tensor_square(build("L5_9"))).label() == "A(9)"
+        assert recognize(tensor_square(Cover(build("L5_9")))).label() == "A(9)"
 
     def test_tensor_l56(self):
-        assert recognize(tensor_square(build("L5_6"))).label() == "H(1)+A(6)"
+        assert recognize(tensor_square(Cover(build("L5_6")))).label() == "H(1)+A(6)"
 
     def test_tensor_heisenberg(self):
         for m in (2, 3):
-            W = tensor_square(catalog.heisenberg_algebra(m))
+            W = tensor_square(Cover(catalog.heisenberg_algebra(m)))
             assert recognize(W).label() == f"A({4 * m * m})"
 
-    def test_exterior_cover_alias(self):
-        cov = exterior_cover(build("L3_2"))
-        assert cov.multiplier_dim == 2
+
+class TestRoutesAgree:
+    """The cover route against the Lambda^2 / im d3 route of ``homology``."""
+
+    @staticmethod
+    def assert_agree(L, name):
+        cov = Cover(L)
+        m = schur_multiplier(L)
+        assert (recognize(exterior_square(cov)).label()
+                == recognize(m.exterior_square()).label()), name
+        assert (recognize(tensor_square(cov)).label()
+                == recognize(m.tensor_square()).label()), name
+        assert exterior_center(cov).space == m.exterior_center().space, name
+        if not L.is_abelian():
+            w_cover = exterior_square(cov)
+            w_wedge = m.exterior_square()
+            assert (exterior_center(Cover(w_cover)).dim
+                    == schur_multiplier(w_wedge).exterior_center().dim), name
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "GF101"])
+    def test_catalog(self, field):
+        for key in catalog.all_keys(6, field):
+            self.assert_agree(catalog.build(key, field).algebra, f"{key} over {field!r}")
+
+    def test_central_extensions(self):
+        rng = random.Random(20261018)
+        keys = [k for k in catalog.all_keys(6) if k.a >= 3]
+        for trial in range(20):
+            key = rng.choice(keys)
+            E = central_extension(catalog.build(key).algebra, rng.choice((1, 2)), rng)
+            assert validate(E).ok
+            self.assert_agree(E, f"extension {trial} of {key}")
+
+    def test_scrambled_bases(self):
+        # a random basis change mixes the pairs that the coordinate basis
+        # keeps apart in Lambda^2, on every noncapable entry and a few others
+        rng = random.Random(1018)
+        for text in ("A1", "L5_4", "L6_4", "L6_10", "L6_14", "L6_16", "L6_19(e=2)",
+                     "L6_20", "L5_6", "L6_21(e=2)", "L6_25"):
+            L = build(text)
+            for _ in range(3):
+                self.assert_agree(transform(L, random_basis_change(rng, L.dim)), text)

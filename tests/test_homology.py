@@ -143,12 +143,12 @@ class TestInducedMap:
         # dim M(L) - dim M(L/K) + dim(L^2 cap K) >= 0, equality iff K in Z^(L)
         from liecap.algebra import quotient
         from liecap.capability import central_test_lines
-        from liecap.covers import exterior_center
+        from liecap.covers import Cover, exterior_center
         from liecap.linalg import subspace_intersect
         for dim in range(1, 7):
             for key in catalog.expand_keys(dim):
                 L = catalog.build(key).algebra
-                zw = exterior_center(L)
+                zw = exterior_center(Cover(L))
                 m_l = schur_multiplier(L).dim
                 der = derived_subalgebra(L).space
                 for line in central_test_lines(L):
@@ -279,10 +279,10 @@ class TestKunneth:
         assert kunneth_exterior_dim(build("L4_2"), build("A1")) == 8
 
     def test_matches_direct_sum_computation(self):
-        from liecap.covers import exterior_square_dim
+        from liecap.covers import Cover, exterior_square_dim
         h, k = build("H1"), build("A2")
         total = kunneth_exterior_dim(h, k)
-        assert total == exterior_square_dim(direct_sum(h, k))
+        assert total == exterior_square_dim(Cover(direct_sum(h, k)))
         assert total == schur_multiplier(direct_sum(h, k)).dim + 1
 
     def test_tensor_square_of_abelian(self):

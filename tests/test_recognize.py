@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from conftest import random_basis_change
 from liecap import catalog
 from liecap.algebra import LieAlgebra, direct_sum, transform, validate
-from liecap.linalg import QQ, Matrix, PrimeField
+from liecap.linalg import QQ, PrimeField
 from liecap.recognize import (
     NotApplicable,
     fingerprint,
@@ -17,23 +18,6 @@ from liecap.recognize import (
 
 def build(text):
     return catalog.build(catalog.parse_key(text)).algebra
-
-
-def random_basis_change(rng, n, field=QQ):
-    """Random permutation composed with a unit upper-triangular matrix."""
-    perm = list(range(n))
-    rng.shuffle(perm)
-    rows = []
-    for i in range(n):
-        row = [field.zero] * n
-        row[i] = field.one
-        for j in range(i + 1, n):
-            row[j] = field.from_int(rng.randint(-2, 2))
-        rows.append(row)
-    upper = Matrix(field, rows, ncols=n)
-    p = Matrix(field, [[field.one if perm[i] == j else field.zero
-                        for j in range(n)] for i in range(n)], ncols=n)
-    return p @ upper
 
 
 class TestLabels:
@@ -49,12 +33,12 @@ class TestLabels:
         assert recognize(build("L5_8")).label() == "L5_8"
 
     def test_exterior_square_of_l57(self):
-        from liecap.covers import exterior_square
-        assert recognize(exterior_square(build("L5_7"))).label() == "H(1)+A(3)"
+        from liecap.covers import Cover, exterior_square
+        assert recognize(exterior_square(Cover(build("L5_7")))).label() == "H(1)+A(3)"
 
     def test_exterior_square_of_l621(self):
-        from liecap.covers import exterior_square
-        iso = recognize(exterior_square(build("L6_21(e=2)")))
+        from liecap.covers import Cover, exterior_square
+        iso = recognize(exterior_square(Cover(build("L6_21(e=2)"))))
         assert iso.kind == "l58_sum" and iso.k == 3
 
     def test_unrecognized_has_fingerprint(self):
@@ -126,9 +110,9 @@ class TestRoundTrips:
 
     def test_soundness_reconstruction(self):
         # whenever a label comes back, the labeled model has the same fingerprint
-        from liecap.covers import exterior_square
+        from liecap.covers import Cover, exterior_square
         for text in ("L5_6", "L6_16", "L6_21(e=1)", "L6_28"):
-            W = exterior_square(build(text))
+            W = exterior_square(Cover(build(text)))
             iso = recognize(W)
             if iso.kind == "heisenberg_sum":
                 model = heisenberg_sum_model(iso.m, iso.k, QQ)
