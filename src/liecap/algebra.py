@@ -55,6 +55,9 @@ class LieAlgebra:
                 raise AlgebraError(f"diagonal bracket ({i},{i}) must be zero")
             row = {}
             for k, c in vec.items():
+                if not 0 <= k < dim:
+                    raise DimensionMismatch(
+                        f"bracket ({i},{j}) has output index {k} outside 0..{dim - 1}")
                 c = field.coerce(c)
                 if c:
                     row[k] = c
@@ -443,6 +446,8 @@ def to_json(algebra):
 
 
 def from_json(obj):
+    if not isinstance(obj, dict):
+        raise AlgebraError(f"an algebra must be a JSON object, not {type(obj).__name__}")
     fobj = obj.get("field", "Q")
     if fobj == "Q":
         f = QQ
@@ -457,6 +462,8 @@ def from_json(obj):
     for item in obj.get("brackets", []):
         i, j = int(item["i"]) - 1, int(item["j"]) - 1
         row = {int(o["k"]) - 1: f.parse(str(o["c"])) for o in item["out"]}
+        if (i, j) in brackets:
+            raise AlgebraError(f"bracket ({i + 1},{j + 1}) given twice")
         brackets[(i, j)] = row
     labels = obj.get("labels")
     return LieAlgebra(f, dim, brackets, labels=labels)

@@ -290,4 +290,10 @@ def parse_key(text, field=QQ):
     if dim not in INDEX_RANGES:
         raise UnknownKey(f"no indexed entries in dimension {dim}")
     eps = m.group("eps")
-    return indexed_key(dim, idx, field.parse(eps) if eps is not None else None)
+    if eps is None:
+        return indexed_key(dim, idx)
+    try:
+        value = field.parse(eps)
+    except ZeroDivisionError:
+        raise CatalogError(f"epsilon {eps} has a zero denominator in {field!r}") from None
+    return indexed_key(dim, idx, value)

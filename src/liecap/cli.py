@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from . import catalog, tables
 from .algebra import (
+    AlgebraError,
     NotNilpotent,
     center,
     derived_subalgebra,
@@ -25,7 +26,7 @@ from .algebra import (
 from .capability import noncapable_census, theorem2_bound_check
 from .covers import Cover, exterior_center
 from .homology import diagonal_square_dim, kunneth_exterior_dim, schur_multiplier
-from .linalg import QQ, PrimeField
+from .linalg import QQ, LinalgError, PrimeField
 from .recognize import recognize
 
 
@@ -283,7 +284,8 @@ def cmd_invariants(args):
     try:
         field = _field_from_arg(args.field)
         algebra, label = _load_algebra(args, field)
-    except (catalog.CatalogError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (catalog.CatalogError, AlgebraError, LinalgError, ValueError, OSError, KeyError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = validate(algebra)

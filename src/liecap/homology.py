@@ -30,7 +30,7 @@ from .algebra import (
     quotient,
 )
 from .catalog import abelian_algebra
-from .linalg import Echelon, Matrix, Subspace, express_in, kernel_from_rows
+from .linalg import Matrix, QuotientCoords, Subspace, kernel, kernel_from_rows
 
 
 class NotCentral(Exception):
@@ -110,16 +110,19 @@ def ce_d3(algebra):
 class MultiplierResult:
     """dim and a basis for ker d2 modulo im d3, in Lambda^2 coordinates.
 
-    The basis spans a complement of im d3 inside ker d2, chosen by pivoting
-    in lexicographic Lambda^2 order so induced-map matrices are reproducible.
-    The multiplier is an abelian Lie algebra of this dimension.  The squares
-    and the exterior center are read off the same im d3.
+    The basis is the RREF rows of ker d2 at the pivots that im d3 lacks, so
+    it spans a complement of im d3 inside ker d2 and is fixed by the
+    lexicographic Lambda^2 order; induced-map matrices are reproducible.
+    ``quotient`` gives coordinates on it.  The multiplier is an abelian Lie
+    algebra of this dimension.  The squares and the exterior center are read
+    off the same im d3.
     """
 
     dim: int
     basis: Subspace
     image: Subspace   # im d3
     cycles: Subspace  # ker d2
+    quotient: QuotientCoords  # ker d2 / im d3
     algebra: LieAlgebra
 
     @cached_property
@@ -178,21 +181,13 @@ def _d3_image(algebra):
 
 
 def schur_multiplier(algebra):
-    from .linalg import kernel
     cycles = kernel(ce_d2(algebra))
     image = _d3_image(algebra)
-    assert cycles.contains_subspace(image), "d2 . d3 != 0"
-    ech = Echelon(algebra.field, cycles.ambient_dim)
-    for row in image.sparse_rows():
-        ech.add(row)
-    chosen = []
-    for row in cycles.sparse_rows():
-        if ech.add(dict(row)):
-            chosen.append(row)
-    basis = Subspace._from_sparse(algebra.field, cycles.ambient_dim, chosen)
-    dim = cycles.dim - image.dim
-    assert basis.dim == dim
-    return MultiplierResult(dim, basis, image, cycles, algebra)
+    # raises NotContained unless d2 . d3 = 0
+    quotient = QuotientCoords(image, cycles)
+    basis = Subspace(algebra.field, cycles.ambient_dim, tuple(quotient.complement),
+                     quotient.pivots, _internal=True)
+    return MultiplierResult(quotient.dim, basis, image, cycles, quotient, algebra)
 
 
 def multiplier_dim(algebra):
@@ -237,12 +232,8 @@ def induced_multiplier_map(algebra, ideal):
     m_l = schur_multiplier(algebra)
     m_q = schur_multiplier(q)
     lam2 = _lambda2_map(algebra.field, proj.matrix, algebra.dim, q.dim)
-    width = len(ExteriorBasis.for_dim(q.dim).pairs)
-    ref_rows = m_q.image.sparse_rows() + m_q.basis.sparse_rows()
-    n_im = m_q.image.dim
     f = algebra.field
     cols = []
-    src_pairs = ExteriorBasis.for_dim(algebra.dim).pairs
     for v in m_l.basis.sparse_rows():
         out = {}
         for t, c in v.items():
@@ -252,13 +243,8 @@ def induced_multiplier_map(algebra, ideal):
                     out[idx] = nv
                 else:
                     out.pop(idx, None)
-        if ref_rows:
-            coeffs = express_in(f, width, ref_rows, out)
-            assert coeffs is not None, "image of a cycle left ker d2"
-            cols.append(tuple(coeffs[n_im:]))
-        else:
-            assert not out
-            cols.append(())
+        # a cycle maps to a cycle; NotContained here would mean it did not
+        cols.append(m_q.quotient.coords(out))
     return Matrix.from_columns(f, cols, m_q.dim)
 
 

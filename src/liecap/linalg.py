@@ -28,7 +28,7 @@ class DimensionMismatch(LinalgError):
 
 
 class NotContained(LinalgError):
-    """quotient_coords was asked for U subset W but U is not inside W."""
+    """QuotientCoords was given U not inside W, or a vector outside W."""
 
 
 # ---------------------------------------------------------------------------
@@ -185,21 +185,18 @@ def _check_same_field(a, b):
 class Echelon:
     """Incremental row echelon structure over a fixed field.
 
-    Rows are sparse ``{column: value}`` dicts.  Over Q the working rows are
-    integer vectors (denominators cleared on entry, gcd stripped after each
-    combination); ``finalize`` back-substitutes and converts to Fractions
-    with unit pivots, yielding the canonical RREF basis of the row space.
-
-    Rows may carry a tag vector (used to express later vectors in terms of
-    the inserted rows); tags ride along through every row operation.
+    Rows are sparse ``{column: value}`` dicts, held as ``{pivot: row}``.
+    Over Q the working rows are integer vectors (denominators cleared on
+    entry, gcd stripped after each combination); over GF(p) every row is
+    scaled to a unit pivot on entry.  ``finalize`` back-substitutes and, over
+    Q, converts to Fractions with unit pivots, yielding the canonical RREF
+    basis of the row space.
     """
 
-    def __init__(self, field, width, tag_width=0):
+    def __init__(self, field, width):
         self.field = field
         self.width = width
-        self.tag_width = tag_width
-        self._rows = {}  # pivot column -> (row dict, tag dict)
-        self._order = []  # pivot columns in insertion order
+        self._rows = {}  # pivot column -> row dict
         self._final = False
         self._sorted_pivots = None
 
@@ -210,194 +207,141 @@ class Echelon:
     def pivots(self):
         return tuple(sorted(self._rows))
 
-    def add(self, row, tag=None):
+    def add(self, row):
         """Insert a vector; returns True if it enlarged the row space."""
         if self._final:
             raise RuntimeError("echelon already finalized")
-        row, tag = self._prepare(row, tag)
-        return self._insert(row, tag)
+        return self._insert(self._prepare(row))
 
-    def _prepare(self, row, tag):
-        tag = dict(tag) if tag else {}
+    def _prepare(self, row):
+        out = {}
         if isinstance(self.field, RationalField):
             den = 1
             for v in row.values():
                 if isinstance(v, Fraction):
                     den = lcm(den, v.denominator)
-            for v in tag.values():
-                if isinstance(v, Fraction):
-                    den = lcm(den, v.denominator)
-            out = {}
             for c, v in row.items():
                 iv = int(v * den) if isinstance(v, Fraction) else v * den
                 if iv:
                     out[c] = iv
-            itag = {}
-            for c, v in tag.items():
-                iv = int(v * den) if isinstance(v, Fraction) else v * den
-                if iv:
-                    itag[c] = iv
-            return out, itag
-        p = self.field.p
-        out = {}
+            return out
+        coerce = self.field.coerce
         for c, v in row.items():
-            iv = self.field.coerce(v)
+            iv = coerce(v)
             if iv:
                 out[c] = iv
-        itag = {}
-        for c, v in tag.items():
-            iv = self.field.coerce(v)
-            if iv:
-                itag[c] = iv
-        return out, itag
+        return out
 
-    def _insert(self, row, tag):
+    def _insert(self, row):
         rational = isinstance(self.field, RationalField)
         while row:
             lead = min(row)
-            hit = self._rows.get(lead)
-            if hit is None:
+            prow = self._rows.get(lead)
+            if prow is None:
                 if rational:
                     g = 0
                     for v in row.values():
-                        g = gcd(g, v)
-                    for v in tag.values():
                         g = gcd(g, v)
                     if row[lead] < 0:
                         g = -g
                     if g not in (0, 1):
                         row = {c: v // g for c, v in row.items()}
-                        tag = {c: v // g for c, v in tag.items()}
                 else:
                     inv = self.field.inv(row[lead])
                     if inv != 1:
                         p = self.field.p
                         row = {c: v * inv % p for c, v in row.items()}
-                        tag = {c: v * inv % p for c, v in tag.items()}
-                self._rows[lead] = (row, tag)
-                self._order.append(lead)
+                self._rows[lead] = row
                 return True
-            prow, ptag = hit
             if rational:
                 a, b = prow[lead], row[lead]
                 g = gcd(a, b)
                 a //= g
                 b //= g
                 row = _int_combine(row, a, prow, b)
-                tag = _int_combine(tag, a, ptag, b)
                 g = 0
                 for v in row.values():
                     g = gcd(g, v)
-                for v in tag.values():
-                    g = gcd(g, v)
                 if g > 1:
                     row = {c: v // g for c, v in row.items()}
-                    tag = {c: v // g for c, v in tag.items()}
             else:
-                p = self.field.p
-                f = row[lead] * self.field.inv(prow[lead]) % p
-                row = _mod_combine(row, prow, f, p)
-                tag = _mod_combine(tag, ptag, f, p)
+                row = _mod_combine(row, prow, row[lead], self.field.p)
         return False
 
     def finalize(self):
-        """Back-substitute and normalize pivots to 1 (canonical RREF)."""
+        """Back-substitute and normalize pivots to 1 (canonical RREF).
+
+        Rows are cleared from the last pivot up, so each row is combined only
+        with rows that are already reduced; those vanish on every other pivot
+        column, and only the pivots in the row's own support need a step.
+        """
         if self._final:
             return
-        pivots = sorted(self._rows)
+        rows = self._rows
+        pivots = sorted(rows)
         rational = isinstance(self.field, RationalField)
-        for idx in range(len(pivots) - 1, -1, -1):
-            p0 = pivots[idx]
-            row, tag = self._rows[p0]
-            for q in pivots[idx + 1:]:
-                if q not in row:
-                    continue
-                qrow, qtag = self._rows[q]
+        for p0 in reversed(pivots):
+            row = rows[p0]
+            for q in [c for c in row if c != p0 and c in rows]:
+                qrow = rows[q]
                 if rational:
                     a, b = qrow[q], row[q]
                     g = gcd(a, b)
                     a //= g
                     b //= g
                     row = _int_combine(row, a, qrow, b)
-                    tag = _int_combine(tag, a, qtag, b)
                     g = 0
                     for v in row.values():
-                        g = gcd(g, v)
-                    for v in tag.values():
                         g = gcd(g, v)
                     if row[p0] < 0:
                         g = -g
                     if g not in (0, 1):
                         row = {c: v // g for c, v in row.items()}
-                        tag = {c: v // g for c, v in tag.items()}
                 else:
-                    pp = self.field.p
-                    f = row[q] * self.field.inv(qrow[q]) % pp
-                    row = _mod_combine(row, qrow, f, pp)
-                    tag = _mod_combine(tag, qtag, f, pp)
-            self._rows[p0] = (row, tag)
-        out = {}
-        for p0 in pivots:
-            row, tag = self._rows[p0]
-            lead = row[p0]
-            if rational:
-                frow = {c: Fraction(v, lead) for c, v in row.items()}
-                ftag = {c: Fraction(v, lead) for c, v in tag.items()}
-            else:
-                pp = self.field.p
-                inv = self.field.inv(lead)
-                frow = {c: v * inv % pp for c, v in row.items()}
-                ftag = {c: v * inv % pp for c, v in tag.items()}
-            out[p0] = (frow, ftag)
-        self._rows = out
+                    row = _mod_combine(row, qrow, row[q], self.field.p)
+            rows[p0] = row
+        if rational:
+            for p0 in pivots:
+                row = rows[p0]
+                lead = row[p0]
+                rows[p0] = {c: Fraction(v, lead) for c, v in row.items()}
         self._sorted_pivots = pivots
         self._final = True
 
-    def reduce(self, vec, want_tag=False):
-        """Residue of vec modulo the row space (requires finalize).
+    def reduce(self, vec):
+        """Residue of vec modulo the row space (finalizes first).
 
         The residue is the unique representative supported off the pivot
-        columns.  With ``want_tag`` also returns t such that
-        vec = -sum(t_i * row_i) + residue.
+        columns.
         """
         if not self._final:
             self.finalize()
-        zero = self.field.zero
-        v = {c: x for c, x in vec.items() if x != zero}
-        tag = {}
-        sub = self.field.sub
-        mul = self.field.mul
-        for p0 in self._sorted_pivots:
-            c = v.get(p0)
-            if not c:
-                continue
-            row, rtag = self._rows[p0]
-            for col, val in row.items():
-                nv = sub(v.get(col, zero), mul(c, val))
-                if nv:
-                    v[col] = nv
-                else:
-                    v.pop(col, None)
-            for col, val in rtag.items():
-                nv = sub(tag.get(col, zero), mul(c, val))
-                if nv:
-                    tag[col] = nv
-                else:
-                    tag.pop(col, None)
-        if want_tag:
-            return v, tag
-        return v
+        return _reduce(self.field, self._rows, {c: x for c, x in vec.items() if x})
 
     def rows(self):
         """Canonical RREF rows as (pivot, row dict) pairs, pivots ascending."""
         if not self._final:
             self.finalize()
-        return [(p, self._rows[p][0]) for p in self._sorted_pivots]
+        return [(p, self._rows[p]) for p in self._sorted_pivots]
 
-    def row_tags(self):
-        if not self._final:
-            self.finalize()
-        return [(p, self._rows[p][1]) for p in self._sorted_pivots]
+
+def _reduce(field, by_pivot, v):
+    """Reduce the sparse vector v in place modulo RREF rows ``{pivot: row}``.
+
+    Only the pivots in v's own support get a step: an RREF row vanishes on
+    every other pivot column, so subtracting it sets no other pivot entry,
+    and the order of the steps does not matter.
+    """
+    sub, mul, zero = field.sub, field.mul, field.zero
+    for p in [c for c in v if c in by_pivot]:
+        c = v[p]
+        for col, val in by_pivot[p].items():
+            nv = sub(v.get(col, zero), mul(c, val))
+            if nv:
+                v[col] = nv
+            else:
+                v.pop(col, None)
+    return v
 
 
 def _int_combine(row, a, other, b):
@@ -509,18 +453,18 @@ class Matrix:
         if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.nrows
-        ech = Echelon(self.field, n, tag_width=n)
+        ech = Echelon(self.field, 2 * n)
         for i, r in enumerate(self.rows):
-            row = {j: v for j, v in enumerate(r) if v}
-            if not ech.add(row, {i: self.field.one}):
-                raise LinalgError("matrix is singular")
-        ech.finalize()
+            row = _dense_to_sparse(r)
+            row[n + i] = self.field.one
+            ech.add(row)
+        # [M | I] has rank n, and its RREF is [I | M^-1] exactly when no
+        # pivot falls in the identity block
+        if ech.pivots() != tuple(range(n)):
+            raise LinalgError("matrix is singular")
         z = self.field.zero
-        # RREF row with pivot j is e_j; its tag expresses e_j over the input
-        # rows, i.e. it is row j of the inverse
-        tag_by_pivot = {p: t for p, t in ech.row_tags()}
-        inv_rows = [[tag_by_pivot[j].get(i, z) for i in range(n)] for j in range(n)]
-        return Matrix(self.field, inv_rows, ncols=n)
+        return Matrix(self.field, [[row.get(n + i, z) for i in range(n)]
+                                   for _, row in ech.rows()], ncols=n)
 
 
 def _dense_to_sparse(row):
@@ -586,7 +530,7 @@ def kernel(m):
 class Subspace:
     """A subspace of F^n held as canonical RREF basis rows."""
 
-    __slots__ = ("field", "ambient_dim", "_rows", "pivots")
+    __slots__ = ("field", "ambient_dim", "_rows", "pivots", "_by_pivot")
 
     def __init__(self, field, ambient_dim, rows, pivots, _internal=False):
         if not _internal:
@@ -595,6 +539,7 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self._rows = rows            # tuple of sparse row dicts, pivot order
         self.pivots = pivots         # ascending pivot columns
+        self._by_pivot = dict(zip(pivots, rows))
 
     @classmethod
     def _from_sparse(cls, field, n, vectors):
@@ -638,30 +583,17 @@ class Subspace:
     def sparse_rows(self):
         return list(self._rows)
 
-    def basis_matrix(self):
-        m = Matrix(self.field, self.basis_vectors(), ncols=self.ambient_dim)
-        return m
-
     def reduce(self, vec):
         """Residue of vec modulo this subspace, as a sparse dict."""
         if isinstance(vec, dict):
-            v = {j: self.field.coerce(x) for j, x in vec.items() if x}
+            items = vec.items()
         else:
             if len(vec) != self.ambient_dim:
                 raise DimensionMismatch("vector/ambient mismatch")
-            v = {j: self.field.coerce(x) for j, x in enumerate(vec) if x}
-        sub, mul, zero = self.field.sub, self.field.mul, self.field.zero
-        for row, p in zip(self._rows, self.pivots):
-            c = v.get(p)
-            if not c:
-                continue
-            for col, val in row.items():
-                nv = sub(v.get(col, zero), mul(c, val))
-                if nv:
-                    v[col] = nv
-                else:
-                    v.pop(col, None)
-        return v
+            items = enumerate(vec)
+        coerce = self.field.coerce
+        v = {j: y for j, x in items if x and (y := coerce(x))}
+        return _reduce(self.field, self._by_pivot, v)
 
     def contains(self, vec):
         return not self.reduce(vec)
@@ -732,58 +664,29 @@ def subspace_intersect(u, v):
 
 
 class QuotientCoords:
-    """Coordinate map for W/U: sends w in W to its complement coordinates."""
+    """Coordinates on W/U for subspaces U inside W, read off their RREFs.
+
+    A vector in the span of RREF rows leads at one of their pivots, so the
+    pivots of U are pivots of W.  W's rows at its other ``pivots`` form the
+    ``complement``, a basis of W modulo U; the coordinates of w on it are
+    (w mod U) read at those pivots.
+    """
 
     def __init__(self, u, w):
         u._check_compatible(w)
         if not w.contains_subspace(u):
             raise NotContained("U is not contained in W")
         self.field = u.field
-        self.ambient_dim = u.ambient_dim
-        self.dim = w.dim - u.dim
-        self._ech = Echelon(u.field, u.ambient_dim, tag_width=self.dim)
-        for row in u.sparse_rows():
-            self._ech.add(row)
-        t = 0
-        self.complement = []
-        for row in w.sparse_rows():
-            if self._ech.add(row, {t: u.field.one}):
-                self.complement.append(row)
-                t += 1
-        self._ech.finalize()
+        self.u = u
+        self.w = w
+        inner = set(u.pivots)
+        self.pivots = tuple(p for p in w.pivots if p not in inner)
+        self.complement = [w._by_pivot[p] for p in self.pivots]
+        self.dim = len(self.pivots)
 
     def coords(self, vec):
-        if not isinstance(vec, dict):
-            vec = {j: v for j, v in enumerate(vec) if v}
-        residue, tag = self._ech.reduce(vec, want_tag=True)
-        if residue:
+        residue = self.u.reduce(vec)
+        if not self.w.contains(residue):
             raise NotContained("vector outside W")
         z = self.field.zero
-        neg = self.field.neg
-        return tuple(neg(tag[i]) if i in tag else z for i in range(self.dim))
-
-
-def quotient_coords(u, w):
-    return QuotientCoords(u, w)
-
-
-def express_in(field, width, rows, target):
-    """Coefficients writing target as a combination of the given rows.
-
-    Rows must be independent; returns None when target is outside their span.
-    """
-    ech = Echelon(field, width, tag_width=len(rows))
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            row = {j: v for j, v in enumerate(row) if v}
-        if not ech.add(row, {i: field.one}):
-            raise LinalgError("express_in needs independent rows")
-    ech.finalize()
-    if not isinstance(target, dict):
-        target = {j: v for j, v in enumerate(target) if v}
-    residue, tag = ech.reduce(target, want_tag=True)
-    if residue:
-        return None
-    z = field.zero
-    neg = field.neg
-    return tuple(neg(tag[i]) if i in tag else z for i in range(len(rows)))
+        return tuple(residue.get(p, z) for p in self.pivots)

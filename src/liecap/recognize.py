@@ -21,7 +21,7 @@ from .algebra import (
 )
 from .catalog import abelian_algebra, heisenberg_algebra, indexed_key, build
 from .homology import multiplier_dim
-from .linalg import Echelon, Matrix, Subspace
+from .linalg import Matrix, QuotientCoords, Subspace
 
 
 class NotApplicable(Exception):
@@ -129,18 +129,6 @@ def l58_sum_model(k, field):
     return alg
 
 
-def _complement_rows(field, n, inner, outer):
-    """Rows of ``outer`` extending ``inner`` to a basis of inner + outer."""
-    ech = Echelon(field, n)
-    for r in inner.sparse_rows():
-        ech.add(dict(r))
-    out = []
-    for r in outer.sparse_rows():
-        if ech.add(dict(r)):
-            out.append(r)
-    return out
-
-
 @dataclass(frozen=True)
 class HeisenbergSplit:
     m: int
@@ -173,7 +161,7 @@ def heisenberg_decomposition(algebra):
         return f.div(w[z_pivot], z_vec[z_pivot])
 
     zspace = center(algebra).space
-    rem = list(_complement_rows(f, algebra.dim, zspace, Subspace.full(f, algebra.dim)))
+    rem = QuotientCoords(zspace, Subspace.full(f, algebra.dim)).complement
     pairs = []
     while rem:
         u = rem.pop(0)
@@ -208,7 +196,7 @@ def heisenberg_decomposition(algebra):
         pairs.append((u, v))
     m = len(pairs)
     k = zspace.dim - 1
-    abelian_part = _complement_rows(f, algebra.dim, der, zspace)
+    abelian_part = QuotientCoords(der, zspace).complement
     cols = []
     for u, v in pairs:
         cols.append(u)
@@ -240,7 +228,7 @@ def _l58_sum_split(algebra):
     zspace = center(algebra).space
     if der.dim != 2 or not zspace.contains_subspace(der):
         return None
-    w_rows = _complement_rows(f, algebra.dim, zspace, Subspace.full(f, algebra.dim))
+    w_rows = QuotientCoords(zspace, Subspace.full(f, algebra.dim)).complement
     if len(w_rows) != 3:
         return None  # core dimension is not five
     # kernel line of Lambda^2(V) -> L^2
@@ -294,7 +282,7 @@ def _l58_sum_split(algebra):
     v3 = mix(ab[1])
     z4 = algebra.bracket_sparse(v1, v2)
     z5 = algebra.bracket_sparse(v1, v3)
-    abelian_part = _complement_rows(f, algebra.dim, der, zspace)
+    abelian_part = QuotientCoords(der, zspace).complement
     cols = [v1, v2, v3, z4, z5] + abelian_part
     z = f.zero
     basis = Matrix.from_columns(

@@ -22,7 +22,7 @@ from liecap.algebra import (
     upper_central_series,
     validate,
 )
-from liecap.linalg import QQ, Matrix, Subspace
+from liecap.linalg import QQ, DimensionMismatch, Matrix, Subspace
 
 
 def build(text):
@@ -46,6 +46,11 @@ class TestValidate:
         i, j, k, residual = report.first_failure()
         assert (i, j, k) == (0, 1, 2)
         assert residual
+
+    def test_output_index_outside_dim_rejected(self):
+        for k in (6, -1):
+            with pytest.raises(DimensionMismatch):
+                LieAlgebra(QQ, 6, {(0, 1): {k: 1}})
 
 
 class TestBracket:

@@ -128,6 +128,34 @@ class TestInvariants:
         assert code == 2
 
 
+def _bracket(i, j, k):
+    return {"i": i, "j": j, "out": [{"k": k, "c": "1"}]}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (("invariants", "L6_19(e=1/0)"), None),
+    (("cover", "L6_19(e=1/0)"), None),
+    (("invariants", "L6_19(e=1/101)", "--field", "Fp:101"), None),
+    (("invariants",), [1, 2]),
+    (("invariants",), {"dim": 3, "brackets": [_bracket(1, 2, 3), _bracket(2, 1, 3)]}),
+    (("invariants",), {"dim": 3, "brackets": [_bracket(1, 2, 3), _bracket(1, 2, 3)]}),
+    (("invariants",), {"dim": 3, "brackets": [_bracket(1, 1, 3)]}),
+    (("invariants",), {"dim": 3, "brackets": [_bracket(1, 4, 3)]}),
+    (("invariants",), {"dim": 3, "labels": ["a", "b"], "brackets": []}),
+    (("invariants",), {"dim": 6, "brackets": [_bracket(1, 2, 7)]}),
+], ids=["eps-zero-den", "cover-eps-zero-den", "eps-zero-den-fp", "json-list",
+        "bracket-both-orders", "bracket-twice", "diagonal-bracket", "index-ij",
+        "label-count", "index-k"])
+def test_malformed_input_exit2(tmp_path, capsys, argv, doc):
+    if doc is not None:
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(doc))
+        argv += ("--file", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and out == ""
+
+
 @pytest.mark.parametrize("field", ["Fp:4", "Fp:9", "GF7"])
 @pytest.mark.parametrize("argv", [("invariants", "L5_4"),
                                   ("verify-tables", "multipliers5"),

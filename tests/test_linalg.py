@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from liecap.linalg import (
     QQ,
     DimensionMismatch,
+    LinalgError,
     Matrix,
     NotContained,
     PrimeField,
+    QuotientCoords,
     Subspace,
-    express_in,
     kernel,
-    quotient_coords,
     rref,
     subspace_intersect,
     subspace_sum,
@@ -135,7 +135,7 @@ class TestSubspaceOps:
     def test_quotient_coords(self):
         w = Subspace.full(QQ, 3)
         u = Subspace.from_vectors(QQ, 3, [[1, 1, 0]])
-        q = quotient_coords(u, w)
+        q = QuotientCoords(u, w)
         assert q.dim == 2
         assert q.coords([1, 1, 0]) == (0, 0)
         assert q.coords([2, 2, 0]) == (0, 0)
@@ -145,12 +145,7 @@ class TestSubspaceOps:
         w = Subspace.from_vectors(QQ, 3, [[1, 0, 0]])
         u = Subspace.from_vectors(QQ, 3, [[0, 1, 0]])
         with pytest.raises(NotContained):
-            quotient_coords(u, w)
-
-    def test_express_in(self):
-        coeffs = express_in(QQ, 3, [[1, 0, 1], [0, 1, 1]], [2, 3, 5])
-        assert coeffs == (2, 3)
-        assert express_in(QQ, 3, [[1, 0, 0]], [0, 1, 0]) is None
+            QuotientCoords(u, w)
 
     def test_dimension_mismatch(self):
         u = Subspace.from_vectors(QQ, 3, [[1, 0, 0]])
@@ -219,3 +214,105 @@ class TestProperties:
         inv = m.inverse()
         assert m @ inv == Matrix.identity(QQ, 2)
         assert inv @ m == Matrix.identity(QQ, 2)
+
+
+FIELDS = [QQ, PrimeField(101)]
+
+
+def combine(field, coeffs, rows, n):
+    """sum of c * row over dense or sparse rows, as a dense tuple."""
+    out = [field.zero] * n
+    for c, row in zip(coeffs, rows):
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        for j, x in items:
+            out[j] = field.add(out[j], field.mul(field.coerce(c), field.coerce(x)))
+    return tuple(out)
+
+
+@st.composite
+def nested_subspaces(draw, max_dim=6):
+    """(field, n, U, W) with U inside W, U spanned by random combinations of W's rows."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, max_dim))
+    vec = st.lists(small_entries, min_size=n, max_size=n)
+    w_rows = draw(st.lists(vec, max_size=n + 1))
+    u_coeffs = draw(st.lists(st.lists(small_entries, min_size=len(w_rows),
+                                      max_size=len(w_rows)), max_size=n))
+    u_rows = [combine(field, c, w_rows, n) for c in u_coeffs]
+    return (field, n, Subspace.from_vectors(field, n, u_rows),
+            Subspace.from_vectors(field, n, w_rows))
+
+
+class TestQuotientProperties:
+    @given(nested_subspaces())
+    @settings(max_examples=80, deadline=None)
+    def test_complement_and_u_form_a_basis_of_w(self, case):
+        field, n, u, w = case
+        q = QuotientCoords(u, w)
+        rows = q.complement + u.sparse_rows()
+        assert len(rows) == q.dim + u.dim == w.dim
+        assert Subspace.from_vectors(field, n, rows) == w
+
+    @given(nested_subspaces(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_coords_invert_combinations(self, case, data):
+        field, n, u, w = case
+        q = QuotientCoords(u, w)
+        a = data.draw(st.lists(small_entries, min_size=q.dim, max_size=q.dim))
+        b = data.draw(st.lists(small_entries, min_size=u.dim, max_size=u.dim))
+        v = combine(field, list(a) + list(b), q.complement + u.sparse_rows(), n)
+        assert q.coords(v) == tuple(field.coerce(x) for x in a)
+        outside = [j for j in range(n) if j not in w.pivots]
+        if outside:
+            # a vector of W leads at a pivot of W, so v + e_j is not in W
+            j = data.draw(st.sampled_from(outside))
+            bumped = list(v)
+            bumped[j] = field.add(bumped[j], field.one)
+            with pytest.raises(NotContained):
+                q.coords(bumped)
+
+    @given(nested_subspaces(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_reduce_residue(self, case, data):
+        field, n, u, _ = case
+        v = [field.coerce(x) for x in
+             data.draw(st.lists(small_entries, min_size=n, max_size=n))]
+        residue = u.reduce(v)
+        assert not set(residue) & set(u.pivots)
+        assert all(residue.values())
+        diff = [field.sub(x, residue.get(j, field.zero)) for j, x in enumerate(v)]
+        assert u.contains(diff)
+
+
+@st.composite
+def square_matrices(draw, max_dim=5):
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, max_dim))
+    rows = draw(st.lists(st.lists(small_entries, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    return field, n, rows
+
+
+class TestInverseProperties:
+    @given(square_matrices(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_of_invertible(self, case, data):
+        field, n, rows = case
+        # unit lower triangular times upper triangular with a unit-free diagonal
+        diag = data.draw(st.lists(st.sampled_from([1, -1, 2, -3, 5]),
+                                  min_size=n, max_size=n))
+        lower = [[1 if i == j else (x if j < i else 0) for j, x in enumerate(r)]
+                 for i, r in enumerate(rows)]
+        upper = [[diag[i] if i == j else (x if j > i else 0) for j, x in enumerate(r)]
+                 for i, r in enumerate(rows)]
+        m = mat(lower, field) @ mat(upper, field)
+        assert m @ m.inverse() == Matrix.identity(field, n)
+
+    @given(square_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_rank_deficient_inverse_raises(self, case):
+        field, n, rows = case
+        # the last row becomes a combination of the others
+        rows[-1] = list(combine(field, rows[-1][:n - 1], rows[:n - 1], n))
+        with pytest.raises(LinalgError):
+            mat(rows, field).inverse()
