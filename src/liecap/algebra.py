@@ -445,27 +445,55 @@ def to_json(algebra):
             "field": field_obj, "brackets": brackets}
 
 
+def _json_int(obj, name):
+    v = obj.get(name)
+    # bool is an int subclass, but true is not an index
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise AlgebraError(f"{name!r} must be an integer, not {v!r}")
+    return v
+
+
+def _json_list(v, name, item_type):
+    if not isinstance(v, list) or not all(isinstance(x, item_type) for x in v):
+        items = "objects" if item_type is dict else "strings"
+        raise AlgebraError(f"{name!r} must be an array of {items}, not {v!r}")
+    return v
+
+
+def _json_coefficient(f, c):
+    try:
+        return f.parse(str(c))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise AlgebraError(f"coefficient {c!r} is not an element of {f!r}: {exc}") from None
+
+
 def from_json(obj):
     if not isinstance(obj, dict):
         raise AlgebraError(f"an algebra must be a JSON object, not {type(obj).__name__}")
     fobj = obj.get("field", "Q")
     if fobj == "Q":
         f = QQ
-    elif isinstance(fobj, dict) and "p" in fobj:
-        f = PrimeField(int(fobj["p"]))
+    elif isinstance(fobj, dict):
+        f = PrimeField(_json_int(fobj, "p"))
     else:
         raise AlgebraError(f"unknown field spec {fobj!r}")
-    dim = int(obj["dim"])
+    dim = _json_int(obj, "dim")
     if dim < 0:
         raise ValueError(f"dim must be >= 0, got {dim}")
     brackets = {}
-    for item in obj.get("brackets", []):
-        i, j = int(item["i"]) - 1, int(item["j"]) - 1
-        row = {int(o["k"]) - 1: f.parse(str(o["c"])) for o in item["out"]}
+    for item in _json_list(obj.get("brackets", []), "brackets", dict):
+        i, j = _json_int(item, "i") - 1, _json_int(item, "j") - 1
         if (i, j) in brackets:
             raise AlgebraError(f"bracket ({i + 1},{j + 1}) given twice")
-        brackets[(i, j)] = row
+        row = brackets[(i, j)] = {}
+        for o in _json_list(item.get("out"), "out", dict):
+            k = _json_int(o, "k") - 1
+            if k in row:
+                raise AlgebraError(f"bracket ({i + 1},{j + 1}) gives x{k + 1} twice")
+            row[k] = _json_coefficient(f, o.get("c"))
     labels = obj.get("labels")
+    if labels is not None:
+        _json_list(labels, "labels", str)
     return LieAlgebra(f, dim, brackets, labels=labels)
 
 

@@ -29,10 +29,6 @@ class WrongDimension(Exception):
     pass
 
 
-class UnsupportedDimension(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class CapabilityReport:
     label: str
@@ -109,7 +105,7 @@ def central_test_lines(algebra):
 def noncapable_census(max_dim, field=QQ, epsilon_samples=catalog.DEFAULT_EPSILON_SAMPLES):
     """Keys of the noncapable catalog entries through max_dim."""
     if max_dim > 6:
-        raise UnsupportedDimension("catalog stops at dimension 6")
+        raise catalog.UnsupportedDimension("catalog stops at dimension 6")
     out = []
     for key in catalog.all_keys(max_dim, field, epsilon_samples):
         entry = catalog.build(key, field)

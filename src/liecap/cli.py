@@ -24,7 +24,7 @@ from .algebra import (
     validate,
 )
 from .capability import noncapable_census, theorem2_bound_check
-from .covers import Cover, exterior_center
+from .covers import Cover, ResourceLimit, exterior_center
 from .homology import diagonal_square_dim, kunneth_exterior_dim, schur_multiplier
 from .linalg import QQ, LinalgError, PrimeField
 from .recognize import recognize
@@ -329,11 +329,10 @@ def cmd_cover(args):
     try:
         field = _field_from_arg(args.field)
         key = catalog.parse_key(args.key, field)
-        entry = catalog.build(key, field)
-    except (catalog.CatalogError, ValueError) as exc:
+        cover = Cover(catalog.build(key, field).algebra)
+    except (catalog.CatalogError, ResourceLimit, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cover = Cover(entry.algebra)
     info = {
         "key": str(key),
         "free_generators": cover.gen_count,
@@ -372,8 +371,6 @@ def build_parser():
     p_ver.add_argument("suite", choices=["all"] + sorted(SUITES))
     p_ver.add_argument("--field", default="Q")
     p_ver.add_argument("--epsilon-set", default="")
-    p_ver.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; the suites run serially")
     p_ver.set_defaults(func=cmd_verify_tables)
 
     p_cov = sub.add_parser("cover", help="cover diagnostics for one catalog entry")

@@ -9,6 +9,10 @@ d2 . d3 vanishing is a rewrite of the Jacobi identity.  The multiplier is
 ker d2 / im d3, reported with an explicit basis so maps induced by central
 quotients can be written down as matrices.
 
+Every map into or out of Lambda^2 L is built sparse from the bracket table
+in the coordinates of ``ExteriorBasis``; the dense ``ce_d2`` and ``ce_d3``
+are an independent reference for the tests.
+
 The same image presents the nonabelian exterior square: L ^ L is
 Lambda^2 L / im d3 with bracket [a, b] = d2(a) ^ d2(b) (Ellis, "A
 non-abelian tensor product of Lie algebras", Glasgow Math. J., 1991).  The
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .algebra import (
     IdealSubspace,
@@ -30,41 +35,39 @@ from .algebra import (
     quotient,
 )
 from .catalog import abelian_algebra
-from .linalg import Matrix, QuotientCoords, Subspace, kernel, kernel_from_rows
+from .linalg import Matrix, QuotientCoords, Subspace, _dense_to_sparse, kernel_from_rows
 
 
 class NotCentral(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class ExteriorBasis:
-    """Lexicographic coordinates for Lambda^2 and Lambda^3 of F^n."""
+    """Lexicographic coordinates on Lambda^2 of F^n: ``index`` maps each of
+    the ``pairs`` i < j to its coordinate; ``triples`` are listed on request."""
 
-    n: int
-    pairs: tuple
-    triples: tuple
+    def __init__(self, n):
+        self.n = n
+        self.pairs = tuple(combinations(range(n), 2))
+        self.index = {p: t for t, p in enumerate(self.pairs)}
 
     @classmethod
     def for_dim(cls, n):
-        pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-        triples = tuple((i, j, k) for i in range(n)
-                        for j in range(i + 1, n) for k in range(j + 1, n))
-        return cls(n, pairs, triples)
+        return cls(n)
 
-    def _pair_map(self):
-        # tiny, rebuilt on demand; instances are throwaway
-        return {p: t for t, p in enumerate(self.pairs)}
+    @property
+    def triples(self):
+        return tuple(combinations(range(self.n), 3))
 
 
-def _wedge_entry(field, out, pmap, a, b, coeff):
+def _wedge_entry(field, out, index, a, b, coeff):
     """Accumulate coeff * (e_a ^ e_b) into sparse Lambda^2 coords."""
     if a == b or not coeff:
         return
     if a > b:
         a, b = b, a
         coeff = field.neg(coeff)
-    idx = pmap[(a, b)]
+    idx = index[(a, b)]
     nv = field.add(out.get(idx, field.zero), coeff)
     if nv:
         out[idx] = nv
@@ -72,36 +75,43 @@ def _wedge_entry(field, out, pmap, a, b, coeff):
         out.pop(idx, None)
 
 
+def _wedge(field, index, u, v):
+    """u ^ v of two sparse L-vectors, in sparse Lambda^2 coords."""
+    out = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            _wedge_entry(field, out, index, i, j, field.mul(a, b))
+    return out
+
+
 def ce_d2(algebra):
     """Matrix of Lambda^2 L -> L, e_i ^ e_j -> [e_i, e_j]."""
-    ext = ExteriorBasis.for_dim(algebra.dim)
     cols = []
     z = algebra.field.zero
-    for (i, j) in ext.pairs:
+    for (i, j) in ExteriorBasis(algebra.dim).pairs:
         row = algebra.bracket_basis(i, j)
         cols.append(tuple(row.get(k, z) for k in range(algebra.dim)))
     return Matrix.from_columns(algebra.field, cols, algebra.dim)
 
 
-def _d3_column(algebra, pmap, triple):
+def _d3_column(algebra, index, triple):
     f = algebra.field
     i, j, k = triple
     out = {}
     for (a, b, c, sign) in ((i, j, k, 1), (i, k, j, -1), (j, k, i, 1)):
         row = algebra.bracket_basis(a, b)
         for m, cm in row.items():
-            _wedge_entry(f, out, pmap, m, c, cm if sign > 0 else f.neg(cm))
+            _wedge_entry(f, out, index, m, c, cm if sign > 0 else f.neg(cm))
     return out
 
 
 def ce_d3(algebra):
     """Matrix of Lambda^3 L -> Lambda^2 L; satisfies d2 @ d3 = 0 exactly."""
-    ext = ExteriorBasis.for_dim(algebra.dim)
-    pmap = ext._pair_map()
+    ext = ExteriorBasis(algebra.dim)
     z = algebra.field.zero
     cols = []
     for triple in ext.triples:
-        col = _d3_column(algebra, pmap, triple)
+        col = _d3_column(algebra, ext.index, triple)
         cols.append(tuple(col.get(t, z) for t in range(len(ext.pairs))))
     return Matrix.from_columns(algebra.field, cols, len(ext.pairs))
 
@@ -128,9 +138,7 @@ class MultiplierResult:
     @cached_property
     def _square(self):
         alg = self.algebra
-        f = alg.field
-        ext = ExteriorBasis.for_dim(alg.dim)
-        pmap = ext._pair_map()
+        ext = ExteriorBasis(alg.dim)
         pivots = set(self.image.pivots)
         kept = [t for t in range(len(ext.pairs)) if t not in pivots]
         pos = {t: a for a, t in enumerate(kept)}
@@ -139,13 +147,9 @@ class MultiplierResult:
         brackets = {}
         for x, a in enumerate(live):
             for b in live[x + 1:]:
-                wedge = {}
-                for i, ci in d2[a].items():
-                    for j, cj in d2[b].items():
-                        _wedge_entry(f, wedge, pmap, i, j, f.mul(ci, cj))
-                residue = self.image.reduce(wedge)
+                residue = self.image.reduce(_wedge(alg.field, ext.index, d2[a], d2[b]))
                 brackets[(a, b)] = {pos[t]: c for t, c in residue.items()}
-        return LieAlgebra(f, len(kept), brackets)
+        return LieAlgebra(alg.field, len(kept), brackets)
 
     def exterior_square(self):
         """L ^ L on the pairs that are not pivots of im d3, in pair order,
@@ -157,7 +161,7 @@ class MultiplierResult:
         alg = self.algebra
         f = alg.field
         rows = {}
-        for t, (i, j) in enumerate(ExteriorBasis.for_dim(alg.dim).pairs):
+        for t, (i, j) in enumerate(ExteriorBasis(alg.dim).pairs):
             # l ^ e_j takes l_i (e_i ^ e_j); l ^ e_i takes -l_j (e_i ^ e_j)
             for s, c in self.image.reduce({t: f.one}).items():
                 rows.setdefault((j, s), {})[i] = c
@@ -172,17 +176,25 @@ class MultiplierResult:
         return direct_sum(self._square, diag)
 
 
-def _d3_image(algebra):
-    ext = ExteriorBasis.for_dim(algebra.dim)
-    pmap = ext._pair_map()
-    width = len(ext.pairs)
-    vecs = [_d3_column(algebra, pmap, t) for t in ext.triples]
-    return Subspace._from_sparse(algebra.field, width, vecs)
+def _d2_kernel(algebra, ext):
+    """ker d2, with one functional per output coordinate of the table."""
+    rows = {}
+    for (i, j), row in algebra.table.items():
+        t = ext.index[(i, j)]
+        for k, c in row.items():
+            rows.setdefault(k, {})[t] = c
+    return kernel_from_rows(algebra.field, len(ext.pairs), rows.values())
+
+
+def _d3_image(algebra, ext):
+    vecs = [_d3_column(algebra, ext.index, t) for t in combinations(range(algebra.dim), 3)]
+    return Subspace._from_sparse(algebra.field, len(ext.pairs), vecs)
 
 
 def schur_multiplier(algebra):
-    cycles = kernel(ce_d2(algebra))
-    image = _d3_image(algebra)
+    ext = ExteriorBasis(algebra.dim)
+    cycles = _d2_kernel(algebra, ext)
+    image = _d3_image(algebra, ext)
     # raises NotContained unless d2 . d3 = 0
     quotient = QuotientCoords(image, cycles)
     basis = Subspace(algebra.field, cycles.ambient_dim, tuple(quotient.complement),
@@ -201,22 +213,12 @@ def diagonal_square_dim(algebra):
     return (n - m) * (n - m + 1) // 2
 
 
-def _lambda2_map(field, matrix, n_src, n_tgt):
+def _lambda2_map(matrix):
     """Columns of Lambda^2 of a linear map, as sparse target coordinates."""
-    src = ExteriorBasis.for_dim(n_src)
-    tgt = ExteriorBasis.for_dim(n_tgt)
-    tmap = tgt._pair_map()
-    cols = {}
-    for t, (i, j) in enumerate(src.pairs):
-        ci = matrix.column(i)
-        cj = matrix.column(j)
-        out = {}
-        for a in range(n_tgt):
-            for b in range(a + 1, n_tgt):
-                c = field.sub(field.mul(ci[a], cj[b]), field.mul(ci[b], cj[a]))
-                _wedge_entry(field, out, tmap, a, b, c)
-        cols[t] = out
-    return cols
+    index = ExteriorBasis(matrix.nrows).index
+    cols = [_dense_to_sparse(matrix.column(i)) for i in range(matrix.ncols)]
+    return [_wedge(matrix.field, index, cols[i], cols[j])
+            for i, j in combinations(range(matrix.ncols), 2)]
 
 
 def induced_multiplier_map(algebra, ideal):
@@ -231,7 +233,7 @@ def induced_multiplier_map(algebra, ideal):
     q, proj = quotient(algebra, space)
     m_l = schur_multiplier(algebra)
     m_q = schur_multiplier(q)
-    lam2 = _lambda2_map(algebra.field, proj.matrix, algebra.dim, q.dim)
+    lam2 = _lambda2_map(proj.matrix)
     f = algebra.field
     cols = []
     for v in m_l.basis.sparse_rows():

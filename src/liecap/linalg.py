@@ -39,6 +39,8 @@ class RationalField:
     """The field Q; scalars are Fraction instances."""
 
     char = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def __repr__(self):
         return "Q"
@@ -48,14 +50,6 @@ class RationalField:
 
     def __hash__(self):
         return hash("RationalField")
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def from_int(self, a):
         return Fraction(a)
@@ -101,6 +95,9 @@ class RationalField:
 class PrimeField:
     """GF(p) for an odd prime p >= 3; scalars are ints in 0..p-1."""
 
+    zero = 0
+    one = 1
+
     def __init__(self, p):
         if not isinstance(p, int) or p < 3 or p % 2 == 0:
             raise ValueError(f"prime field needs an odd prime >= 3, got {p!r}")
@@ -120,14 +117,6 @@ class PrimeField:
 
     def __hash__(self):
         return hash(("PrimeField", self.p))
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def from_int(self, a):
         return a % self.p

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 from liecap.algebra import LieAlgebra
 from liecap.homology import ExteriorBasis, ce_d3
 from liecap.linalg import QQ, Matrix, kernel_from_rows
@@ -10,11 +8,12 @@ def central_extension(algebra, kdim, rng):
 
     Cocycles are combinations of a kernel basis of the transposed degree-3
     boundary map, which is exactly the condition for the extended table to
-    satisfy the Jacobi identity.
+    satisfy the Jacobi identity.  Works over the algebra's field.
     """
+    field = algebra.field
     m = ce_d3(algebra)
     rows = [{i: v for i, v in enumerate(m.column(j)) if v} for j in range(m.ncols)]
-    cocycles = kernel_from_rows(QQ, m.nrows, rows).sparse_rows()
+    cocycles = kernel_from_rows(field, m.nrows, rows).sparse_rows()
     ext = ExteriorBasis.for_dim(algebra.dim)
     brackets = {ij: dict(row) for ij, row in algebra.table.items()}
     for s in range(kdim):
@@ -23,14 +22,14 @@ def central_extension(algebra, kdim, rng):
             c = rng.randint(-2, 2)
             if c:
                 for col, v in r.items():
-                    f[col] = f.get(col, Fraction(0)) + c * v
+                    f[col] = field.add(f.get(col, field.zero), field.mul(field.from_int(c), v))
         for t, val in f.items():
             if val:
                 i, j = ext.pairs[t]
                 row = dict(brackets.get((i, j), {}))
-                row[algebra.dim + s] = row.get(algebra.dim + s, Fraction(0)) + val
+                row[algebra.dim + s] = field.add(row.get(algebra.dim + s, field.zero), val)
                 brackets[(i, j)] = row
-    return LieAlgebra(QQ, algebra.dim + kdim, brackets)
+    return LieAlgebra(field, algebra.dim + kdim, brackets)
 
 
 def random_basis_change(rng, n, field=QQ):

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liecap import catalog, covers
+from liecap import catalog, covers, homology
 from liecap.algebra import direct_sum
 from liecap.cli import invariant_report, main
 from liecap.homology import kunneth_exterior_dim, kunneth_tensor_dim
@@ -128,8 +134,8 @@ class TestInvariants:
         assert code == 2
 
 
-def _bracket(i, j, k):
-    return {"i": i, "j": j, "out": [{"k": k, "c": "1"}]}
+def _bracket(i, j, k, c="1"):
+    return {"i": i, "j": j, "out": [{"k": k, "c": c}]}
 
 
 @pytest.mark.parametrize("argv, doc", [
@@ -143,9 +149,27 @@ def _bracket(i, j, k):
     (("invariants",), {"dim": 3, "brackets": [_bracket(1, 4, 3)]}),
     (("invariants",), {"dim": 3, "labels": ["a", "b"], "brackets": []}),
     (("invariants",), {"dim": 6, "brackets": [_bracket(1, 2, 7)]}),
+    (("invariants",), {"dim": 3, "brackets": 5}),
+    (("invariants",), {"dim": 3, "brackets": [5]}),
+    (("invariants",), {"dim": 3, "brackets": [{"i": 1, "j": 2, "out": 5}]}),
+    (("invariants",), {"dim": 3, "brackets": [
+        {"i": 1, "j": 2, "out": [{"k": 3, "c": "1"}, {"k": 3, "c": "2"}]}]}),
+    (("invariants",), {"dim": 3, "labels": 5}),
+    (("invariants",), {"dim": 3, "labels": [1, 2, 3]}),
+    (("invariants",), {"dim": []}),
+    (("invariants",), {"dim": 3.7}),
+    (("invariants",), {"dim": True}),
+    (("invariants",), {"dim": 3, "brackets": [_bracket(1, 2, 3, "1/0")]}),
+    (("invariants",), {"dim": 3, "field": {"p": 101},
+                       "brackets": [_bracket(1, 2, 3, "1/101")]}),
+    (("cover", "A100"), None),
+    (("cover", "H40"), None),
 ], ids=["eps-zero-den", "cover-eps-zero-den", "eps-zero-den-fp", "json-list",
         "bracket-both-orders", "bracket-twice", "diagonal-bracket", "index-ij",
-        "label-count", "index-k"])
+        "label-count", "index-k", "brackets-int", "bracket-int", "out-int",
+        "out-index-twice", "labels-int", "labels-ints", "dim-list", "dim-float",
+        "dim-bool", "coefficient-zero-den", "coefficient-zero-den-fp",
+        "cover-beyond-cap-abelian", "cover-beyond-cap-heisenberg"])
 def test_malformed_input_exit2(tmp_path, capsys, argv, doc):
     if doc is not None:
         path = tmp_path / "algebra.json"
@@ -192,6 +216,65 @@ class TestNoFreeAlgebra:
         assert report.tensor_dim == kunneth_tensor_dim(h, k)
 
 
+class TestNoDenseBoundary:
+    """The user paths read ker d2 and im d3 off the sparse bracket table;
+    the dense boundary matrices are a reference for the tests only."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_dense_boundaries(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a user path built a dense boundary matrix")
+        monkeypatch.setattr(homology, "ce_d2", refuse)
+        monkeypatch.setattr(homology, "ce_d3", refuse)
+
+    def test_verify_tables_all(self, capsys):
+        code, out, _ = run(capsys, "verify-tables", "all")
+        assert code == 1
+        failing = [l for l in out.splitlines() if l.startswith("FAIL")]
+        assert len(failing) == 1 and "L6_14" in failing[0]
+
+    def test_invariant_reports(self):
+        for key in catalog.all_keys(6):
+            invariant_report(catalog.build(key).algebra, str(key))
+
+
+# JSON documents of dim <= 4 in which any field may hold a value of the wrong type
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 4),
+                     st.floats(-3, 3, width=16), st.text(max_size=2))
+_INDEX = st.one_of(st.integers(0, 5), _SCALARS)
+_COEFFICIENT = st.one_of(st.sampled_from(["1", "-1", "2", "1/2", "1/0", "1/101", "x"]),
+                         _SCALARS)
+_OUT = st.one_of(st.lists(st.one_of(st.fixed_dictionaries({"k": _INDEX, "c": _COEFFICIENT}),
+                                    _SCALARS), max_size=3), _SCALARS)
+_BRACKET = st.one_of(st.fixed_dictionaries({"i": _INDEX, "j": _INDEX, "out": _OUT}), _SCALARS)
+_DOCUMENT = st.one_of(
+    st.fixed_dictionaries(
+        {"dim": st.one_of(st.integers(-1, 4), _SCALARS)},
+        optional={"field": st.one_of(st.just("Q"), st.fixed_dictionaries(
+                      {"p": st.one_of(st.sampled_from([3, 4, 5, 101]), _SCALARS)}), _SCALARS),
+                  "labels": st.one_of(st.lists(st.one_of(st.text(max_size=2), _SCALARS),
+                                               max_size=5), _SCALARS),
+                  "brackets": st.one_of(st.lists(_BRACKET, max_size=4), _SCALARS)}),
+    st.lists(_SCALARS, max_size=2), _SCALARS)
+
+
+@given(_DOCUMENT)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_file_input_never_raises(doc):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "algebra.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["invariants", "--file", str(path), "--format", "json"])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert json.loads(out)["dim"] == doc["dim"]
+    else:
+        assert err.startswith("error: ") and out == ""
+
+
 class TestVerifyTables:
     def test_multipliers5_passes(self, capsys):
         code, out, _ = run(capsys, "verify-tables", "multipliers5")
@@ -217,9 +300,11 @@ class TestVerifyTables:
         assert diff == [{"suite": "exterior6", "row": "L6_14",
                          "expected": "L5_8+A(1)", "computed": "H(1)+A(3)"}]
 
-    def test_jobs_flag(self, capsys):
-        code, out, _ = run(capsys, "verify-tables", "diagonal5", "--jobs", "2")
-        assert code == 0
+    def test_jobs_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-tables", "diagonal5", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_epsilon_set(self, capsys):
         code, out, _ = run(capsys, "verify-tables", "multipliers6",

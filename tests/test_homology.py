@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from conftest import central_extension, random_basis_change
 
 from liecap import catalog, tables
 from liecap.algebra import (
@@ -6,6 +9,7 @@ from liecap.algebra import (
     center,
     derived_subalgebra,
     direct_sum,
+    transform,
     validate,
 )
 from liecap.homology import (
@@ -116,6 +120,45 @@ class TestMultiplier:
         assert res.cycles.contains_subspace(res.basis)
         from liecap.linalg import subspace_intersect
         assert subspace_intersect(res.basis, res.image).dim == 0
+
+
+FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "GF101"])
+
+
+class TestSparseBoundaries:
+    """ker d2 read off the bracket table and im d3 from the sparse d3
+    columns equal, as RREF subspaces, those of the dense ce_d2 and ce_d3."""
+
+    @staticmethod
+    def assert_matches_dense(L, name):
+        m = schur_multiplier(L)
+        assert m.cycles == kernel(ce_d2(L)), name
+        d3 = ce_d3(L)
+        assert m.image == Subspace.from_vectors(L.field, d3.nrows, d3.transpose().rows), name
+
+    @FIELDS
+    def test_catalog(self, field):
+        for key in catalog.all_keys(6, field):
+            self.assert_matches_dense(catalog.build(key, field).algebra, f"{key} over {field!r}")
+
+    @FIELDS
+    def test_central_extensions(self, field):
+        rng = random.Random(5)
+        keys = [k for k in catalog.all_keys(6, field) if k.a >= 3]
+        for trial in range(10):
+            key = rng.choice(keys)
+            E = central_extension(catalog.build(key, field).algebra, rng.choice((1, 2)), rng)
+            assert validate(E).ok
+            self.assert_matches_dense(E, f"extension {trial} of {key} over {field!r}")
+
+    @FIELDS
+    def test_scrambled_bases(self, field):
+        rng = random.Random(55)
+        for text in ("L5_4", "L6_10", "L6_14", "L6_19(e=2)", "L6_25"):
+            L = catalog.build(catalog.parse_key(text, field), field).algebra
+            for _ in range(3):
+                B = transform(L, random_basis_change(rng, L.dim, field))
+                self.assert_matches_dense(B, f"{text} over {field!r}")
 
 
 class TestInducedMap:
