@@ -14,12 +14,12 @@ from dataclasses import dataclass, field as dc_field
 from .linalg import (
     QQ,
     DimensionMismatch,
-    Matrix,
     PrimeField,
     Subspace,
+    apply_columns,
+    inverse_columns,
     kernel_from_rows,
     _check_same_field,
-    _dense_to_sparse,
 )
 
 
@@ -206,9 +206,6 @@ class IdealSubspace:
     def dim(self):
         return self.space.dim
 
-    def basis_vectors(self):
-        return self.space.basis_vectors()
-
 
 def _span(algebra, sparse_vectors):
     return Subspace._from_sparse(algebra.field, algebra.dim, sparse_vectors)
@@ -320,36 +317,31 @@ def is_ideal(algebra, space):
 
 @dataclass(frozen=True)
 class AlgebraMap:
-    """Linear map between algebras; matrix is target_dim x source_dim."""
+    """Linear map between algebras: columns[i] is the sparse image of e_i."""
 
     source: LieAlgebra
     target: LieAlgebra
-    matrix: Matrix
+    columns: tuple
 
     def apply(self, vec):
-        return self.matrix.apply(vec)
-
-    def apply_sparse(self, vec):
-        z = self.source.field.zero
-        dense = [z] * self.source.dim
-        for i, c in vec.items():
-            dense[i] = c
-        return self.matrix.apply(dense)
+        """Image of a sparse source vector, as a sparse target vector."""
+        return apply_columns(self.target.field, self.columns, vec)
 
     def is_bracket_preserving(self):
-        n = self.source.dim
-        cols = [self.matrix.column(i) for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                lhs = self.apply_sparse(self.source.bracket_basis(i, j))
-                rhs = self.target.bracket(cols[i], cols[j])
-                if tuple(lhs) != tuple(rhs):
+        cols = self.columns
+        for i in range(self.source.dim):
+            for j in range(i + 1, self.source.dim):
+                lhs = self.apply(self.source.bracket_basis(i, j))
+                if lhs != self.target.bracket_sparse(cols[i], cols[j]):
                     return False
         return True
 
     def kernel_space(self):
-        from .linalg import kernel
-        return kernel(self.matrix)
+        rows = {}
+        for i, col in enumerate(self.columns):
+            for k, c in col.items():
+                rows.setdefault(k, {})[i] = c
+        return kernel_from_rows(self.source.field, self.source.dim, rows.values())
 
 
 def quotient(algebra, ideal):
@@ -375,12 +367,7 @@ def quotient(algebra, ideal):
             if img:
                 brackets[(a, b)] = img
     q = LieAlgebra(f, len(kept), brackets, labels=tuple(algebra.labels[i] for i in kept))
-    cols = []
-    z = f.zero
-    for i in range(algebra.dim):
-        img = project({i: f.one})
-        cols.append(tuple(img.get(t, z) for t in range(len(kept))))
-    proj = AlgebraMap(algebra, q, Matrix.from_columns(f, cols, len(kept)))
+    proj = AlgebraMap(algebra, q, tuple(project({i: f.one}) for i in range(algebra.dim)))
     return q, proj
 
 
@@ -401,29 +388,20 @@ def subalgebra_on(algebra, space):
                 brackets[(a, b)] = coords
     sub = LieAlgebra(algebra.field, len(rows), brackets,
                      labels=tuple(f"w{t + 1}" for t in range(len(rows))))
-    embed = AlgebraMap(sub, algebra,
-                       Matrix.from_columns(algebra.field, space.basis_vectors(),
-                                           algebra.dim))
-    return sub, embed
+    return sub, AlgebraMap(sub, algebra, tuple(rows))
 
 
-def transform(algebra, basis_matrix):
-    """Rewrite the algebra on a new basis given by the columns of basis_matrix."""
-    if basis_matrix.nrows != algebra.dim or basis_matrix.ncols != algebra.dim:
-        raise DimensionMismatch("basis matrix must be dim x dim")
-    inv = basis_matrix.inverse()
+def transform(algebra, cols):
+    """Rewrite the algebra on the new basis whose a-th vector is the sparse
+    column cols[a]; the columns must be a basis."""
     n = algebra.dim
+    if len(cols) != n:
+        raise DimensionMismatch(f"{len(cols)} basis columns for dim {n}")
     f = algebra.field
-    cols = [_dense_to_sparse(c) for c in zip(*basis_matrix.rows)]
-    inv_cols = [_dense_to_sparse(c) for c in zip(*inv.rows)]
-    brackets = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            # new coordinates of [b_a, b_b]: sum_k w_k (column k of the inverse)
-            row = brackets[(a, b)] = {}
-            for k, w in algebra.bracket_sparse(cols[a], cols[b]).items():
-                for t, c in inv_cols[k].items():
-                    row[t] = f.add(row.get(t, f.zero), f.mul(w, c))
+    inv_cols = inverse_columns(f, cols)
+    # the new coordinates of [b_a, b_b] are its image under the inverse
+    brackets = {(a, b): apply_columns(f, inv_cols, algebra.bracket_sparse(cols[a], cols[b]))
+                for a in range(n) for b in range(a + 1, n)}
     return LieAlgebra(f, n, brackets, labels=algebra.labels)
 
 
@@ -431,6 +409,8 @@ def transform(algebra, basis_matrix):
 # {"dim": n, "labels": [...], "field": "Q" | {"p": 5},
 #  "brackets": [{"i": 1, "j": 2, "out": [{"k": 3, "c": "1"}]}]}
 # with 1-based indices and exact coefficient strings.
+
+MAX_DIM = 300  # validate alone walks all C(dim, 3) triples
 
 
 def to_json(algebra):
@@ -478,8 +458,8 @@ def from_json(obj):
     else:
         raise AlgebraError(f"unknown field spec {fobj!r}")
     dim = _json_int(obj, "dim")
-    if dim < 0:
-        raise ValueError(f"dim must be >= 0, got {dim}")
+    if not 0 <= dim <= MAX_DIM:
+        raise AlgebraError(f"dim must be in 0..{MAX_DIM}, got {dim}")
     brackets = {}
     for item in _json_list(obj.get("brackets", []), "brackets", dict):
         i, j = _json_int(item, "i") - 1, _json_int(item, "j") - 1

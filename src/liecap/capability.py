@@ -169,7 +169,7 @@ def theorem2_bound_check(algebra, label=""):
     dsub, _ = subalgebra_on(algebra, der)
     inner = Subspace.from_vectors(
         algebra.field, dsub.dim,
-        [der.space.coords(v) for v in zw.space.basis_vectors()])
+        [der.space.coords(v) for v in zw.space.sparse_rows()])
     dq, _ = quotient(dsub, inner)
     if dq.dim > 0 and schur_multiplier(dq).exterior_center().dim > 0:
         return BoundCheck(label, "skipped", reason="L^2/Z^(L) not capable")

@@ -226,7 +226,9 @@ def build(key, field=QQ):
 
 def list_keys(dim):
     """All keys of one dimension; epsilon families appear once, unparameterized."""
-    if not 1 <= dim <= 6:
+    if dim < 1:
+        raise UnsupportedDimension(f"dimension {dim} is outside the supported range 1..6")
+    if dim > 6:
         raise UnsupportedDimension(
             "classification stops at dimension 6; dimension 7 already has "
             "one-parameter families of mutually non-isomorphic algebras")

@@ -40,7 +40,7 @@ from .algebra import (
 )
 from .catalog import abelian_algebra
 from .homology import diagonal_square_dim
-from .linalg import QQ, Echelon, Matrix, Subspace
+from .linalg import QQ, Echelon, Subspace
 
 
 class ResourceLimit(Exception):
@@ -337,13 +337,7 @@ class Cover:
                     brackets[(a, b)] = row
         star = LieAlgebra(field, len(kept), brackets,
                           labels=tuple(f"s{t + 1}" for t in range(len(kept))))
-        z = field.zero
-        cols = []
-        for col in kept:
-            img = self.phi[col]
-            cols.append(tuple(img.get(k, z) for k in range(self.algebra.dim)))
-        pi = AlgebraMap(star, self.algebra,
-                        Matrix.from_columns(field, cols, self.algebra.dim))
+        pi = AlgebraMap(star, self.algebra, tuple(self.phi[col] for col in kept))
         assert star.dim == self.algebra.dim + self.multiplier_dim
         self._star = star
         self._pi = pi
@@ -393,7 +387,7 @@ def exterior_center(cover):
     """Z^(L) = {l : l ^ l' = 0 for all l'}, the image of Z(L*) under pi."""
     algebra = cover.algebra
     z_star = center(cover.star).space
-    vectors = [cover.pi.apply(v) for v in z_star.basis_vectors()]
+    vectors = [cover.pi.apply(v) for v in z_star.sparse_rows()]
     space = Subspace.from_vectors(algebra.field, algebra.dim, vectors)
     assert center(algebra).space.contains_subspace(space)
     return IdealSubspace(algebra, space)

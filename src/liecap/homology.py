@@ -7,7 +7,7 @@ The complex in low degrees is
 with d2(x ^ y) = [x, y] and d3(x ^ y ^ z) = [x,y]^z - [x,z]^y + [y,z]^x;
 d2 . d3 vanishing is a rewrite of the Jacobi identity.  The multiplier is
 ker d2 / im d3, reported with an explicit basis so maps induced by central
-quotients can be written down as matrices.
+quotients can be written down as coordinate columns.
 
 Every map into or out of Lambda^2 L is built sparse from the bracket table
 in the coordinates of ``ExteriorBasis``; the dense ``ce_d2`` and ``ce_d3``
@@ -35,7 +35,14 @@ from .algebra import (
     quotient,
 )
 from .catalog import abelian_algebra
-from .linalg import Matrix, QuotientCoords, Subspace, _dense_to_sparse, kernel_from_rows
+from .linalg import (
+    Echelon,
+    Matrix,
+    QuotientCoords,
+    Subspace,
+    apply_columns,
+    kernel_from_rows,
+)
 
 
 class NotCentral(Exception):
@@ -213,47 +220,36 @@ def diagonal_square_dim(algebra):
     return (n - m) * (n - m + 1) // 2
 
 
-def _lambda2_map(matrix):
+def _lambda2_map(linear_map):
     """Columns of Lambda^2 of a linear map, as sparse target coordinates."""
-    index = ExteriorBasis(matrix.nrows).index
-    cols = [_dense_to_sparse(matrix.column(i)) for i in range(matrix.ncols)]
-    return [_wedge(matrix.field, index, cols[i], cols[j])
-            for i, j in combinations(range(matrix.ncols), 2)]
+    index = ExteriorBasis(linear_map.target.dim).index
+    cols = linear_map.columns
+    return [_wedge(linear_map.target.field, index, cols[i], cols[j])
+            for i, j in combinations(range(len(cols)), 2)]
 
 
 def induced_multiplier_map(algebra, ideal):
-    """Matrix of M(L) -> M(L/N) for a central ideal N.
+    """Coordinate columns of M(L) -> M(L/N) for a central ideal N.
 
-    Columns are indexed by the multiplier basis of L, rows by that of L/N;
-    the kernel dimension does not depend on either basis choice.
+    Column s is the image of the s-th multiplier basis vector of L, as a
+    tuple of coordinates on the multiplier basis of L/N; the kernel
+    dimension does not depend on either basis choice.
     """
     space = ideal.space if isinstance(ideal, IdealSubspace) else ideal
     if not center(algebra).space.contains_subspace(space):
         raise NotCentral("ideal is not central")
     q, proj = quotient(algebra, space)
-    m_l = schur_multiplier(algebra)
     m_q = schur_multiplier(q)
-    lam2 = _lambda2_map(proj.matrix)
-    f = algebra.field
-    cols = []
-    for v in m_l.basis.sparse_rows():
-        out = {}
-        for t, c in v.items():
-            for idx, w in lam2[t].items():
-                nv = f.add(out.get(idx, f.zero), f.mul(c, w))
-                if nv:
-                    out[idx] = nv
-                else:
-                    out.pop(idx, None)
-        # a cycle maps to a cycle; NotContained here would mean it did not
-        cols.append(m_q.quotient.coords(out))
-    return Matrix.from_columns(f, cols, m_q.dim)
+    lam2 = _lambda2_map(proj)
+    # a cycle maps to a cycle; NotContained here would mean it did not
+    return [m_q.quotient.coords(apply_columns(algebra.field, lam2, v))
+            for v in schur_multiplier(algebra).basis.sparse_rows()]
 
 
 def induced_map_injective(algebra, ideal):
-    from .linalg import rank
-    m = induced_multiplier_map(algebra, ideal)
-    return rank(m) == m.ncols
+    cols = induced_multiplier_map(algebra, ideal)
+    ech = Echelon(algebra.field, len(cols[0]) if cols else 0)
+    return all(ech.add(dict(enumerate(c))) for c in cols)
 
 
 def kunneth_exterior_dim(h, k):

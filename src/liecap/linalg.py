@@ -31,6 +31,25 @@ class NotContained(LinalgError):
     """QuotientCoords was given U not inside W, or a vector outside W."""
 
 
+# bounds on input that would otherwise run unbounded: PrimeField checks
+# primality by trial division up to sqrt(p), and Fraction("1e999999999")
+# builds a power of ten with a billion digits
+MAX_PRIME = 2**32
+MAX_EXPONENT = 1000
+
+
+def _parse_fraction(s):
+    """Fraction(s), refusing a decimal exponent beyond +-MAX_EXPONENT."""
+    _, e, exponent = s.lower().partition("e")
+    try:
+        huge = e and abs(int(exponent)) > MAX_EXPONENT
+    except ValueError:
+        huge = False  # not an integer, so Fraction rejects s as well
+    if huge:
+        raise ValueError(f"the exponent of {s!r} is beyond +-{MAX_EXPONENT}")
+    return Fraction(s)
+
+
 # ---------------------------------------------------------------------------
 # ground fields
 
@@ -86,7 +105,7 @@ class RationalField:
         return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
 
     def parse(self, s):
-        return Fraction(s)
+        return _parse_fraction(s)
 
     def to_str(self, a):
         return str(a)
@@ -101,6 +120,8 @@ class PrimeField:
     def __init__(self, p):
         if not isinstance(p, int) or p < 3 or p % 2 == 0:
             raise ValueError(f"prime field needs an odd prime >= 3, got {p!r}")
+        if p >= MAX_PRIME:
+            raise ValueError(f"prime field needs p < 2^32, got {p}")
         d = 3
         while d * d <= p:
             if p % d == 0:
@@ -153,7 +174,7 @@ class PrimeField:
         return a != 0 and pow(a, (self.p - 1) // 2, self.p) == 1
 
     def parse(self, s):
-        return self.coerce(Fraction(s))
+        return self.coerce(_parse_fraction(s))
 
     def to_str(self, a):
         return str(a % self.p)
@@ -333,6 +354,21 @@ def _reduce(field, by_pivot, v):
     return v
 
 
+def apply_columns(field, cols, vec):
+    """Image of the sparse vector vec under the map whose sparse columns are
+    cols: the sum of vec[i] * cols[i]."""
+    add, mul, zero = field.add, field.mul, field.zero
+    out = {}
+    for i, c in vec.items():
+        for k, w in cols[i].items():
+            nv = add(out.get(k, zero), mul(c, w))
+            if nv:
+                out[k] = nv
+            else:
+                out.pop(k, None)
+    return out
+
+
 def _int_combine(row, a, other, b):
     """a*row - b*other for integer sparse rows."""
     out = {}
@@ -438,23 +474,6 @@ class Matrix:
         z = self.field.zero
         return all(v == z for r in self.rows for v in r)
 
-    def inverse(self):
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("inverse of a non-square matrix")
-        n = self.nrows
-        ech = Echelon(self.field, 2 * n)
-        for i, r in enumerate(self.rows):
-            row = _dense_to_sparse(r)
-            row[n + i] = self.field.one
-            ech.add(row)
-        # [M | I] has rank n, and its RREF is [I | M^-1] exactly when no
-        # pivot falls in the identity block
-        if ech.pivots() != tuple(range(n)):
-            raise LinalgError("matrix is singular")
-        z = self.field.zero
-        return Matrix(self.field, [[row.get(n + i, z) for i in range(n)]
-                                   for _, row in ech.rows()], ncols=n)
-
 
 def _dense_to_sparse(row):
     return {j: v for j, v in enumerate(row) if v}
@@ -510,6 +529,26 @@ def kernel_from_rows(field, width, rows):
 def kernel(m):
     """Right kernel {v : m v = 0} as a Subspace of the column space."""
     return kernel_from_rows(m.field, m.ncols, (_dense_to_sparse(r) for r in m.rows))
+
+
+def inverse_columns(field, cols):
+    """Sparse columns of B^-1, for the square matrix B with sparse columns cols.
+
+    The rows (b_a | e_a) stack to [B^T | I].  Its RREF is [I | (B^-1)^T]
+    exactly when no pivot falls in the tag block, and the row at pivot i,
+    read in that block, is column i of B^-1.
+    """
+    n = len(cols)
+    ech = Echelon(field, 2 * n)
+    for a, col in enumerate(cols):
+        if not all(0 <= i < n for i in col):
+            raise DimensionMismatch(f"column {a} has an entry outside 0..{n - 1}")
+        row = dict(col)
+        row[n + a] = field.one
+        ech.add(row)
+    if ech.pivots() != tuple(range(n)):
+        raise LinalgError("matrix is singular")
+    return [{t - n: v for t, v in row.items() if t >= n} for _, row in ech.rows()]
 
 
 # ---------------------------------------------------------------------------

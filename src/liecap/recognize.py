@@ -21,7 +21,7 @@ from .algebra import (
 )
 from .catalog import abelian_algebra, heisenberg_algebra, indexed_key, build
 from .homology import multiplier_dim
-from .linalg import Matrix, QuotientCoords, Subspace
+from .linalg import QuotientCoords, Subspace, apply_columns
 
 
 class NotApplicable(Exception):
@@ -94,13 +94,17 @@ def fingerprint(algebra):
 
 @dataclass(frozen=True)
 class IsoType:
-    """Recognized label: A(k), H(m)+A(k), L5_8+A(k), or a fingerprint."""
+    """Recognized label: A(k), H(m)+A(k), L5_8+A(k), or a fingerprint.
+
+    For a split sum, ``basis`` is the sparse columns of the basis change
+    that ``transform`` takes to the model table exactly.
+    """
 
     kind: str                   # "abelian" | "heisenberg_sum" | "l58_sum" | "unrecognized"
     m: int = 0
     k: int = 0
     fp: Fingerprint = None
-    basis: Matrix = None        # columns give the exhibited decomposition basis
+    basis: tuple = None
 
     def label(self):
         if self.kind == "abelian":
@@ -133,7 +137,7 @@ def l58_sum_model(k, field):
 class HeisenbergSplit:
     m: int
     k: int
-    basis: Matrix
+    basis: tuple  # sparse columns
 
 
 def heisenberg_decomposition(algebra):
@@ -197,16 +201,7 @@ def heisenberg_decomposition(algebra):
     m = len(pairs)
     k = zspace.dim - 1
     abelian_part = QuotientCoords(der, zspace).complement
-    cols = []
-    for u, v in pairs:
-        cols.append(u)
-        cols.append(v)
-    cols.append(z_vec)
-    cols.extend(abelian_part)
-    z = f.zero
-    basis = Matrix.from_columns(
-        f, [tuple(c.get(i, z) for i in range(algebra.dim)) for c in cols],
-        algebra.dim)
+    basis = tuple(x for pair in pairs for x in pair) + (z_vec, *abelian_part)
     model = heisenberg_sum_model(m, k, f)
     got = transform(algebra, basis)
     assert got.table_key() == model.table_key(), "symplectic split failed"
@@ -256,38 +251,13 @@ def _l58_sum_split(algebra):
     col_space = Subspace.from_vectors(f, 3, [tuple(r[j] for r in mat) for j in range(3)])
     if col_space.dim != 2:
         return None
-    ab = col_space.basis_vectors()
-    v1_coeffs = None
-    for cand in ((f.one, f.zero, f.zero), (f.zero, f.one, f.zero), (f.zero, f.zero, f.one)):
-        if not col_space.contains(cand):
-            v1_coeffs = cand
-            break
-    assert v1_coeffs is not None
-
-    def mix(coeffs):
-        out = {}
-        for c, row in zip(coeffs, w_rows):
-            if not c:
-                continue
-            for i, x in row.items():
-                nv = f.add(out.get(i, f.zero), f.mul(c, x))
-                if nv:
-                    out[i] = nv
-                else:
-                    out.pop(i, None)
-        return out
-
-    v1 = mix(v1_coeffs)
-    v2 = mix(ab[0])
-    v3 = mix(ab[1])
+    # col_space is a plane, so some unit vector of V lies outside it
+    v1 = next(w_rows[i] for i in range(3) if not col_space.contains({i: f.one}))
+    v2, v3 = (apply_columns(f, w_rows, c) for c in col_space.sparse_rows())
     z4 = algebra.bracket_sparse(v1, v2)
     z5 = algebra.bracket_sparse(v1, v3)
     abelian_part = QuotientCoords(der, zspace).complement
-    cols = [v1, v2, v3, z4, z5] + abelian_part
-    z = f.zero
-    basis = Matrix.from_columns(
-        f, [tuple(c.get(i, z) for i in range(algebra.dim)) for c in cols],
-        algebra.dim)
+    basis = (v1, v2, v3, z4, z5, *abelian_part)
     k = zspace.dim - 2
     model = l58_sum_model(k, f)
     got = transform(algebra, basis)

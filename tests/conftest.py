@@ -1,6 +1,6 @@
 from liecap.algebra import LieAlgebra
 from liecap.homology import ExteriorBasis, ce_d3
-from liecap.linalg import QQ, Matrix, kernel_from_rows
+from liecap.linalg import QQ, kernel_from_rows
 
 
 def central_extension(algebra, kdim, rng):
@@ -33,17 +33,15 @@ def central_extension(algebra, kdim, rng):
 
 
 def random_basis_change(rng, n, field=QQ):
-    """Random permutation composed with a unit upper-triangular matrix."""
+    """Sparse columns of a random permutation times a unit upper-triangular
+    matrix U: row i of the product is row perm[i] of U."""
     perm = list(range(n))
     rng.shuffle(perm)
-    rows = []
+    upper = []
     for i in range(n):
-        row = [field.zero] * n
-        row[i] = field.one
+        row = {i: field.one}
         for j in range(i + 1, n):
             row[j] = field.from_int(rng.randint(-2, 2))
-        rows.append(row)
-    upper = Matrix(field, rows, ncols=n)
-    p = Matrix(field, [[field.one if perm[i] == j else field.zero
-                        for j in range(n)] for i in range(n)], ncols=n)
-    return p @ upper
+        upper.append(row)
+    return tuple({i: upper[perm[i]][j] for i in range(n) if upper[perm[i]].get(j)}
+                 for j in range(n))

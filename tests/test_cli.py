@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecap import catalog, covers, homology
+from liecap import catalog, covers, homology, linalg
 from liecap.algebra import direct_sum
 from liecap.cli import invariant_report, main
 from liecap.homology import kunneth_exterior_dim, kunneth_tensor_dim
@@ -39,6 +39,12 @@ class TestList:
         code, out, err = run(capsys, "list", "7")
         assert code == 2
         assert "one-parameter families" in err
+
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_dim_below_one_errors(self, capsys, dim):
+        code, out, err = run(capsys, "list", dim)
+        assert code == 2 and out == ""
+        assert "range 1..6" in err and "dimension 7" not in err
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "list", "3", "--format", "json")
@@ -164,12 +170,24 @@ def _bracket(i, j, k, c="1"):
                        "brackets": [_bracket(1, 2, 3, "1/101")]}),
     (("cover", "A100"), None),
     (("cover", "H40"), None),
+    (("invariants",), {"dim": 301, "brackets": []}),
+    (("invariants",), {"dim": 10**12, "brackets": []}),
+    (("invariants",), {"dim": 3, "field": {"p": 2**61 - 1}, "brackets": []}),
+    (("invariants", "L5_4", "--field", f"Fp:{2**61 - 1}"), None),
+    (("verify-tables", "multipliers5", "--field", f"Fp:{2**61 - 1}"), None),
+    (("invariants",), {"dim": 3, "brackets": [_bracket(1, 2, 3, "1e999999999")]}),
+    (("invariants",), {"dim": 3, "brackets": [_bracket(1, 2, 3, "1e-999999999")]}),
+    (("invariants",), {"dim": 3, "field": {"p": 101},
+                       "brackets": [_bracket(1, 2, 3, "1e1_000_000_000")]}),
 ], ids=["eps-zero-den", "cover-eps-zero-den", "eps-zero-den-fp", "json-list",
         "bracket-both-orders", "bracket-twice", "diagonal-bracket", "index-ij",
         "label-count", "index-k", "brackets-int", "bracket-int", "out-int",
         "out-index-twice", "labels-int", "labels-ints", "dim-list", "dim-float",
         "dim-bool", "coefficient-zero-den", "coefficient-zero-den-fp",
-        "cover-beyond-cap-abelian", "cover-beyond-cap-heisenberg"])
+        "cover-beyond-cap-abelian", "cover-beyond-cap-heisenberg", "dim-above-bound",
+        "dim-huge", "prime-huge", "field-prime-huge", "verify-field-prime-huge",
+        "coefficient-exponent-huge", "coefficient-exponent-huge-negative",
+        "coefficient-exponent-huge-fp"])
 def test_malformed_input_exit2(tmp_path, capsys, argv, doc):
     if doc is not None:
         path = tmp_path / "algebra.json"
@@ -236,6 +254,38 @@ class TestNoDenseBoundary:
     def test_invariant_reports(self):
         for key in catalog.all_keys(6):
             invariant_report(catalog.build(key).algebra, str(key))
+
+
+class TestNoDenseMatrix:
+    """Maps, basis changes and recognition bases are sparse columns on the
+    user paths; the dense Matrix serves only ce_d2/ce_d3 and the tests."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_dense_matrices(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a user path built a dense Matrix")
+        monkeypatch.setattr(linalg.Matrix, "__init__", refuse)
+
+    def test_verify_tables_all(self, capsys):
+        code, out, _ = run(capsys, "verify-tables", "all")
+        assert code == 1
+        failing = [l for l in out.splitlines() if l.startswith("FAIL")]
+        assert len(failing) == 1 and "L6_14" in failing[0]
+
+    def test_cover_dump_star(self, capsys):
+        code, out, _ = run(capsys, "cover", "L6_14", "--dump-star")
+        assert code == 0
+        info = json.loads(out)
+        assert info["star"]["dim"] == info["star_dim"] == 8
+
+    def test_invariant_reports(self):
+        for key in catalog.all_keys(6):
+            invariant_report(catalog.build(key).algebra, str(key))
+
+    def test_beyond_the_catalog(self, capsys):
+        code, out, _ = run(capsys, "invariants", "H20", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["multiplier_dim"] == 2 * 20 * 20 - 20 - 1
 
 
 # JSON documents of dim <= 4 in which any field may hold a value of the wrong type

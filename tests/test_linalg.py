@@ -13,6 +13,7 @@ from liecap.linalg import (
     PrimeField,
     QuotientCoords,
     Subspace,
+    inverse_columns,
     kernel,
     rref,
     subspace_intersect,
@@ -22,6 +23,14 @@ from liecap.linalg import (
 
 def mat(rows, field=QQ):
     return Matrix(field, rows, ncols=len(rows[0]) if rows else 0)
+
+
+def inverse(m):
+    """The inverse of a square dense Matrix, through inverse_columns."""
+    cols = [{i: x for i, x in enumerate(m.column(j)) if x} for j in range(m.ncols)]
+    inv = inverse_columns(m.field, cols)
+    return Matrix.from_columns(m.field, [[c.get(i, m.field.zero) for i in range(m.nrows)]
+                                         for c in inv], m.nrows)
 
 
 class TestFields:
@@ -211,7 +220,7 @@ class TestProperties:
 
     def test_inverse(self):
         m = mat([[2, 1], [1, 1]])
-        inv = m.inverse()
+        inv = inverse(m)
         assert m @ inv == Matrix.identity(QQ, 2)
         assert inv @ m == Matrix.identity(QQ, 2)
 
@@ -306,7 +315,7 @@ class TestInverseProperties:
         upper = [[diag[i] if i == j else (x if j > i else 0) for j, x in enumerate(r)]
                  for i, r in enumerate(rows)]
         m = mat(lower, field) @ mat(upper, field)
-        assert m @ m.inverse() == Matrix.identity(field, n)
+        assert m @ inverse(m) == Matrix.identity(field, n)
 
     @given(square_matrices())
     @settings(max_examples=60, deadline=None)
@@ -315,4 +324,8 @@ class TestInverseProperties:
         # the last row becomes a combination of the others
         rows[-1] = list(combine(field, rows[-1][:n - 1], rows[:n - 1], n))
         with pytest.raises(LinalgError):
-            mat(rows, field).inverse()
+            inverse(mat(rows, field))
+
+    def test_entry_outside_the_square_raises(self):
+        with pytest.raises(DimensionMismatch):
+            inverse_columns(QQ, [{0: 1}, {2: 1}])
