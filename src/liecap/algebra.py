@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from .linalg import (
     QQ,
     DimensionMismatch,
+    LiecapError,
     PrimeField,
     Subspace,
     apply_columns,
@@ -23,7 +24,7 @@ from .linalg import (
 )
 
 
-class AlgebraError(Exception):
+class AlgebraError(LiecapError):
     pass
 
 
@@ -264,7 +265,7 @@ def is_nilpotent(algebra):
 def nilpotency_class(algebra):
     series = lower_central_series(algebra)
     if series[-1].dim != 0:
-        raise NotNilpotent("lower central series stabilizes above zero")
+        raise NotNilpotent("not nilpotent: the lower central series stabilizes above zero")
     return len(series) - 1
 
 

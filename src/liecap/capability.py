@@ -21,11 +21,11 @@ from .algebra import (
     subalgebra_on,
 )
 from .homology import NotCentral, schur_multiplier
-from .linalg import QQ, Subspace, subspace_intersect
+from .linalg import QQ, LiecapError, Subspace, apply_columns, subspace_intersect
 from .recognize import recognize
 
 
-class WrongDimension(Exception):
+class WrongDimension(LiecapError):
     pass
 
 
@@ -80,25 +80,12 @@ def central_test_lines(algebra):
         push(r)
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):
-            plus = dict(rows[a])
-            for c, v in rows[b].items():
-                plus[c] = f.add(plus.get(c, f.zero), v)
-            push(plus)
-            minus = dict(rows[a])
-            for c, v in rows[b].items():
-                nv = f.sub(minus.get(c, f.zero), v)
-                if nv:
-                    minus[c] = nv
-                else:
-                    minus.pop(c, None)
+            push(apply_columns(f, rows, {a: f.one, b: f.one}))
+            minus = apply_columns(f, rows, {a: f.one, b: f.neg(f.one)})
             if minus:
                 push(minus)
     if len(rows) > 2:
-        total = {}
-        for r in rows:
-            for c, v in r.items():
-                total[c] = f.add(total.get(c, f.zero), v)
-        push(total)
+        push(apply_columns(f, rows, dict.fromkeys(range(len(rows)), f.one)))
     return out
 
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, direct_sum, validate
-from .linalg import QQ
+from .algebra import MAX_DIM, LieAlgebra, direct_sum, validate
+from .linalg import QQ, LiecapError
 
 
-class CatalogError(Exception):
+class CatalogError(LiecapError):
     pass
 
 
@@ -284,10 +284,13 @@ def parse_key(text, field=QQ):
     m = _KEY_RE.match(text.strip())
     if not m:
         raise UnknownKey(f"cannot parse key {text!r}")
-    if m.group("an") is not None:
-        return abelian_key(int(m.group("an")))
-    if m.group("hm") is not None:
-        return heisenberg_key(int(m.group("hm")))
+    an, hm = m.group("an"), m.group("hm")
+    if an is not None or hm is not None:
+        # build and validate walk all C(dim, 3) triples
+        dim = int(an) if an is not None else 2 * int(hm) + 1
+        if dim > MAX_DIM:
+            raise CatalogError(f"{text.strip()} has dimension {dim}, beyond {MAX_DIM}")
+        return abelian_key(int(an)) if an is not None else heisenberg_key(int(hm))
     dim, idx = int(m.group("dim")), int(m.group("idx"))
     if dim not in INDEX_RANGES:
         raise UnknownKey(f"no indexed entries in dimension {dim}")

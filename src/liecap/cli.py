@@ -1,7 +1,8 @@
 """Command line front end: catalog listing, invariant reports, table checks.
 
 Exit codes: 0 success, 1 failed verification rows, 2 parse/usage errors,
-3 Jacobi violation in a user-supplied algebra.
+3 Jacobi violation in a user-supplied algebra.  Every ``LiecapError`` and
+every error reading the input ends in ``error: ...`` and exit 2, in ``main``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass
 
 from . import catalog, tables
 from .algebra import (
-    AlgebraError,
-    NotNilpotent,
     center,
     derived_subalgebra,
     direct_sum,
@@ -24,9 +23,9 @@ from .algebra import (
     validate,
 )
 from .capability import noncapable_census, theorem2_bound_check
-from .covers import Cover, ResourceLimit, exterior_center
+from .covers import Cover, exterior_center
 from .homology import diagonal_square_dim, kunneth_exterior_dim, schur_multiplier
-from .linalg import QQ, LinalgError, PrimeField
+from .linalg import QQ, LiecapError, PrimeField
 from .recognize import recognize
 
 
@@ -247,13 +246,8 @@ def run_suites(names, field, eps):
 
 
 def cmd_list(args):
-    try:
-        keys = catalog.list_keys(args.dim)
-    except catalog.UnsupportedDimension as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     entries = []
-    for key in keys:
+    for key in catalog.list_keys(args.dim):
         if key.is_epsilon_family:
             entries.append({"key": str(key), "epsilon_family": True,
                             "epsilon_samples": [str(e) for e in catalog.DEFAULT_EPSILON_SAMPLES]})
@@ -281,34 +275,20 @@ def _load_algebra(args, field):
 
 
 def cmd_invariants(args):
-    try:
-        field = _field_from_arg(args.field)
-        algebra, label = _load_algebra(args, field)
-    except (catalog.CatalogError, AlgebraError, LinalgError, ValueError, OSError, KeyError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    algebra, label = _load_algebra(args, _field_from_arg(args.field))
     report = validate(algebra)
     if not report.ok:
         i, j, k, res = report.first_failure()
         print(f"error: Jacobi violation at ({i + 1},{j + 1},{k + 1}): {res}",
               file=sys.stderr)
         return 3
-    try:
-        _print_report(invariant_report(algebra, label), args.format)
-    except NotNilpotent:
-        print("error: the algebra is not nilpotent", file=sys.stderr)
-        return 2
+    _print_report(invariant_report(algebra, label), args.format)
     return 0
 
 
 def cmd_verify_tables(args):
-    try:
-        field = _field_from_arg(args.field)
-        eps = _epsilon_set(field, args.epsilon_set)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    field = _field_from_arg(args.field)
+    eps = _epsilon_set(field, args.epsilon_set)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     rows = run_suites(names, field, eps)
     failures = []
@@ -326,13 +306,9 @@ def cmd_verify_tables(args):
 
 
 def cmd_cover(args):
-    try:
-        field = _field_from_arg(args.field)
-        key = catalog.parse_key(args.key, field)
-        cover = Cover(catalog.build(key, field).algebra)
-    except (catalog.CatalogError, ResourceLimit, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    field = _field_from_arg(args.field)
+    key = catalog.parse_key(args.key, field)
+    cover = Cover(catalog.build(key, field).algebra)
     info = {
         "key": str(key),
         "free_generators": cover.gen_count,
@@ -384,10 +360,13 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "invariants" and not args.key and not args.file:
-        print("error: provide a key or --file", file=sys.stderr)
+    try:
+        if args.command == "invariants" and not args.key and not args.file:
+            raise ValueError("provide a key or --file")
+        return args.func(args)
+    except (LiecapError, ValueError, ZeroDivisionError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -40,10 +40,10 @@ from .algebra import (
 )
 from .catalog import abelian_algebra
 from .homology import diagonal_square_dim
-from .linalg import QQ, Echelon, Subspace
+from .linalg import QQ, Echelon, LiecapError, Subspace
 
 
-class ResourceLimit(Exception):
+class ResourceLimit(LiecapError):
     """A free algebra would exceed the configured basis-word cap."""
 
 

@@ -5,19 +5,21 @@ The complex in low degrees is
     Lambda^3 L --d3--> Lambda^2 L --d2--> L
 
 with d2(x ^ y) = [x, y] and d3(x ^ y ^ z) = [x,y]^z - [x,z]^y + [y,z]^x;
-d2 . d3 vanishing is a rewrite of the Jacobi identity.  The multiplier is
-ker d2 / im d3, reported with an explicit basis so maps induced by central
-quotients can be written down as coordinate columns.
+d2 . d3 vanishing is a rewrite of the Jacobi identity, and it is checked on
+every d3 column whenever the complex is built.
+
+One object carries every invariant: L ^ L = Lambda^2 L / im d3, with
+bracket [a, b] = d2(a) ^ d2(b) (Ellis, "A non-abelian tensor product of Lie
+algebras", Glasgow Math. J., 1991).  Its basis is the pairs that are not
+pivots of im d3.  d2 maps it onto L^2, and the multiplier M(L) is the kernel
+of d2 on those pairs, so dim M(L) = dim L ^ L - dim L^2 needs no kernel at
+all.  The exterior center Z^(L) and the tensor square
+L x L = (L ^ L) + A(diagonal) follow from the same image without a free
+algebra.
 
 Every map into or out of Lambda^2 L is built sparse from the bracket table
 in the coordinates of ``ExteriorBasis``; the dense ``ce_d2`` and ``ce_d3``
 are an independent reference for the tests.
-
-The same image presents the nonabelian exterior square: L ^ L is
-Lambda^2 L / im d3 with bracket [a, b] = d2(a) ^ d2(b) (Ellis, "A
-non-abelian tensor product of Lie algebras", Glasgow Math. J., 1991).  The
-exterior center Z^(L) and the tensor square L x L = (L ^ L) + A(diagonal)
-follow from it without a free algebra.
 """
 
 from __future__ import annotations
@@ -37,15 +39,16 @@ from .algebra import (
 from .catalog import abelian_algebra
 from .linalg import (
     Echelon,
+    LiecapError,
     Matrix,
-    QuotientCoords,
+    NotContained,
     Subspace,
     apply_columns,
     kernel_from_rows,
 )
 
 
-class NotCentral(Exception):
+class NotCentral(LiecapError):
     pass
 
 
@@ -125,38 +128,60 @@ def ce_d3(algebra):
 
 @dataclass(frozen=True)
 class MultiplierResult:
-    """dim and a basis for ker d2 modulo im d3, in Lambda^2 coordinates.
+    """im d3 of an algebra, and the invariants read off it.
 
-    The basis is the RREF rows of ker d2 at the pivots that im d3 lacks, so
-    it spans a complement of im d3 inside ker d2 and is fixed by the
-    lexicographic Lambda^2 order; induced-map matrices are reproducible.
-    ``quotient`` gives coordinates on it.  The multiplier is an abelian Lie
-    algebra of this dimension.  The squares and the exterior center are read
-    off the same im d3.
+    The pairs that are not pivots of im d3 (``kept``) are a basis of
+    L ^ L = Lambda^2 L / im d3.  M(L) is the kernel of d2 on them, so its
+    dim is len(kept) - dim L^2; ``basis`` is that kernel in RREF, in
+    Lambda^2 coordinates, built only when asked for.  It is fixed by the
+    lexicographic Lambda^2 order, so induced-map matrices are reproducible.
+    The multiplier is an abelian Lie algebra of this dimension.  The squares
+    and the exterior center are read off the same im d3.
     """
 
-    dim: int
-    basis: Subspace
     image: Subspace   # im d3
-    cycles: Subspace  # ker d2
-    quotient: QuotientCoords  # ker d2 / im d3
     algebra: LieAlgebra
+
+    @cached_property
+    def kept(self):
+        """Ascending Lambda^2 coordinates that are not pivots of im d3."""
+        pivots = set(self.image.pivots)
+        return tuple(t for t in range(self.image.ambient_dim) if t not in pivots)
+
+    @cached_property
+    def dim(self):
+        return len(self.kept) - derived_subalgebra(self.algebra).dim
+
+    @cached_property
+    def basis(self):
+        # ker d2 on the kept pairs; kept is ascending, so the RREF rows stay
+        # RREF when read back in Lambda^2 coordinates
+        alg = self.algebra
+        pairs = ExteriorBasis(alg.dim).pairs
+        rows = {}
+        for a, t in enumerate(self.kept):
+            for k, c in alg.bracket_basis(*pairs[t]).items():
+                rows.setdefault(k, {})[a] = c
+        ker = kernel_from_rows(alg.field, len(self.kept), rows.values())
+        basis = Subspace(alg.field, self.image.ambient_dim,
+                         tuple({self.kept[a]: c for a, c in r.items()} for r in ker.sparse_rows()),
+                         tuple(self.kept[a] for a in ker.pivots), _internal=True)
+        assert basis.dim == self.dim
+        return basis
 
     @cached_property
     def _square(self):
         alg = self.algebra
         ext = ExteriorBasis(alg.dim)
-        pivots = set(self.image.pivots)
-        kept = [t for t in range(len(ext.pairs)) if t not in pivots]
-        pos = {t: a for a, t in enumerate(kept)}
-        d2 = [alg.bracket_basis(*ext.pairs[t]) for t in kept]
-        live = [a for a in range(len(kept)) if d2[a]]
+        pos = {t: a for a, t in enumerate(self.kept)}
+        d2 = [alg.bracket_basis(*ext.pairs[t]) for t in self.kept]
+        live = [a for a in range(len(self.kept)) if d2[a]]
         brackets = {}
         for x, a in enumerate(live):
             for b in live[x + 1:]:
                 residue = self.image.reduce(_wedge(alg.field, ext.index, d2[a], d2[b]))
                 brackets[(a, b)] = {pos[t]: c for t, c in residue.items()}
-        return LieAlgebra(alg.field, len(kept), brackets)
+        return LieAlgebra(alg.field, len(self.kept), brackets)
 
     def exterior_square(self):
         """L ^ L on the pairs that are not pivots of im d3, in pair order,
@@ -183,30 +208,15 @@ class MultiplierResult:
         return direct_sum(self._square, diag)
 
 
-def _d2_kernel(algebra, ext):
-    """ker d2, with one functional per output coordinate of the table."""
-    rows = {}
-    for (i, j), row in algebra.table.items():
-        t = ext.index[(i, j)]
-        for k, c in row.items():
-            rows.setdefault(k, {})[t] = c
-    return kernel_from_rows(algebra.field, len(ext.pairs), rows.values())
-
-
-def _d3_image(algebra, ext):
-    vecs = [_d3_column(algebra, ext.index, t) for t in combinations(range(algebra.dim), 3)]
-    return Subspace._from_sparse(algebra.field, len(ext.pairs), vecs)
-
-
 def schur_multiplier(algebra):
     ext = ExteriorBasis(algebra.dim)
-    cycles = _d2_kernel(algebra, ext)
-    image = _d3_image(algebra, ext)
-    # raises NotContained unless d2 . d3 = 0
-    quotient = QuotientCoords(image, cycles)
-    basis = Subspace(algebra.field, cycles.ambient_dim, tuple(quotient.complement),
-                     quotient.pivots, _internal=True)
-    return MultiplierResult(quotient.dim, basis, image, cycles, quotient, algebra)
+    field = algebra.field
+    d2 = [algebra.bracket_basis(i, j) for i, j in ext.pairs]
+    d3 = [_d3_column(algebra, ext.index, t) for t in combinations(range(algebra.dim), 3)]
+    for col in d3:
+        if apply_columns(field, d2, col):
+            raise NotContained("d2 . d3 is not zero: the bracket violates Jacobi")
+    return MultiplierResult(Subspace._from_sparse(field, len(ext.pairs), d3), algebra)
 
 
 def multiplier_dim(algebra):
@@ -242,7 +252,7 @@ def induced_multiplier_map(algebra, ideal):
     m_q = schur_multiplier(q)
     lam2 = _lambda2_map(proj)
     # a cycle maps to a cycle; NotContained here would mean it did not
-    return [m_q.quotient.coords(apply_columns(algebra.field, lam2, v))
+    return [m_q.basis.coords(m_q.image.reduce(apply_columns(algebra.field, lam2, v)))
             for v in schur_multiplier(algebra).basis.sparse_rows()]
 
 

@@ -15,7 +15,11 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 
-class LinalgError(Exception):
+class LiecapError(Exception):
+    """Base of every error liecap raises on bad input or an unmet hypothesis."""
+
+
+class LinalgError(LiecapError):
     pass
 
 
@@ -28,7 +32,7 @@ class DimensionMismatch(LinalgError):
 
 
 class NotContained(LinalgError):
-    """QuotientCoords was given U not inside W, or a vector outside W."""
+    """A subspace or vector lies outside the space it must lie in."""
 
 
 # bounds on input that would otherwise run unbounded: PrimeField checks
@@ -674,47 +678,21 @@ def subspace_intersect(u, v):
             cols.setdefault(c, {})[i] = val
     coeff_kernel = kernel_from_rows(u.field, len(stacked), cols.values())
     vectors = []
-    mul, add, zero = u.field.mul, u.field.add, u.field.zero
     for coeff in coeff_kernel.sparse_rows():
-        vec = {}
-        for i, a in coeff.items():
-            if i >= len(urows):
-                continue
-            for c, val in urows[i].items():
-                nv = add(vec.get(c, zero), mul(a, val))
-                if nv:
-                    vec[c] = nv
-                else:
-                    vec.pop(c, None)
+        vec = apply_columns(u.field, urows, {i: a for i, a in coeff.items() if i < len(urows)})
         if vec:
             vectors.append(vec)
     return Subspace._from_sparse(u.field, u.ambient_dim, vectors)
 
 
-class QuotientCoords:
-    """Coordinates on W/U for subspaces U inside W, read off their RREFs.
+def complement(u, w):
+    """W's RREF rows at the pivots U lacks: a basis of W modulo U, for U inside W.
 
     A vector in the span of RREF rows leads at one of their pivots, so the
-    pivots of U are pivots of W.  W's rows at its other ``pivots`` form the
-    ``complement``, a basis of W modulo U; the coordinates of w on it are
-    (w mod U) read at those pivots.
+    pivots of U are pivots of W and these rows span a complement of U.
     """
-
-    def __init__(self, u, w):
-        u._check_compatible(w)
-        if not w.contains_subspace(u):
-            raise NotContained("U is not contained in W")
-        self.field = u.field
-        self.u = u
-        self.w = w
-        inner = set(u.pivots)
-        self.pivots = tuple(p for p in w.pivots if p not in inner)
-        self.complement = [w._by_pivot[p] for p in self.pivots]
-        self.dim = len(self.pivots)
-
-    def coords(self, vec):
-        residue = self.u.reduce(vec)
-        if not self.w.contains(residue):
-            raise NotContained("vector outside W")
-        z = self.field.zero
-        return tuple(residue.get(p, z) for p in self.pivots)
+    u._check_compatible(w)
+    if not w.contains_subspace(u):
+        raise NotContained("U is not contained in W")
+    inner = set(u.pivots)
+    return [w._by_pivot[p] for p in w.pivots if p not in inner]

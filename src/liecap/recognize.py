@@ -21,10 +21,10 @@ from .algebra import (
 )
 from .catalog import abelian_algebra, heisenberg_algebra, indexed_key, build
 from .homology import multiplier_dim
-from .linalg import QuotientCoords, Subspace, apply_columns
+from .linalg import LiecapError, Subspace, apply_columns, complement
 
 
-class NotApplicable(Exception):
+class NotApplicable(LiecapError):
     """The decomposition's hypothesis (class 2, dim L^2 = 1) fails."""
 
 
@@ -165,7 +165,7 @@ def heisenberg_decomposition(algebra):
         return f.div(w[z_pivot], z_vec[z_pivot])
 
     zspace = center(algebra).space
-    rem = QuotientCoords(zspace, Subspace.full(f, algebra.dim)).complement
+    rem = complement(zspace, Subspace.full(f, algebra.dim))
     pairs = []
     while rem:
         u = rem.pop(0)
@@ -178,29 +178,13 @@ def heisenberg_decomposition(algebra):
         v = rem.pop(partner)
         c = beta(u, v)
         v = {i: f.div(x, c) for i, x in v.items()}
-        cleaned = []
-        for w in rem:
-            a = beta(u, w)
-            b = beta(v, w)
-            out = dict(w)
-            for i, x in v.items():  # w - beta(u,w) v + beta(v,w) u
-                nv = f.sub(out.get(i, f.zero), f.mul(a, x))
-                if nv:
-                    out[i] = nv
-                else:
-                    out.pop(i, None)
-            for i, x in u.items():
-                nv = f.add(out.get(i, f.zero), f.mul(b, x))
-                if nv:
-                    out[i] = nv
-                else:
-                    out.pop(i, None)
-            cleaned.append(out)
-        rem = cleaned
+        # w - beta(u,w) v + beta(v,w) u
+        rem = [apply_columns(f, (w, v, u), {0: f.one, 1: f.neg(beta(u, w)), 2: beta(v, w)})
+               for w in rem]
         pairs.append((u, v))
     m = len(pairs)
     k = zspace.dim - 1
-    abelian_part = QuotientCoords(der, zspace).complement
+    abelian_part = complement(der, zspace)
     basis = tuple(x for pair in pairs for x in pair) + (z_vec, *abelian_part)
     model = heisenberg_sum_model(m, k, f)
     got = transform(algebra, basis)
@@ -223,7 +207,7 @@ def _l58_sum_split(algebra):
     zspace = center(algebra).space
     if der.dim != 2 or not zspace.contains_subspace(der):
         return None
-    w_rows = QuotientCoords(zspace, Subspace.full(f, algebra.dim)).complement
+    w_rows = complement(zspace, Subspace.full(f, algebra.dim))
     if len(w_rows) != 3:
         return None  # core dimension is not five
     # kernel line of Lambda^2(V) -> L^2
@@ -256,7 +240,7 @@ def _l58_sum_split(algebra):
     v2, v3 = (apply_columns(f, w_rows, c) for c in col_space.sparse_rows())
     z4 = algebra.bracket_sparse(v1, v2)
     z5 = algebra.bracket_sparse(v1, v3)
-    abelian_part = QuotientCoords(der, zspace).complement
+    abelian_part = complement(der, zspace)
     basis = (v1, v2, v3, z4, z5, *abelian_part)
     k = zspace.dim - 2
     model = l58_sum_model(k, f)

@@ -130,3 +130,11 @@ class TestKeySyntax:
         for text in ("B3", "L7_1", "L5", "A", "L6_19(e=x)"):
             with pytest.raises(catalog.UnknownKey):
                 catalog.parse_key(text)
+
+    def test_size_bound(self):
+        # A(n) has dim n and H(m) dim 2m+1; neither may exceed algebra.MAX_DIM
+        assert str(catalog.parse_key("A300")) == "A300"
+        assert str(catalog.parse_key("H149")) == "H149"
+        for text in ("A301", "H150", "A5000"):
+            with pytest.raises(catalog.CatalogError):
+                catalog.parse_key(text)

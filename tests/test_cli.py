@@ -179,6 +179,9 @@ def _bracket(i, j, k, c="1"):
     (("invariants",), {"dim": 3, "brackets": [_bracket(1, 2, 3, "1e-999999999")]}),
     (("invariants",), {"dim": 3, "field": {"p": 101},
                        "brackets": [_bracket(1, 2, 3, "1e1_000_000_000")]}),
+    (("invariants", "A301"), None),
+    (("invariants", "H150"), None),
+    (("cover", "A5000"), None),
 ], ids=["eps-zero-den", "cover-eps-zero-den", "eps-zero-den-fp", "json-list",
         "bracket-both-orders", "bracket-twice", "diagonal-bracket", "index-ij",
         "label-count", "index-k", "brackets-int", "bracket-int", "out-int",
@@ -187,7 +190,8 @@ def _bracket(i, j, k, c="1"):
         "cover-beyond-cap-abelian", "cover-beyond-cap-heisenberg", "dim-above-bound",
         "dim-huge", "prime-huge", "field-prime-huge", "verify-field-prime-huge",
         "coefficient-exponent-huge", "coefficient-exponent-huge-negative",
-        "coefficient-exponent-huge-fp"])
+        "coefficient-exponent-huge-fp", "key-abelian-above-bound",
+        "key-heisenberg-above-bound", "cover-key-huge"])
 def test_malformed_input_exit2(tmp_path, capsys, argv, doc):
     if doc is not None:
         path = tmp_path / "algebra.json"
@@ -286,6 +290,27 @@ class TestNoDenseMatrix:
         code, out, _ = run(capsys, "invariants", "H20", "--format", "json")
         assert code == 0
         assert json.loads(out)["multiplier_dim"] == 2 * 20 * 20 - 20 - 1
+
+
+class TestNoMultiplierBasis:
+    """Every user path reads the multiplier dimension, the squares and the
+    exterior center off im d3; none needs a basis of M(L)."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_multiplier_basis(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a user path built the multiplier basis")
+        monkeypatch.setattr(homology.MultiplierResult, "basis", property(refuse))
+
+    def test_verify_tables_all(self, capsys):
+        code, out, _ = run(capsys, "verify-tables", "all")
+        assert code == 1
+        failing = [l for l in out.splitlines() if l.startswith("FAIL")]
+        assert len(failing) == 1 and "L6_14" in failing[0]
+
+    def test_invariant_reports(self):
+        for key in catalog.all_keys(6):
+            invariant_report(catalog.build(key).algebra, str(key))
 
 
 # JSON documents of dim <= 4 in which any field may hold a value of the wrong type

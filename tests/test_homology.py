@@ -23,7 +23,16 @@ from liecap.homology import (
     kunneth_tensor_dim,
     schur_multiplier,
 )
-from liecap.linalg import QQ, PrimeField, Subspace, kernel, rank, subspace_sum
+from liecap.linalg import (
+    QQ,
+    NotContained,
+    PrimeField,
+    Subspace,
+    apply_columns,
+    kernel,
+    rank,
+    subspace_sum,
+)
 
 
 def build(text):
@@ -117,7 +126,7 @@ class TestMultiplier:
         d2 = ce_d2(L)
         for v in res.basis.basis_vectors():
             assert all(c == 0 for c in d2.apply(v))
-        assert res.cycles.contains_subspace(res.basis)
+        assert kernel(d2).contains_subspace(res.basis)
         from liecap.linalg import subspace_intersect
         assert subspace_intersect(res.basis, res.image).dim == 0
 
@@ -126,13 +135,17 @@ FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "GF10
 
 
 class TestSparseBoundaries:
-    """ker d2 read off the bracket table and im d3 from the sparse d3
-    columns equal, as RREF subspaces, those of the dense ce_d2 and ce_d3."""
+    """im d3 from the sparse d3 columns equals, as an RREF subspace, the span
+    of the dense ce_d3 columns, and im d3 plus the multiplier basis read off
+    the kept pairs is ker ce_d2, as a direct sum."""
 
     @staticmethod
     def assert_matches_dense(L, name):
         m = schur_multiplier(L)
-        assert m.cycles == kernel(ce_d2(L)), name
+        cycles = kernel(ce_d2(L))
+        assert subspace_sum(m.image, m.basis) == cycles, name
+        assert m.image.dim + m.basis.dim == cycles.dim, name
+        assert m.dim == m.basis.dim, name
         d3 = ce_d3(L)
         assert m.image == Subspace.from_vectors(L.field, d3.nrows, d3.transpose().rows), name
 
@@ -159,6 +172,40 @@ class TestSparseBoundaries:
             for _ in range(3):
                 B = transform(L, random_basis_change(rng, L.dim, field))
                 self.assert_matches_dense(B, f"{text} over {field!r}")
+
+
+class TestMultiplierCoords:
+    """basis.coords(image.reduce(z)) inverts z = sum a_s basis_s + sum b_r image_r,
+    and a vector outside ker d2 has no coordinates."""
+
+    @staticmethod
+    def assert_coords_invert(L, rng, name):
+        f = L.field
+        m = schur_multiplier(L)
+        rows = m.basis.sparse_rows() + m.image.sparse_rows()
+        outside = [t for t, (i, j) in enumerate(ExteriorBasis(L.dim).pairs)
+                   if L.bracket_basis(i, j)]
+        for _ in range(3):
+            coeffs = [f.from_int(rng.randint(-6, 6)) for _ in rows]
+            z = apply_columns(f, rows, dict(enumerate(coeffs)))
+            assert m.basis.coords(m.image.reduce(z)) == tuple(coeffs[:m.dim]), name
+            if outside:
+                t = rng.choice(outside)
+                z[t] = f.add(z.get(t, f.zero), f.one)
+                with pytest.raises(NotContained):
+                    m.basis.coords(m.image.reduce(z))
+
+    @FIELDS
+    def test_coords_invert_combinations(self, field):
+        rng = random.Random(11)
+        for key in catalog.all_keys(6, field):
+            self.assert_coords_invert(catalog.build(key, field).algebra, rng,
+                                      f"{key} over {field!r}")
+        keys = [k for k in catalog.all_keys(6, field) if k.a >= 3]
+        for trial in range(10):
+            key = rng.choice(keys)
+            E = central_extension(catalog.build(key, field).algebra, rng.choice((1, 2)), rng)
+            self.assert_coords_invert(E, rng, f"extension {trial} of {key} over {field!r}")
 
 
 class TestInducedMap:
@@ -309,6 +356,9 @@ class TestL614ExteriorSquare:
         report = validate(flipped)
         assert not report.ok
         assert report.first_failure()[:3] == (0, 1, 3)
+        # the column-by-column d2 . d3 = 0 check refuses the table
+        with pytest.raises(NotContained):
+            schur_multiplier(flipped)
 
 
 class TestKunneth:

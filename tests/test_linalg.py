@@ -11,8 +11,8 @@ from liecap.linalg import (
     Matrix,
     NotContained,
     PrimeField,
-    QuotientCoords,
     Subspace,
+    complement,
     inverse_columns,
     kernel,
     rref,
@@ -144,17 +144,18 @@ class TestSubspaceOps:
     def test_quotient_coords(self):
         w = Subspace.full(QQ, 3)
         u = Subspace.from_vectors(QQ, 3, [[1, 1, 0]])
-        q = QuotientCoords(u, w)
-        assert q.dim == 2
-        assert q.coords([1, 1, 0]) == (0, 0)
-        assert q.coords([2, 2, 0]) == (0, 0)
-        assert any(c != 0 for c in q.coords([1, 0, 0]))
+        rows = Subspace.from_vectors(QQ, 3, complement(u, w))
+        assert rows.dim == 2
+        # w mod U lies in the complement's span, and is zero exactly on U
+        assert u.reduce([1, 1, 0]) == {} and u.reduce([2, 2, 0]) == {}
+        residue = u.reduce([1, 0, 0])
+        assert residue and rows.contains(residue)
 
     def test_quotient_coords_not_contained(self):
         w = Subspace.from_vectors(QQ, 3, [[1, 0, 0]])
         u = Subspace.from_vectors(QQ, 3, [[0, 1, 0]])
         with pytest.raises(NotContained):
-            QuotientCoords(u, w)
+            complement(u, w)
 
     def test_dimension_mismatch(self):
         u = Subspace.from_vectors(QQ, 3, [[1, 0, 0]])
@@ -257,28 +258,9 @@ class TestQuotientProperties:
     @settings(max_examples=80, deadline=None)
     def test_complement_and_u_form_a_basis_of_w(self, case):
         field, n, u, w = case
-        q = QuotientCoords(u, w)
-        rows = q.complement + u.sparse_rows()
-        assert len(rows) == q.dim + u.dim == w.dim
+        rows = complement(u, w) + u.sparse_rows()
+        assert len(rows) == w.dim
         assert Subspace.from_vectors(field, n, rows) == w
-
-    @given(nested_subspaces(), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_coords_invert_combinations(self, case, data):
-        field, n, u, w = case
-        q = QuotientCoords(u, w)
-        a = data.draw(st.lists(small_entries, min_size=q.dim, max_size=q.dim))
-        b = data.draw(st.lists(small_entries, min_size=u.dim, max_size=u.dim))
-        v = combine(field, list(a) + list(b), q.complement + u.sparse_rows(), n)
-        assert q.coords(v) == tuple(field.coerce(x) for x in a)
-        outside = [j for j in range(n) if j not in w.pivots]
-        if outside:
-            # a vector of W leads at a pivot of W, so v + e_j is not in W
-            j = data.draw(st.sampled_from(outside))
-            bumped = list(v)
-            bumped[j] = field.add(bumped[j], field.one)
-            with pytest.raises(NotContained):
-                q.coords(bumped)
 
     @given(nested_subspaces(), st.data())
     @settings(max_examples=80, deadline=None)
