@@ -164,14 +164,14 @@ class CatalogEntry:
 
 def abelian_algebra(n, field=QQ):
     if n < 0:
-        raise UnknownKey(f"A({n})")
+        raise UnknownKey(f"A({n}): n must be at least 0")
     return LieAlgebra(field, n, {})
 
 
 def heisenberg_algebra(m, field=QQ):
     """H(m): basis x1..x2m, x with [x_{2i-1}, x_{2i}] = x."""
     if m < 1:
-        raise UnknownKey(f"H({m})")
+        raise UnknownKey(f"H({m}): m must be at least 1")
     brackets = {(2 * i, 2 * i + 1): {2 * m: field.one} for i in range(m)}
     labels = tuple(f"x{i + 1}" for i in range(2 * m)) + ("x",)
     return LieAlgebra(field, 2 * m + 1, brackets, labels=labels)
@@ -182,7 +182,8 @@ def _build_indexed(dim, index, epsilon, field):
         raise UnsupportedDimension(
             f"indexed entries cover dimensions 3..6 only, got {dim}")
     if not 1 <= index <= INDEX_RANGES[dim]:
-        raise UnknownKey(f"L{dim}_{index}")
+        raise UnknownKey(
+            f"L{dim}_{index}: dimension {dim} has indices 1..{INDEX_RANGES[dim]}")
     family = (dim, index) in _EPSILON_BRACKET
     if family and epsilon is None:
         raise EpsilonRequired(f"L{dim}_{index} needs an epsilon value")
@@ -286,7 +287,7 @@ def parse_key(text, field=QQ):
         raise UnknownKey(f"cannot parse key {text!r}")
     an, hm = m.group("an"), m.group("hm")
     if an is not None or hm is not None:
-        # build and validate walk all C(dim, 3) triples
+        # exterior_center reduces all C(dim, 2) coordinates of Lambda^2
         dim = int(an) if an is not None else 2 * int(hm) + 1
         if dim > MAX_DIM:
             raise CatalogError(f"{text.strip()} has dimension {dim}, beyond {MAX_DIM}")

@@ -1,6 +1,9 @@
 import json
+import random
+from itertools import combinations
 
 import pytest
+from conftest import central_extension
 
 from liecap import catalog
 from liecap.algebra import (
@@ -18,11 +21,12 @@ from liecap.algebra import (
     nilpotency_class,
     quotient,
     subalgebra_on,
+    support_triples,
     transform,
     upper_central_series,
     validate,
 )
-from liecap.linalg import QQ, DimensionMismatch, Subspace
+from liecap.linalg import QQ, DimensionMismatch, PrimeField, Subspace
 
 
 def build(text):
@@ -51,6 +55,72 @@ class TestValidate:
         for k in (6, -1):
             with pytest.raises(DimensionMismatch):
                 LieAlgebra(QQ, 6, {(0, 1): {k: 1}})
+
+
+FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "GF101"])
+
+
+def seeded_algebras(field, seed, count):
+    """Every catalog entry, then ``count`` seeded central extensions of them."""
+    keys = catalog.all_keys(6, field)
+    algebras = [catalog.build(key, field).algebra for key in keys]
+    rng = random.Random(seed)
+    for _ in range(count):
+        base = catalog.build(rng.choice([k for k in keys if k.a >= 3]), field).algebra
+        algebras.append(central_extension(base, rng.choice((1, 2)), rng))
+    return algebras
+
+
+def brute_first_failure(L):
+    """The first of all C(n, 3) triples in lex order with a nonzero Jacobi
+    sum, and that sum, read off bracket_sparse."""
+    f = L.field
+    for i, j, k in combinations(range(L.dim), 3):
+        total = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for t, v in L.bracket_sparse({a: f.one}, L.bracket_basis(b, c)).items():
+                total[t] = f.add(total.get(t, f.zero), v)
+        total = {t: v for t, v in total.items() if v}
+        if total:
+            return (i, j, k, total)
+    return None
+
+
+class TestSupportTriples:
+    @FIELDS
+    def test_equals_brute_force_filter(self, field):
+        for L in seeded_algebras(field, 17, 12):
+            brute = [t for t in combinations(range(L.dim), 3)
+                     if any(p in L.table for p in combinations(t, 2))]
+            assert support_triples(L) == brute, L
+
+    def test_closed_counts(self):
+        # A(n) has no bracket; the pairs of H(m) are disjoint, so each meets
+        # 2m - 1 third indices
+        assert support_triples(catalog.abelian_algebra(16)) == []
+        for m in range(1, 6):
+            assert len(support_triples(catalog.heisenberg_algebra(m))) == m * (2 * m - 1)
+
+    @FIELDS
+    def test_validate_matches_full_scan_on_flipped_tables(self, field):
+        # change one structure constant of a valid table; validate, walking
+        # only the support, names the same first failure as the full scan
+        rng = random.Random(29)
+        failures = 0
+        for L in seeded_algebras(field, 31, 12):
+            if not L.table:
+                continue
+            for _ in range(2):
+                (i, j), row = rng.choice(sorted(L.table.items()))
+                k = rng.choice(sorted(row)) if rng.random() < 0.5 else rng.randrange(L.dim)
+                new_row = dict(row)
+                new_row[k] = field.add(row.get(k, field.zero), field.from_int(rng.choice((1, 2))))
+                bad = LieAlgebra(field, L.dim, {**L.table, (i, j): new_row})
+                expected = brute_first_failure(bad)
+                assert validate(bad).first_failure() == expected
+                assert validate(bad).ok == (expected is None)
+                failures += expected is not None
+        assert failures >= 40
 
 
 class TestBracket:

@@ -182,6 +182,9 @@ def _bracket(i, j, k, c="1"):
     (("invariants", "A301"), None),
     (("invariants", "H150"), None),
     (("cover", "A5000"), None),
+    (("invariants", "L3_3"), None),
+    (("invariants", "L6_29"), None),
+    (("invariants", "H0"), None),
 ], ids=["eps-zero-den", "cover-eps-zero-den", "eps-zero-den-fp", "json-list",
         "bracket-both-orders", "bracket-twice", "diagonal-bracket", "index-ij",
         "label-count", "index-k", "brackets-int", "bracket-int", "out-int",
@@ -191,7 +194,8 @@ def _bracket(i, j, k, c="1"):
         "dim-huge", "prime-huge", "field-prime-huge", "verify-field-prime-huge",
         "coefficient-exponent-huge", "coefficient-exponent-huge-negative",
         "coefficient-exponent-huge-fp", "key-abelian-above-bound",
-        "key-heisenberg-above-bound", "cover-key-huge"])
+        "key-heisenberg-above-bound", "cover-key-huge", "key-index-above-range",
+        "key-index-above-range-dim6", "key-heisenberg-zero"])
 def test_malformed_input_exit2(tmp_path, capsys, argv, doc):
     if doc is not None:
         path = tmp_path / "algebra.json"
@@ -200,6 +204,13 @@ def test_malformed_input_exit2(tmp_path, capsys, argv, doc):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and out == ""
+    # a catalog key outside its range names the range
+    assert _KEY_RANGES.get(argv[1], "") in err
+
+
+_KEY_RANGES = {"L3_3": "L3_3: dimension 3 has indices 1..2",
+               "L6_29": "L6_29: dimension 6 has indices 1..28",
+               "H0": "H(0): m must be at least 1"}
 
 
 @pytest.mark.parametrize("field", ["Fp:4", "Fp:9", "GF7"])
@@ -333,19 +344,68 @@ _DOCUMENT = st.one_of(
     st.lists(_SCALARS, max_size=2), _SCALARS)
 
 
+# catalog keys of small dimension, keys beyond the bounds, and garbage; a
+# leading "-" would be read as an option by argparse, so none is generated
+_EPSILON = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4", "1/0", "1/101", "x", ""])
+_KEY = st.one_of(
+    st.builds("A{}".format, st.one_of(st.integers(0, 8), st.integers(301, 10**12))),
+    st.builds("H{}".format, st.one_of(st.integers(0, 3), st.integers(150, 10**12))),
+    st.builds("L{}_{}{}".format, st.integers(2, 7), st.integers(0, 30),
+              st.one_of(st.just(""), st.builds("(e={})".format, _EPSILON))),
+    st.text(max_size=8).filter(lambda t: not t.startswith("-")))
+
+# documents over the dim bound, or with one bracket whose indices may pass dim
+_OVERSIZED = st.one_of(
+    st.fixed_dictionaries({"dim": st.integers(301, 10**13), "brackets": st.just([])}),
+    st.builds(lambda dim, i, j, k: {"dim": dim, "brackets": [_bracket(i, j, k)]},
+              st.integers(2, 5), st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)))
+
+
+def _main_output(argv, doc=None):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if doc is not None:
+            path = Path(tmp) / "algebra.json"
+            path.write_text(json.dumps(doc))
+            argv = argv + ["--file", str(path)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @given(_DOCUMENT)
 @settings(max_examples=150, deadline=None)
 def test_fuzzed_file_input_never_raises(doc):
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "algebra.json"
-        path.write_text(json.dumps(doc))
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["invariants", "--file", str(path), "--format", "json"])
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = _main_output(["invariants", "--format", "json"], doc)
     assert code in (0, 2, 3)
     if code == 0:
         assert json.loads(out)["dim"] == doc["dim"]
+    else:
+        assert err.startswith("error: ") and out == ""
+
+
+_FIELDS = {"Q": linalg.QQ, "Fp:3": linalg.PrimeField(3), "Fp:101": linalg.PrimeField(101)}
+
+
+@given(_KEY, st.sampled_from(sorted(_FIELDS)))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_key_never_raises(key, field):
+    code, out, err = _main_output(["invariants", key, "--field", field, "--format", "json"])
+    assert code in (0, 2)
+    if code == 0:
+        label = str(catalog.parse_key(key, _FIELDS[field]))
+        assert json.loads(out)["label"] == label and err == ""
+    else:
+        assert err.startswith("error: ") and out == ""
+
+
+@given(_OVERSIZED)
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_oversized_document_never_raises(doc):
+    code, out, err = _main_output(["invariants", "--format", "json"], doc)
+    assert code in (0, 2)
+    if code == 0:
+        assert json.loads(out)["dim"] == doc["dim"] and err == ""
     else:
         assert err.startswith("error: ") and out == ""
 

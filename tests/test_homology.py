@@ -2,8 +2,9 @@ import random
 
 import pytest
 from conftest import central_extension, random_basis_change
+from test_covers import witt_dim
 
-from liecap import catalog, tables
+from liecap import catalog, covers, homology, tables
 from liecap.algebra import (
     LieAlgebra,
     center,
@@ -132,6 +133,45 @@ class TestMultiplier:
 
 
 FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "GF101"])
+
+
+class TestSupportWalk:
+    """schur_multiplier builds a d3 column only for a triple with a nonzero
+    bracket among its pairs, and the answers reach the key bound."""
+
+    @pytest.fixture
+    def d3_calls(self, monkeypatch):
+        calls = []
+        column = homology._d3_column
+
+        def counted(algebra, index, triple):
+            calls.append(triple)
+            return column(algebra, index, triple)
+        monkeypatch.setattr(homology, "_d3_column", counted)
+        return calls
+
+    def test_column_counts(self, d3_calls):
+        for n in (1, 5, 16):
+            assert schur_multiplier(catalog.abelian_algebra(n)).dim == n * (n - 1) // 2
+            assert d3_calls == []
+        for m in range(1, 6):
+            d3_calls.clear()
+            assert schur_multiplier(catalog.heisenberg_algebra(m)).dim == \
+                (2 if m == 1 else 2 * m * m - m - 1)
+            assert len(d3_calls) == m * (2 * m - 1)
+
+    @FIELDS
+    @pytest.mark.parametrize("d, c", [(3, 5), (4, 4)])
+    def test_free_nilpotent_witt(self, field, d, c):
+        # M(F(d, c)) is the degree-(c+1) part of the free algebra
+        L = covers.free_nilpotent(d, c).algebra_over(field)
+        assert schur_multiplier(L).dim == witt_dim(d, c + 1)
+
+    def test_key_bound(self):
+        # A(300) and H(149), the largest A and H keys, over GF(101)
+        f = PrimeField(101)
+        assert schur_multiplier(catalog.abelian_algebra(300, f)).dim == 300 * 299 // 2
+        assert schur_multiplier(catalog.heisenberg_algebra(149, f)).dim == 2 * 149**2 - 149 - 1
 
 
 class TestSparseBoundaries:
