@@ -113,16 +113,6 @@ class LieAlgebra:
                         out.pop(k, None)
         return out
 
-    def bracket(self, u, v):
-        """Bracket of two coordinate vectors (dense sequences)."""
-        if len(u) != self.dim or len(v) != self.dim:
-            raise DimensionMismatch("vector length != dim")
-        us = {i: self.field.coerce(c) for i, c in enumerate(u) if c}
-        vs = {i: self.field.coerce(c) for i, c in enumerate(v) if c}
-        out = self.bracket_sparse(us, vs)
-        zero = self.field.zero
-        return tuple(out.get(k, zero) for k in range(self.dim))
-
     def is_abelian(self):
         return not self.table
 
@@ -345,13 +335,6 @@ class AlgebraMap:
                 if lhs != self.target.bracket_sparse(cols[i], cols[j]):
                     return False
         return True
-
-    def kernel_space(self):
-        rows = {}
-        for i, col in enumerate(self.columns):
-            for k, c in col.items():
-                rows.setdefault(k, {})[i] = c
-        return kernel_from_rows(self.source.field, self.source.dim, rows.values())
 
 
 def quotient(algebra, ideal):

@@ -266,7 +266,12 @@ def cmd_list(args):
 
 
 def cmd_invariants(args):
-    field = _field_from_arg(args.field)
+    if not args.key and not args.file:
+        raise ValueError("provide a key or --file")
+    if args.key and args.file:
+        raise ValueError("provide a key or --file, not both")
+    if args.file and args.field is not None:
+        raise ValueError("--field applies to a key; a --file names its own field")
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
             algebra, label = from_json(json.load(fh)), args.file
@@ -278,6 +283,7 @@ def cmd_invariants(args):
                   file=sys.stderr)
             return 3
     else:
+        field = _field_from_arg(args.field)
         key = catalog.parse_key(args.key, field)
         algebra, label = catalog.build(key, field).algebra, str(key)
     _print_report(invariant_report(algebra, label), args.format)
@@ -338,7 +344,7 @@ def build_parser():
     p_inv.add_argument("key", nargs="?", help="catalog key such as L5_4 or L6_19(e=2)")
     p_inv.add_argument("--file", help="JSON algebra file instead of a key")
     p_inv.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
-    p_inv.add_argument("--field", default="Q", help="Q or Fp:<p>")
+    p_inv.add_argument("--field", help="Q (the default) or Fp:<p>; keys only")
     p_inv.set_defaults(func=cmd_invariants)
 
     p_ver = sub.add_parser("verify-tables", help="re-derive the published tables")
@@ -359,8 +365,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "invariants" and not args.key and not args.file:
-            raise ValueError("provide a key or --file")
         return args.func(args)
     except (LiecapError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -40,7 +40,7 @@ from .algebra import (
 )
 from .catalog import abelian_algebra
 from .homology import diagonal_square_dim
-from .linalg import QQ, Echelon, LiecapError, Subspace
+from .linalg import QQ, Echelon, LiecapError, Subspace, kernel_columns
 
 
 class ResourceLimit(LiecapError):
@@ -54,7 +54,15 @@ def _word_limit(limit):
     if limit is not None:
         return limit
     env = os.environ.get("LIECAP_RESOURCE_LIMIT")
-    return int(env) if env else DEFAULT_WORD_LIMIT
+    if not env:
+        return DEFAULT_WORD_LIMIT
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"LIECAP_RESOURCE_LIMIT must be a positive integer, not {env!r}")
+    return cap
 
 
 class HallWord:
@@ -230,79 +238,36 @@ class Cover:
             lift = default_generator_lift(algebra)
         if len(lift) != d:
             raise ValueError(f"lift must provide {d} generators")
-        lift = [{i: field.coerce(v) for i, v in g.items()} if isinstance(g, dict)
-                else {i: field.coerce(v) for i, v in enumerate(g) if v}
-                for g in lift]
+        lift = [{i: field.coerce(v) for i, v in g.items()} for g in lift]
         self.lift = lift
 
         # evaluate the presentation on every Hall word
-        words = self.free.words
         phi = []
-        for w in words:
+        for w in self.free.words:
             if w.gen is not None:
                 phi.append(lift[w.gen])
             else:
                 phi.append(algebra.bracket_sparse(phi[w.left.rank], phi[w.right.rank]))
         self.phi = phi
 
-        n, N = algebra.dim, self.free.dim
-        ech = Echelon(field, N)
-        rows = [{} for _ in range(n)]
-        for col, vec in enumerate(phi):
-            for k, v in vec.items():
-                rows[k][col] = v
-        for r in rows:
-            ech.add(r)
-        ech.finalize()
-        if ech.rank != n:
+        # R = ker(phi); every word of degree above c maps to zero
+        relations = kernel_columns(field, phi)
+        if self.free.dim - relations.dim != algebra.dim:
             raise ValueError("generator lift does not generate the algebra")
-        pivot_rows = dict(ech.rows())
-        pivots = ech.pivots()
-        pivot_set = set(pivots)
+
+        # span of [R, F]: an R-basis bracketed against the generators
+        span = Echelon(field, self.free.dim)
         one = field.one
-        neg = field.neg
-
-        # kernel vectors, one per free column; columns of degree > c are
-        # zero columns of the presentation, so their vectors are pure e_f
-        # and form a basis of the top graded piece gamma_{>c}(F) inside R
-        low_kernel = []
-        self._relation_dim = N - n
-        top_degree_cols = []
-        for f_col in range(N):
-            if f_col in pivot_set:
-                continue
-            if words[f_col].degree > c:
-                top_degree_cols.append(f_col)
-                continue
-            vec = {f_col: one}
-            for p in pivots:
-                cf = pivot_rows[p].get(f_col)
-                if cf:
-                    vec[p] = neg(cf)
-            low_kernel.append(vec)
-
-        # span of [R, F]: R-basis bracketed against the generators; words in
-        # degrees above c+1 of F(d, c+1+extra) can still bracket nontrivially
-        # when extra_class > 0, so pure top vectors join in up to the last degree
-        span = Echelon(field, N)
         gens = [{g: one} for g in range(d)]
-        for r in low_kernel:
+        for r in relations.sparse_rows():
             for g in gens:
                 v = free_alg.bracket_sparse(r, g)
                 if v:
                     span.add(v)
-        top_cap = c + extra_class  # words of degree above this bracket to zero
-        for f_col in top_degree_cols:
-            if words[f_col].degree > top_cap:
-                continue
-            for g in gens:
-                v = free_alg.bracket_sparse({f_col: one}, g)
-                if v:
-                    span.add(v)
         span.finalize()
         self._span = span
-        self.multiplier_dim = self._relation_dim - span.rank
-        self.star_dim = N - span.rank
+        self.multiplier_dim = relations.dim - span.rank
+        self.star_dim = self.free.dim - span.rank
 
         # one-shot ideal closure assertion for the [R, F] span
         for _, row in span.rows():
@@ -355,8 +320,7 @@ class Cover:
     @property
     def multiplier_part(self):
         """ker(pi) = R/[R,F] as a subspace of the star algebra."""
-        part = self.pi.kernel_space()
-        return IdealSubspace(self.star, part)
+        return IdealSubspace(self.star, kernel_columns(self.star.field, self.pi.columns))
 
     @property
     def derived_part(self):

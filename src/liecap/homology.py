@@ -42,12 +42,12 @@ from .algebra import (
 )
 from .catalog import abelian_algebra
 from .linalg import (
-    Echelon,
     LiecapError,
     Matrix,
     NotContained,
     Subspace,
     apply_columns,
+    kernel_columns,
     kernel_from_rows,
 )
 
@@ -162,11 +162,7 @@ class MultiplierResult:
         # RREF when read back in Lambda^2 coordinates
         alg = self.algebra
         pairs = ExteriorBasis(alg.dim).pairs
-        rows = {}
-        for a, t in enumerate(self.kept):
-            for k, c in alg.bracket_basis(*pairs[t]).items():
-                rows.setdefault(k, {})[a] = c
-        ker = kernel_from_rows(alg.field, len(self.kept), rows.values())
+        ker = kernel_columns(alg.field, [alg.bracket_basis(*pairs[t]) for t in self.kept])
         basis = Subspace(alg.field, self.image.ambient_dim,
                          tuple({self.kept[a]: c for a, c in r.items()} for r in ker.sparse_rows()),
                          tuple(self.kept[a] for a in ker.pivots), _internal=True)
@@ -243,11 +239,11 @@ def _lambda2_map(linear_map):
 
 
 def induced_multiplier_map(algebra, ideal):
-    """Coordinate columns of M(L) -> M(L/N) for a central ideal N.
+    """Sparse columns of M(L) -> M(L/N) for a central ideal N.
 
-    Column s is the image of the s-th multiplier basis vector of L, as a
-    tuple of coordinates on the multiplier basis of L/N; the kernel
-    dimension does not depend on either basis choice.
+    Column s is the image of the s-th multiplier basis vector of L, as sparse
+    coordinates on the multiplier basis of L/N; the kernel dimension does not
+    depend on either basis choice.
     """
     space = ideal.space if isinstance(ideal, IdealSubspace) else ideal
     if not center(algebra).space.contains_subspace(space):
@@ -261,9 +257,7 @@ def induced_multiplier_map(algebra, ideal):
 
 
 def induced_map_injective(algebra, ideal):
-    cols = induced_multiplier_map(algebra, ideal)
-    ech = Echelon(algebra.field, len(cols[0]) if cols else 0)
-    return all(ech.add(dict(enumerate(c))) for c in cols)
+    return kernel_columns(algebra.field, induced_multiplier_map(algebra, ideal)).dim == 0
 
 
 def kunneth_exterior_dim(h, k):

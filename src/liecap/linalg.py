@@ -5,8 +5,12 @@ Values are plain ``fractions.Fraction`` over Q and canonical residues
 over Q is fraction-free (integer rows with gcd stripping), so entries stay
 small during elimination and results are exact bit for bit.
 
+Vectors are sparse ``{index: value}`` dicts, and a linear map is a list of
+sparse columns, column i being the image of the i-th basis vector.
 Subspaces are stored in reduced row echelon form, which makes equality
-structural: two equal subspaces have identical basis matrices.
+structural: two equal subspaces have identical basis matrices.  The dense
+``Matrix`` only stores the boundary matrices ``ce_d2`` and ``ce_d3``, the
+reference that the tests compare the sparse route against.
 """
 
 from __future__ import annotations
@@ -193,7 +197,7 @@ def _check_same_field(a, b):
 
 
 # ---------------------------------------------------------------------------
-# incremental echelon engine (shared by rref / kernel / Subspace)
+# incremental echelon engine (shared by the kernels and Subspace)
 
 
 class Echelon:
@@ -404,7 +408,7 @@ def _mod_combine(row, other, f, p):
 
 
 class Matrix:
-    """Immutable dense matrix over a fixed field."""
+    """Immutable dense matrix over a fixed field: storage only."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
@@ -423,16 +427,6 @@ class Matrix:
         self.rows = tuple(rows)
 
     @classmethod
-    def zeros(cls, field, m, n):
-        z = field.zero
-        return cls(field, [[z] * n for _ in range(m)], ncols=n)
-
-    @classmethod
-    def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], ncols=n)
-
-    @classmethod
     def from_columns(cls, field, cols, nrows):
         cols = list(cols)
         z = field.zero
@@ -442,69 +436,8 @@ class Matrix:
     def column(self, j):
         return tuple(r[j] for r in self.rows)
 
-    def transpose(self):
-        return Matrix(self.field, [self.column(j) for j in range(self.ncols)], ncols=self.nrows)
-
-    def apply(self, vec):
-        if len(vec) != self.ncols:
-            raise DimensionMismatch(f"vector length {len(vec)} vs {self.ncols} columns")
-        mul, add = self.field.mul, self.field.add
-        out = []
-        for r in self.rows:
-            acc = self.field.zero
-            for a, b in zip(r, vec):
-                if a and b:
-                    acc = add(acc, mul(a, b))
-            out.append(acc)
-        return tuple(out)
-
-    def __matmul__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        _check_same_field(self.field, other.field)
-        if self.ncols != other.nrows:
-            raise DimensionMismatch("inner dimensions disagree")
-        cols = [self.apply(other.column(j)) for j in range(other.ncols)]
-        return Matrix.from_columns(self.field, cols, self.nrows)
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and other.field == self.field
-                and other.rows == self.rows and other.ncols == self.ncols)
-
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
-
-    def is_zero(self):
-        z = self.field.zero
-        return all(v == z for r in self.rows for v in r)
-
-
-def _dense_to_sparse(row):
-    return {j: v for j, v in enumerate(row) if v}
-
-
-def _sparse_to_dense(row, width, zero):
-    return tuple(row.get(j, zero) for j in range(width))
-
-
-def rref(m):
-    """Reduced row echelon form: returns (rref matrix, pivot columns, rank).
-
-    The result has the same shape as the input, zero rows trailing.
-    """
-    ech = Echelon(m.field, m.ncols)
-    for r in m.rows:
-        ech.add(_dense_to_sparse(r))
-    ech.finalize()
-    z = m.field.zero
-    rows = [_sparse_to_dense(row, m.ncols, z) for _, row in ech.rows()]
-    while len(rows) < m.nrows:
-        rows.append(tuple([z] * m.ncols))
-    return Matrix(m.field, rows, ncols=m.ncols), ech.pivots(), ech.rank
-
-
-def rank(m):
-    return rref(m)[2]
 
 
 def kernel_from_rows(field, width, rows):
@@ -532,7 +465,19 @@ def kernel_from_rows(field, width, rows):
 
 def kernel(m):
     """Right kernel {v : m v = 0} as a Subspace of the column space."""
-    return kernel_from_rows(m.field, m.ncols, (_dense_to_sparse(r) for r in m.rows))
+    return kernel_from_rows(m.field, m.ncols, ({j: v for j, v in enumerate(r) if v}
+                                                for r in m.rows))
+
+
+def kernel_columns(field, cols):
+    """Kernel {v : sum of v[i] * cols[i] = 0} of the map whose sparse columns
+    are cols, as a Subspace of F^len(cols).  The row keys of the columns may
+    be any hashables, such as the tuple (block, index) of a stacked map."""
+    rows = {}
+    for i, col in enumerate(cols):
+        for k, c in col.items():
+            rows.setdefault(k, {})[i] = c
+    return kernel_from_rows(field, len(cols), rows.values())
 
 
 def inverse_columns(field, cols):
@@ -610,21 +555,15 @@ class Subspace:
 
     def basis_vectors(self):
         z = self.field.zero
-        return [_sparse_to_dense(r, self.ambient_dim, z) for r in self._rows]
+        return [tuple(r.get(j, z) for j in range(self.ambient_dim)) for r in self._rows]
 
     def sparse_rows(self):
         return list(self._rows)
 
     def reduce(self, vec):
-        """Residue of vec modulo this subspace, as a sparse dict."""
-        if isinstance(vec, dict):
-            items = vec.items()
-        else:
-            if len(vec) != self.ambient_dim:
-                raise DimensionMismatch("vector/ambient mismatch")
-            items = enumerate(vec)
+        """Residue of the sparse vector vec modulo this subspace, as a sparse dict."""
         coerce = self.field.coerce
-        v = {j: y for j, x in items if x and (y := coerce(x))}
+        v = {j: y for j, x in vec.items() if x and (y := coerce(x))}
         return _reduce(self.field, self._by_pivot, v)
 
     def contains(self, vec):
@@ -635,14 +574,13 @@ class Subspace:
         return all(not self.reduce(r) for r in other._rows)
 
     def coords(self, vec):
-        """Coefficients of vec on the RREF basis; NotContained if outside."""
-        v = self.reduce(vec)
-        if v:
+        """Sparse coefficients {s: c} of vec on the RREF basis rows; NotContained
+        if outside.  Row s is the only basis row nonzero at the s-th pivot, so
+        its coefficient is vec's entry there."""
+        if self.reduce(vec):
             raise NotContained("vector outside subspace")
-        if isinstance(vec, dict):
-            dense = vec
-            return tuple(self.field.coerce(dense.get(p, self.field.zero)) for p in self.pivots)
-        return tuple(self.field.coerce(vec[p]) for p in self.pivots)
+        coerce = self.field.coerce
+        return {s: c for s, p in enumerate(self.pivots) if p in vec and (c := coerce(vec[p]))}
 
     def _check_compatible(self, other):
         _check_same_field(self.field, other.field)
@@ -668,15 +606,10 @@ def subspace_intersect(u, v):
     u._check_compatible(v)
     urows = u.sparse_rows()
     vrows = v.sparse_rows()
-    stacked = urows + vrows
     if not urows or not vrows:
         return Subspace.zero(u.field, u.ambient_dim)
     # coefficient vectors (a, b) with a*U + b*V = 0 give points a*U of the intersection
-    cols = {}
-    for i, row in enumerate(stacked):
-        for c, val in row.items():
-            cols.setdefault(c, {})[i] = val
-    coeff_kernel = kernel_from_rows(u.field, len(stacked), cols.values())
+    coeff_kernel = kernel_columns(u.field, urows + vrows)
     vectors = []
     for coeff in coeff_kernel.sparse_rows():
         vec = apply_columns(u.field, urows, {i: a for i, a in coeff.items() if i < len(urows)})

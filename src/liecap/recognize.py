@@ -21,7 +21,14 @@ from .algebra import (
 )
 from .catalog import abelian_algebra, heisenberg_algebra, indexed_key, build
 from .homology import multiplier_dim
-from .linalg import LiecapError, Subspace, apply_columns, complement
+from .linalg import (
+    LiecapError,
+    Subspace,
+    apply_columns,
+    complement,
+    kernel_columns,
+    subspace_intersect,
+)
 
 
 class NotApplicable(LiecapError):
@@ -61,20 +68,16 @@ class Fingerprint:
 
 
 def _centralizer_dim(algebra, space):
-    from .linalg import kernel_from_rows
-    rows = []
-    for s in space.sparse_rows():
-        per_k = {}
-        for i in range(algebra.dim):
-            v = algebra.bracket_sparse({i: algebra.field.one}, s)
-            for k, c in v.items():
-                per_k.setdefault(k, {})[i] = c
-        rows.extend(per_k.values())
-    return kernel_from_rows(algebra.field, algebra.dim, rows).dim
+    """dim of the kernel of x -> ([x, s_t])_t over the basis rows s_t of space."""
+    one = algebra.field.one
+    rows = space.sparse_rows()
+    cols = [{(t, k): c for t, s in enumerate(rows)
+             for k, c in algebra.bracket_sparse({i: one}, s).items()}
+            for i in range(algebra.dim)]
+    return kernel_columns(algebra.field, cols).dim
 
 
 def fingerprint(algebra):
-    from .linalg import subspace_intersect
     lcs = lower_central_series(algebra)
     ucs = upper_central_series(algebra)
     der = derived_subalgebra(algebra).space
@@ -210,29 +213,19 @@ def _l58_sum_split(algebra):
     w_rows = complement(zspace, Subspace.full(f, algebra.dim))
     if len(w_rows) != 3:
         return None  # core dimension is not five
-    # kernel line of Lambda^2(V) -> L^2
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    images = [algebra.bracket_sparse(w_rows[i], w_rows[j]) for i, j in pairs]
-    rows = {}
-    for t, img in enumerate(images):
-        coords = der.coords(img)
-        for s, c in enumerate(coords):
-            if c:
-                rows.setdefault(s, {})[t] = c
-    from .linalg import kernel_from_rows
-    ker = kernel_from_rows(f, 3, rows.values())
+    # kernel line of Lambda^2(V) -> L^2, in the coordinates of L^2
+    ker = kernel_columns(f, [der.coords(algebra.bracket_sparse(w_rows[i], w_rows[j]))
+                             for i, j in ((0, 1), (0, 2), (1, 2))])
     if ker.dim != 1:
         return None
     kappa = ker.sparse_rows()[0]
     k12 = kappa.get(0, f.zero)
     k13 = kappa.get(1, f.zero)
     k23 = kappa.get(2, f.zero)
-    mat = [
-        (f.zero, k12, k13),
-        (f.neg(k12), f.zero, k23),
-        (f.neg(k13), f.neg(k23), f.zero),
-    ]
-    col_space = Subspace.from_vectors(f, 3, [tuple(r[j] for r in mat) for j in range(3)])
+    # the columns of the alternating matrix of kappa
+    col_space = Subspace.from_vectors(f, 3, [{1: f.neg(k12), 2: f.neg(k13)},
+                                             {0: k12, 2: f.neg(k23)},
+                                             {0: k13, 1: k23}])
     if col_space.dim != 2:
         return None
     # col_space is a plane, so some unit vector of V lies outside it

@@ -185,6 +185,8 @@ def _bracket(i, j, k, c="1"):
     (("invariants", "L3_3"), None),
     (("invariants", "L6_29"), None),
     (("invariants", "H0"), None),
+    (("invariants", "L5_4"), {"dim": 3, "brackets": [_bracket(1, 2, 3)]}),
+    (("invariants", "--field", "Fp:3"), {"dim": 3, "brackets": [_bracket(1, 2, 3)]}),
 ], ids=["eps-zero-den", "cover-eps-zero-den", "eps-zero-den-fp", "json-list",
         "bracket-both-orders", "bracket-twice", "diagonal-bracket", "index-ij",
         "label-count", "index-k", "brackets-int", "bracket-int", "out-int",
@@ -195,7 +197,8 @@ def _bracket(i, j, k, c="1"):
         "coefficient-exponent-huge", "coefficient-exponent-huge-negative",
         "coefficient-exponent-huge-fp", "key-abelian-above-bound",
         "key-heisenberg-above-bound", "cover-key-huge", "key-index-above-range",
-        "key-index-above-range-dim6", "key-heisenberg-zero"])
+        "key-index-above-range-dim6", "key-heisenberg-zero", "key-and-file",
+        "field-and-file"])
 def test_malformed_input_exit2(tmp_path, capsys, argv, doc):
     if doc is not None:
         path = tmp_path / "algebra.json"

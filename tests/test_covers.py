@@ -5,6 +5,7 @@ import pytest
 from conftest import central_extension, random_basis_change
 from liecap import catalog
 from liecap.algebra import derived_subalgebra, transform, validate
+from liecap.cli import main
 from liecap.covers import (
     Cover,
     ResourceLimit,
@@ -76,12 +77,20 @@ class TestHallBasis:
         with pytest.raises(ResourceLimit):
             hall_basis(6, 6, limit=1000)
 
-    def test_resource_limit_env_override(self, monkeypatch):
+    def test_resource_limit_env_override(self, monkeypatch, capsys):
         monkeypatch.setenv("LIECAP_RESOURCE_LIMIT", "4")
         with pytest.raises(ResourceLimit):
             hall_basis(2, 3)
         monkeypatch.setenv("LIECAP_RESOURCE_LIMIT", "50")
         assert len(hall_basis(2, 3)) == 5
+        # a cap that is not a positive integer is refused, naming the variable
+        for value in ("abc", "0", "-3", "2.5"):
+            monkeypatch.setenv("LIECAP_RESOURCE_LIMIT", value)
+            with pytest.raises(ValueError, match="LIECAP_RESOURCE_LIMIT"):
+                hall_basis(2, 3)
+            assert main(["cover", "L4_3"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: LIECAP_RESOURCE_LIMIT"), value
 
 
 class TestFreeNilpotent:
@@ -143,6 +152,11 @@ class TestCover:
             cov = Cover(catalog.abelian_algebra(n))
             assert cov.multiplier_dim == n * (n - 1) // 2
             assert cov.star_dim == n + n * (n - 1) // 2
+
+    def test_lift_must_generate(self):
+        # x1 and 2 x1 span a line, which generates no more than itself
+        with pytest.raises(ValueError, match="does not generate"):
+            Cover(build("L4_3"), lift=[{0: 1}, {0: 2}])
 
     def test_l56_multiplier(self):
         assert Cover(build("L5_6")).multiplier_dim == 3

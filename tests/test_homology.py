@@ -31,13 +31,33 @@ from liecap.linalg import (
     Subspace,
     apply_columns,
     kernel,
-    rank,
     subspace_sum,
 )
 
 
 def build(text):
     return catalog.build(catalog.parse_key(text)).algebra
+
+
+def columns(m):
+    """The columns of a dense reference matrix, as dense tuples."""
+    return [m.column(j) for j in range(m.ncols)]
+
+
+def rank(m):
+    """The rank of a dense reference matrix: the dim of its row space."""
+    return Subspace.from_vectors(m.field, m.ncols, m.rows).dim
+
+
+def is_zero(m):
+    return not any(any(r) for r in m.rows)
+
+
+def d2_kills_d3(L):
+    """d2 . d3 = 0: the span of the columns of ce_d3 lies in the kernel of ce_d2."""
+    d3 = ce_d3(L)
+    image = Subspace.from_vectors(L.field, d3.nrows, columns(d3))
+    return kernel(ce_d2(L)).contains_subspace(image)
 
 
 class TestExteriorBasis:
@@ -53,7 +73,7 @@ class TestExteriorBasis:
 
 class TestBoundaryMaps:
     def test_d2_abelian_zero(self):
-        assert ce_d2(build("A4")).is_zero()
+        assert is_zero(ce_d2(build("A4")))
 
     def test_d2_h1_rank(self):
         assert rank(ce_d2(build("H1"))) == 1
@@ -63,7 +83,7 @@ class TestBoundaryMaps:
         assert rank(ce_d2(build("L4_3"))) == 2
 
     def test_d3_abelian_zero(self):
-        assert ce_d3(build("A3")).is_zero()
+        assert is_zero(ce_d3(build("A3")))
 
     def test_d3_rank_h2(self):
         # rank d3 = dim Lambda^2 - dim L^2 - dim M = 10 - 1 - 5
@@ -77,7 +97,7 @@ class TestBoundaryMaps:
         for dim in range(1, 7):
             for key in catalog.expand_keys(dim):
                 L = catalog.build(key).algebra
-                assert (ce_d2(L) @ ce_d3(L)).is_zero(), str(key)
+                assert d2_kills_d3(L), str(key)
 
     def test_d2_compose_d3_zero_randomized(self):
         import random
@@ -89,7 +109,7 @@ class TestBoundaryMaps:
             base = catalog.build(rng.choice(keys)).algebra
             E = central_extension(base, rng.choice((1, 2)), rng)
             assert validate(E).ok
-            assert (ce_d2(E) @ ce_d3(E)).is_zero()
+            assert d2_kills_d3(E)
 
 
 class TestMultiplier:
@@ -126,7 +146,7 @@ class TestMultiplier:
         res = schur_multiplier(L)
         d2 = ce_d2(L)
         for v in res.basis.basis_vectors():
-            assert all(c == 0 for c in d2.apply(v))
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in d2.rows)
         assert kernel(d2).contains_subspace(res.basis)
         from liecap.linalg import subspace_intersect
         assert subspace_intersect(res.basis, res.image).dim == 0
@@ -187,7 +207,7 @@ class TestSparseBoundaries:
         assert m.image.dim + m.basis.dim == cycles.dim, name
         assert m.dim == m.basis.dim, name
         d3 = ce_d3(L)
-        assert m.image == Subspace.from_vectors(L.field, d3.nrows, d3.transpose().rows), name
+        assert m.image == Subspace.from_vectors(L.field, d3.nrows, columns(d3)), name
 
     @FIELDS
     def test_catalog(self, field):
@@ -228,7 +248,8 @@ class TestMultiplierCoords:
         for _ in range(3):
             coeffs = [f.from_int(rng.randint(-6, 6)) for _ in rows]
             z = apply_columns(f, rows, dict(enumerate(coeffs)))
-            assert m.basis.coords(m.image.reduce(z)) == tuple(coeffs[:m.dim]), name
+            expected = {s: c for s, c in enumerate(coeffs[:m.dim]) if c}
+            assert m.basis.coords(m.image.reduce(z)) == expected, name
             if outside:
                 t = rng.choice(outside)
                 z[t] = f.add(z.get(t, f.zero), f.one)
@@ -339,8 +360,8 @@ class TestL614ExteriorSquare:
         ext = ExteriorBasis.for_dim(L.dim)
         width = len(ext.pairs)
         d2, d3 = ce_d2(L), ce_d3(L)
-        image = Subspace.from_vectors(L.field, width, d3.transpose().rows)
-        brackets = d2.transpose().rows
+        image = Subspace.from_vectors(L.field, width, columns(d3))
+        brackets = columns(d2)
         products = [self._wedge(L.field, ext, u, v) for u in brackets for v in brackets]
         return image, subspace_sum(image, Subspace.from_vectors(L.field, width, products))
 

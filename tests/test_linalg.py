@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,30 +8,41 @@ from hypothesis import strategies as st
 from liecap.linalg import (
     QQ,
     DimensionMismatch,
+    Echelon,
     LinalgError,
-    Matrix,
     NotContained,
     PrimeField,
     Subspace,
+    apply_columns,
     complement,
     inverse_columns,
-    kernel,
-    rref,
+    kernel_columns,
     subspace_intersect,
     subspace_sum,
 )
 
 
-def mat(rows, field=QQ):
-    return Matrix(field, rows, ncols=len(rows[0]) if rows else 0)
+def columns(rows, field=QQ):
+    """The sparse columns of the matrix with the given dense rows."""
+    return [{i: c for i, r in enumerate(rows) if (c := field.coerce(r[j]))}
+            for j in range(len(rows[0]))]
 
 
-def inverse(m):
-    """The inverse of a square dense Matrix, through inverse_columns."""
-    cols = [{i: x for i, x in enumerate(m.column(j)) if x} for j in range(m.ncols)]
-    inv = inverse_columns(m.field, cols)
-    return Matrix.from_columns(m.field, [[c.get(i, m.field.zero) for i in range(m.nrows)]
-                                         for c in inv], m.nrows)
+def column_rank(field, cols):
+    """Rank of a map from its sparse columns, by elimination on the columns."""
+    ech = Echelon(field, 0)
+    for col in cols:
+        ech.add(col)
+    return ech.rank
+
+
+def is_identity(field, cols):
+    return cols == [{j: field.one} for j in range(len(cols))]
+
+
+def product(field, a_cols, b_cols):
+    """The sparse columns of A B."""
+    return [apply_columns(field, a_cols, col) for col in b_cols]
 
 
 class TestFields:
@@ -66,46 +78,45 @@ class TestFields:
 
 
 class TestRref:
+    """A Subspace holds the RREF rows of the vectors it is built from."""
+
     def test_identity(self):
-        m = Matrix.identity(QQ, 3)
-        r, pivots, rk = rref(m)
-        assert r == m and rk == 3 and pivots == (0, 1, 2)
+        s = Subspace.from_vectors(QQ, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert s == Subspace.full(QQ, 3) and s.dim == 3 and s.pivots == (0, 1, 2)
 
     def test_zero(self):
-        m = Matrix.zeros(QQ, 2, 4)
-        r, pivots, rk = rref(m)
-        assert r == m and rk == 0 and pivots == ()
+        s = Subspace.from_vectors(QQ, 4, [[0, 0, 0, 0], [0, 0, 0, 0]])
+        assert s == Subspace.zero(QQ, 4) and s.dim == 0 and s.pivots == ()
 
     def test_rank_one(self):
         # hand row reduction: second row is twice the first
-        m = mat([[1, 2], [2, 4]])
-        r, pivots, rk = rref(m)
-        assert r == mat([[1, 2], [0, 0]])
-        assert rk == 1 and pivots == (0,)
+        s = Subspace.from_vectors(QQ, 2, [[1, 2], [2, 4]])
+        assert s.sparse_rows() == [{0: 1, 1: 2}]
+        assert s.dim == 1 and s.pivots == (0,)
 
     def test_fractions_normalized(self):
-        m = mat([[2, 4, 2], [1, 3, 5]])
-        r, _, rk = rref(m)
-        assert rk == 2
+        s = Subspace.from_vectors(QQ, 3, [[2, 4, 2], [1, 3, 5]])
+        rows = s.sparse_rows()
+        assert s.dim == 2
         # unit pivots, back substituted
-        assert r.rows[0][0] == 1 and r.rows[1][1] == 1
-        assert r.rows[0][1] == 0
+        assert rows[0][0] == 1 and rows[1][1] == 1
+        assert rows[0].get(1, 0) == 0
 
 
 class TestKernel:
     def test_identity_kernel_trivial(self):
-        assert kernel(Matrix.identity(QQ, 4)).dim == 0
+        assert kernel_columns(QQ, [{i: QQ.one} for i in range(4)]).dim == 0
 
     def test_zero_map_full_kernel(self):
-        k = kernel(Matrix.zeros(QQ, 3, 5))
+        k = kernel_columns(QQ, [{}] * 5)
         assert k.dim == 5 and k == Subspace.full(QQ, 5)
 
     def test_kernel_vectors_annihilate(self):
-        m = mat([[1, 2, 3], [4, 5, 6]])
-        k = kernel(m)
+        cols = columns([[1, 2, 3], [4, 5, 6]])
+        k = kernel_columns(QQ, cols)
         assert k.dim == 1
-        for v in k.basis_vectors():
-            assert all(x == 0 for x in m.apply(v))
+        for v in k.sparse_rows():
+            assert apply_columns(QQ, cols, v) == {}
 
 
 class TestSubspaceOps:
@@ -134,12 +145,12 @@ class TestSubspaceOps:
         s = subspace_sum(u, v)
         i = subspace_intersect(u, v)
         assert s.dim + i.dim == u.dim + v.dim
-        assert i.contains([1, 0, 1, 0])
+        assert i.contains({0: 1, 2: 1})
 
     def test_membership(self):
         u = Subspace.from_vectors(QQ, 3, [[1, 2, 0], [0, 0, 1]])
-        assert u.contains([2, 4, 5])
-        assert not u.contains([1, 0, 0])
+        assert u.contains({0: 2, 1: 4, 2: 5})
+        assert not u.contains({0: 1})
 
     def test_quotient_coords(self):
         w = Subspace.full(QQ, 3)
@@ -147,8 +158,8 @@ class TestSubspaceOps:
         rows = Subspace.from_vectors(QQ, 3, complement(u, w))
         assert rows.dim == 2
         # w mod U lies in the complement's span, and is zero exactly on U
-        assert u.reduce([1, 1, 0]) == {} and u.reduce([2, 2, 0]) == {}
-        residue = u.reduce([1, 0, 0])
+        assert u.reduce({0: 1, 1: 1}) == {} and u.reduce({0: 2, 1: 2}) == {}
+        residue = u.reduce({0: 1})
         assert residue and rows.contains(residue)
 
     def test_quotient_coords_not_contained(self):
@@ -169,38 +180,43 @@ small_entries = st.integers(min_value=-6, max_value=6)
 
 @st.composite
 def small_matrices(draw, max_dim=5):
+    """Dense rows of an m x n integer matrix."""
     m = draw(st.integers(1, max_dim))
     n = draw(st.integers(1, max_dim))
-    rows = draw(st.lists(st.lists(small_entries, min_size=n, max_size=n),
+    return draw(st.lists(st.lists(small_entries, min_size=n, max_size=n),
                          min_size=m, max_size=m))
-    return mat(rows)
+
+
+def row_space(rows, field=QQ):
+    return Subspace.from_vectors(field, len(rows[0]), rows)
 
 
 class TestProperties:
     @given(small_matrices())
     @settings(max_examples=60, deadline=None)
-    def test_rref_idempotent(self, m):
-        r1, _, _ = rref(m)
-        r2, _, _ = rref(r1)
-        assert r1 == r2
+    def test_rref_idempotent(self, rows):
+        s = row_space(rows)
+        assert Subspace.from_vectors(QQ, s.ambient_dim, s.sparse_rows()) == s
 
     @given(small_matrices())
     @settings(max_examples=60, deadline=None)
-    def test_row_and_column_rank_agree(self, m):
-        assert rref(m)[2] == rref(m.transpose())[2]
+    def test_row_and_column_rank_agree(self, rows):
+        cols = columns(rows)
+        assert row_space(rows).dim == Subspace.from_vectors(QQ, len(rows), cols).dim
 
     @given(small_matrices())
     @settings(max_examples=60, deadline=None)
-    def test_rank_nullity(self, m):
-        assert kernel(m).dim + rref(m)[2] == m.ncols
+    def test_rank_nullity(self, rows):
+        n = len(rows[0])
+        assert kernel_columns(QQ, columns(rows)).dim + row_space(rows).dim == n
 
     @given(small_matrices())
     @settings(max_examples=40, deadline=None)
-    def test_subspace_sum_commutes(self, m):
-        rows = [list(r) for r in m.rows]
+    def test_subspace_sum_commutes(self, rows):
+        n = len(rows[0])
         half = len(rows) // 2
-        u = Subspace.from_vectors(QQ, m.ncols, rows[:half] or [[0] * m.ncols])
-        v = Subspace.from_vectors(QQ, m.ncols, rows[half:] or [[0] * m.ncols])
+        u = Subspace.from_vectors(QQ, n, rows[:half] or [[0] * n])
+        v = Subspace.from_vectors(QQ, n, rows[half:] or [[0] * n])
         assert subspace_sum(u, v) == subspace_sum(v, u)
 
     def test_modular_consistency(self):
@@ -214,16 +230,15 @@ class TestProperties:
             ([[1, 2], [3, 4]], 2),
         ]
         for rows, expected in cases:
-            assert rref(mat(rows))[2] == expected
+            assert row_space(rows).dim == expected
             for p in (3, 5, 7):
-                F = PrimeField(p)
-                assert rref(mat(rows, field=F))[2] == expected
+                assert row_space(rows, PrimeField(p)).dim == expected
 
     def test_inverse(self):
-        m = mat([[2, 1], [1, 1]])
-        inv = inverse(m)
-        assert m @ inv == Matrix.identity(QQ, 2)
-        assert inv @ m == Matrix.identity(QQ, 2)
+        b = columns([[2, 1], [1, 1]])
+        inv = inverse_columns(QQ, b)
+        assert is_identity(QQ, product(QQ, b, inv))
+        assert is_identity(QQ, product(QQ, inv, b))
 
 
 FIELDS = [QQ, PrimeField(101)]
@@ -266,12 +281,12 @@ class TestQuotientProperties:
     @settings(max_examples=80, deadline=None)
     def test_reduce_residue(self, case, data):
         field, n, u, _ = case
-        v = [field.coerce(x) for x in
-             data.draw(st.lists(small_entries, min_size=n, max_size=n))]
+        v = dict(enumerate(field.coerce(x) for x in
+                           data.draw(st.lists(small_entries, min_size=n, max_size=n))))
         residue = u.reduce(v)
         assert not set(residue) & set(u.pivots)
         assert all(residue.values())
-        diff = [field.sub(x, residue.get(j, field.zero)) for j, x in enumerate(v)]
+        diff = {j: field.sub(x, residue.get(j, field.zero)) for j, x in v.items()}
         assert u.contains(diff)
 
 
@@ -296,8 +311,8 @@ class TestInverseProperties:
                  for i, r in enumerate(rows)]
         upper = [[diag[i] if i == j else (x if j > i else 0) for j, x in enumerate(r)]
                  for i, r in enumerate(rows)]
-        m = mat(lower, field) @ mat(upper, field)
-        assert m @ inverse(m) == Matrix.identity(field, n)
+        b = product(field, columns(lower, field), columns(upper, field))
+        assert is_identity(field, product(field, b, inverse_columns(field, b)))
 
     @given(square_matrices())
     @settings(max_examples=60, deadline=None)
@@ -306,8 +321,40 @@ class TestInverseProperties:
         # the last row becomes a combination of the others
         rows[-1] = list(combine(field, rows[-1][:n - 1], rows[:n - 1], n))
         with pytest.raises(LinalgError):
-            inverse(mat(rows, field))
+            inverse_columns(field, columns(rows, field))
 
     def test_entry_outside_the_square_raises(self):
         with pytest.raises(DimensionMismatch):
             inverse_columns(QQ, [{0: 1}, {2: 1}])
+
+
+class TestKernelColumns:
+    """kernel_columns on seeded random maps, with integer row keys and with
+    (block, index) row keys: every kernel row maps to zero, and
+    dim ker + rank = number of columns."""
+
+    @pytest.mark.parametrize("tuple_keys", [False, True], ids=["int-keys", "tuple-keys"])
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_random_maps(self, field, tuple_keys):
+        rng = random.Random(41)
+        ranks = set()
+        for _ in range(80):
+            nrows, ncols = rng.randint(1, 7), rng.randint(0, 7)
+            # columns in the span of r random vectors, so ranks below
+            # min(nrows, ncols) are common
+            r = rng.randint(0, min(nrows, ncols))
+            span = [{k: c for k in range(nrows) if (c := field.from_int(rng.randint(-3, 3)))}
+                    for _ in range(r)]
+            cols = [apply_columns(field, span, {t: field.from_int(rng.randint(-2, 2))
+                                                for t in range(r)})
+                    for _ in range(ncols)]
+            if tuple_keys:
+                cols = [{(k % 2, k // 2): c for k, c in col.items()} for col in cols]
+            ker = kernel_columns(field, cols)
+            assert ker.ambient_dim == ncols
+            for v in ker.sparse_rows():
+                assert apply_columns(field, cols, v) == {}
+            rank = column_rank(field, cols)
+            assert ker.dim + rank == ncols
+            ranks.add((rank, ncols))
+        assert len(ranks) > 15
