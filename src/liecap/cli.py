@@ -279,7 +279,9 @@ def cmd_invariants(args):
         report = validate(algebra)
         if not report.ok:
             i, j, k, res = report.first_failure()
-            print(f"error: Jacobi violation at ({i + 1},{j + 1},{k + 1}): {res}",
+            terms = " + ".join(f"{algebra.field.to_str(res[t])}*{algebra.labels[t]}"
+                               for t in sorted(res))
+            print(f"error: Jacobi violation at ({i + 1},{j + 1},{k + 1}): {terms}",
                   file=sys.stderr)
             return 3
     else:

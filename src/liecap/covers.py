@@ -138,13 +138,9 @@ class FreeNilpotent:
                     continue
                 prod = self.product(i, j)
                 if prod:
-                    table[(i, j)] = dict(prod)
-        self._int_table = table
-        self.algebra = LieAlgebra(
-            QQ, self.dim,
-            {ij: {k: QQ.from_int(v) for k, v in row.items()}
-             for ij, row in table.items()},
-            labels=tuple(repr(w) for w in self.words))
+                    table[(i, j)] = prod
+        self.algebra = LieAlgebra(QQ, self.dim, table,
+                                  labels=tuple(repr(w) for w in self.words))
 
     def algebra_over(self, field):
         if field == QQ:
@@ -152,7 +148,7 @@ class FreeNilpotent:
         return LieAlgebra(
             field, self.dim,
             {ij: {k: field.from_int(v) for k, v in row.items()}
-             for ij, row in self._int_table.items()},
+             for ij, row in self.algebra.table.items()},
             labels=self.algebra.labels)
 
     def product(self, i, j):
@@ -290,16 +286,15 @@ class Cover:
         kept = [i for i in range(self.free.dim) if i not in pivot_set]
         pos = {c: t for t, c in enumerate(kept)}
         free_alg = self._free_alg
+        # only pairs in the free table can bracket to nonzero; kept ascends,
+        # so (pos[i], pos[j]) stays ordered, and sorted pairs come in the
+        # order of a walk over all pairs of kept words
         brackets = {}
-        for a in range(len(kept)):
-            for b in range(a + 1, len(kept)):
-                vec = free_alg.bracket_basis(kept[a], kept[b])
-                if not vec:
-                    continue
-                residue = span.reduce(vec)
-                row = {pos[cc]: v for cc, v in residue.items()}
+        for i, j in sorted(free_alg.table):
+            if i in pos and j in pos:
+                row = {pos[cc]: v for cc, v in span.reduce(free_alg.table[(i, j)]).items()}
                 if row:
-                    brackets[(a, b)] = row
+                    brackets[(pos[i], pos[j])] = row
         star = LieAlgebra(field, len(kept), brackets,
                           labels=tuple(f"s{t + 1}" for t in range(len(kept))))
         pi = AlgebraMap(star, self.algebra, tuple(self.phi[col] for col in kept))

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals and odd prime fields.
 
-Values are plain ``fractions.Fraction`` over Q and canonical residues
-``0..p-1`` over GF(p); there is no per-element wrapper type.  Row reduction
-over Q is fraction-free (integer rows with gcd stripping), so entries stay
-small during elimination and results are exact bit for bit.
+A scalar over Q is a plain ``int`` when it is integral and a
+``fractions.Fraction`` with denominator above 1 otherwise; over GF(p) it is
+a canonical residue ``0..p-1``.  There is no per-element wrapper type.  Row
+reduction over Q is fraction-free (integer rows with gcd stripping), so
+entries stay small during elimination and results are exact bit for bit.
 
 Vectors are sparse ``{index: value}`` dicts, and a linear map is a list of
 sparse columns, column i being the image of the i-th basis vector.
@@ -63,11 +64,18 @@ def _parse_fraction(s):
 
 
 class RationalField:
-    """The field Q; scalars are Fraction instances."""
+    """The field Q.
+
+    The canonical scalar is an ``int`` when integral and a ``Fraction`` with
+    denominator above 1 otherwise.  ``add``/``sub``/``mul``/``neg`` may return
+    a ``Fraction`` with denominator 1, which is the same value; ``coerce``
+    and ``Echelon.finalize`` restore the canonical form where values are
+    stored, in every algebra table and every ``Subspace``.
+    """
 
     char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def __repr__(self):
         return "Q"
@@ -79,13 +87,13 @@ class RationalField:
         return hash("RationalField")
 
     def from_int(self, a):
-        return Fraction(a)
+        return a
 
     def coerce(self, a):
-        if isinstance(a, Fraction):
-            return a
         if isinstance(a, int):
-            return Fraction(a)
+            return int(a)  # a bool becomes 0 or 1
+        if isinstance(a, Fraction):
+            return a.numerator if a.denominator == 1 else a
         raise TypeError(f"cannot coerce {a!r} into Q")
 
     def add(self, a, b):
@@ -100,11 +108,12 @@ class RationalField:
     def neg(self, a):
         return -a
 
+    # through Fraction, since / on two ints gives a float
     def inv(self, a):
-        return 1 / a
+        return self.coerce(Fraction(1, a))
 
     def div(self, a, b):
-        return a / b
+        return self.coerce(Fraction(a, b))
 
     def is_square(self, a):
         if a < 0:
@@ -113,7 +122,7 @@ class RationalField:
         return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
 
     def parse(self, s):
-        return _parse_fraction(s)
+        return self.coerce(_parse_fraction(s))
 
     def to_str(self, a):
         return str(a)
@@ -207,8 +216,8 @@ class Echelon:
     Over Q the working rows are integer vectors (denominators cleared on
     entry, gcd stripped after each combination); over GF(p) every row is
     scaled to a unit pivot on entry.  ``finalize`` back-substitutes and, over
-    Q, converts to Fractions with unit pivots, yielding the canonical RREF
-    basis of the row space.
+    Q, divides each row by its pivot entry, yielding the canonical RREF
+    basis of the row space with canonical Q scalars.
     """
 
     def __init__(self, field, width):
@@ -232,17 +241,12 @@ class Echelon:
         return self._insert(self._prepare(row))
 
     def _prepare(self, row):
-        out = {}
         if isinstance(self.field, RationalField):
-            den = 1
-            for v in row.values():
-                if isinstance(v, Fraction):
-                    den = lcm(den, v.denominator)
-            for c, v in row.items():
-                iv = int(v * den) if isinstance(v, Fraction) else v * den
-                if iv:
-                    out[c] = iv
-            return out
+            if all(type(v) is int for v in row.values()):
+                return {c: v for c, v in row.items() if v}
+            den = lcm(*(v.denominator for v in row.values()))
+            return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        out = {}
         coerce = self.field.coerce
         for c, v in row.items():
             iv = coerce(v)
@@ -322,7 +326,9 @@ class Echelon:
             for p0 in pivots:
                 row = rows[p0]
                 lead = row[p0]
-                rows[p0] = {c: Fraction(v, lead) for c, v in row.items()}
+                if lead != 1:
+                    rows[p0] = {c: v // lead if v % lead == 0 else Fraction(v, lead)
+                                for c, v in row.items()}
         self._sorted_pivots = pivots
         self._final = True
 

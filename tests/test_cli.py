@@ -121,6 +121,14 @@ class TestInvariants:
         code, _, err = run(capsys, "invariants", "--file", str(path))
         assert code == 3
         assert "Jacobi" in err
+        # the residual is printed with the algebra's labels, in coordinate order
+        doc = {"dim": 4, "field": "Q", "labels": ["a", "b", "c", "z"],
+               "brackets": [{"i": 2, "j": 3, "out": [{"k": 4, "c": "1"}]},
+                            {"i": 1, "j": 4, "out": [{"k": 3, "c": "-1"}, {"k": 2, "c": "1/2"}]}]}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "invariants", "--file", str(path))
+        assert (code, out) == (3, "")
+        assert err == "error: Jacobi violation at (1,2,3): 1/2*b + -1*c\n"
 
     def test_beyond_the_word_cap(self, capsys):
         # a cover of H(20) would need F(40, 3), far over the Hall-word cap

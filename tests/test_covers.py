@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import central_extension, random_basis_change
 from liecap import catalog
-from liecap.algebra import derived_subalgebra, transform, validate
+from liecap.algebra import LieAlgebra, derived_subalgebra, transform, validate
 from liecap.cli import main
 from liecap.covers import (
     Cover,
@@ -207,6 +208,43 @@ class TestCover:
                 got = (cov.star_dim, cov.multiplier_dim,
                        recognize(exterior_square(cov)).label())
                 assert got == expect, text
+
+
+class TestStarTable:
+    """The star table is read off the free table's pairs of kept words."""
+
+    def test_no_bracket_basis_calls(self, monkeypatch):
+        cover = Cover(catalog.abelian_algebra(30))
+        calls = []
+        bracket_basis = LieAlgebra.bracket_basis
+
+        def counted(self, i, j):
+            calls.append((i, j))
+            return bracket_basis(self, i, j)
+        monkeypatch.setattr(LieAlgebra, "bracket_basis", counted)
+        assert cover.star.dim == 30 + 30 * 29 // 2
+        assert calls == []
+
+    @staticmethod
+    def brute_force_star_key(cover):
+        """Every pair of kept free words, bracketed and reduced mod [R, F]."""
+        field = cover.algebra.field
+        free_alg = cover.free.algebra_over(field)
+        span = cover._span
+        pivots = set(span.pivots())
+        kept = [i for i in range(cover.free.dim) if i not in pivots]
+        one = field.one
+        brackets = {}
+        for a, b in itertools.combinations(range(len(kept)), 2):
+            vec = free_alg.bracket_sparse({kept[a]: one}, {kept[b]: one})
+            brackets[(a, b)] = {kept.index(c): v for c, v in span.reduce(vec).items()}
+        return LieAlgebra(field, len(kept), brackets).table_key()
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "GF101"])
+    def test_equals_all_pairs(self, field):
+        for key in catalog.all_keys(6, field):
+            cover = Cover(catalog.build(key, field).algebra)
+            assert cover.star.table_key() == self.brute_force_star_key(cover), str(key)
 
 
 class TestExteriorSquare:

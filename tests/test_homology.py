@@ -3,6 +3,7 @@ import random
 import pytest
 from conftest import central_extension, random_basis_change
 from test_covers import witt_dim
+from test_linalg import is_canonical
 
 from liecap import catalog, covers, homology, tables
 from liecap.algebra import (
@@ -13,6 +14,7 @@ from liecap.algebra import (
     transform,
     validate,
 )
+from liecap.cli import invariant_report
 from liecap.homology import (
     ExteriorBasis,
     NotCentral,
@@ -192,6 +194,59 @@ class TestSupportWalk:
         f = PrimeField(101)
         assert schur_multiplier(catalog.abelian_algebra(300, f)).dim == 300 * 299 // 2
         assert schur_multiplier(catalog.heisenberg_algebra(149, f)).dim == 2 * 149**2 - 149 - 1
+
+
+class TestClosedForms:
+    """Closed forms beyond the catalog, through schur_multiplier."""
+
+    @FIELDS
+    @pytest.mark.parametrize("d, c", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3)])
+    def test_free_nilpotent_capable(self, field, d, c):
+        # M(F(d, c)) is the degree-(c+1) part of the free algebra, and
+        # F(d, c) = F(d, c+1) / (degree c+1) is capable
+        m = schur_multiplier(covers.free_nilpotent(d, c).algebra_over(field))
+        assert m.dim == witt_dim(d, c + 1)
+        assert m.exterior_center().dim == 0
+
+    @FIELDS
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_heisenberg_plus_abelian(self, field, m, k):
+        # Kunneth: M(H + A) = M(H) + M(A) + dim H/H^2 * dim A, with
+        # dim M(H(m)) = 2m^2 - m - 1 for m >= 2 and 2 for m = 1
+        h_mult = 2 if m == 1 else 2 * m * m - m - 1
+        L = direct_sum(catalog.heisenberg_algebra(m, field), catalog.abelian_algebra(k, field))
+        assert schur_multiplier(L).dim == h_mult + k * (k - 1) // 2 + 2 * m * k
+
+
+def test_report_scalars_are_canonical(monkeypatch):
+    """Every Subspace and algebra table that invariant_report builds over Q,
+    through schur_multiplier, exterior_center, kernel_columns and the
+    squares, holds canonical scalars only."""
+    built = []
+
+    def recording(cls):
+        init = cls.__init__
+
+        def record(self, *args, **kw):
+            init(self, *args, **kw)
+            built.append(self)
+        monkeypatch.setattr(cls, "__init__", record)
+    recording(Subspace)
+    recording(LieAlgebra)
+    algebras = [catalog.build(key).algebra for key in catalog.all_keys(6)]
+    algebras += [catalog.heisenberg_algebra(4), covers.free_nilpotent(3, 3).algebra]
+    for L in algebras:
+        invariant_report(L, "")
+        built.append(schur_multiplier(L).basis)
+        built.append(L)
+    spaces = [x for x in built if isinstance(x, Subspace)]
+    tables = [x for x in built if isinstance(x, LieAlgebra)]
+    assert len(spaces) > len(algebras) and len(tables) > len(algebras)
+    for s in spaces:
+        assert all(is_canonical(v) for row in s.sparse_rows() for v in row.values())
+    for a in tables:
+        assert all(is_canonical(v) for row in a.table.values() for v in row.values())
 
 
 class TestSparseBoundaries:

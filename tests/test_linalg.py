@@ -77,6 +77,77 @@ class TestFields:
             assert QQ.to_str(QQ.parse(s)) == s
 
 
+def is_canonical(x):
+    """A canonical Q scalar: an int, or a Fraction with denominator above 1."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+class TestCanonicalRationals:
+    """The Q operations agree with Fraction arithmetic, never give a float,
+    and inv, div, parse and coerce give an int exactly when the value is
+    integral."""
+
+    @staticmethod
+    def values(seed, n=40):
+        rng = random.Random(seed)
+        out = []
+        for _ in range(n):
+            num = rng.randint(-30, 30)
+            # a Fraction of denominator 1 stands for a result of mixed arithmetic
+            out.append(num if rng.random() < 0.4 else Fraction(num, rng.randint(1, 9)))
+        return out
+
+    def test_ring_operations(self):
+        xs = self.values(1018)
+        for a in xs:
+            got = QQ.neg(a)
+            assert type(got) in (int, Fraction) and got == -Fraction(a)
+            for b in xs:
+                for got, want in ((QQ.add(a, b), Fraction(a) + b),
+                                  (QQ.sub(a, b), Fraction(a) - b),
+                                  (QQ.mul(a, b), Fraction(a) * b)):
+                    assert type(got) in (int, Fraction) and got == want
+
+    def test_inv_and_div(self):
+        xs = self.values(2026)
+        for a in xs:
+            if a:
+                got = QQ.inv(a)
+                assert is_canonical(got) and got == 1 / Fraction(a)
+            for b in xs:
+                if b:
+                    got = QQ.div(a, b)
+                    assert is_canonical(got) and got == Fraction(a) / b
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(0)
+        with pytest.raises(ZeroDivisionError):
+            QQ.div(1, 0)
+
+    def test_parse_and_coerce(self):
+        xs = self.values(10)
+        texts = [str(x) for x in xs] + ["4/2", "-6/3", "0/5", "2.50", "0.5", "1e2", "-3e-1"]
+        for t in texts:
+            got = QQ.parse(t)
+            assert is_canonical(got) and got == Fraction(t)
+        for a in xs + [Fraction(6, 3), Fraction(0, 7), True, False, 10**30]:
+            got = QQ.coerce(a)
+            assert is_canonical(got) and got == Fraction(a)
+        assert QQ.coerce(True) == 1 and type(QQ.coerce(True)) is int
+        assert all(type(x) is int for x in (QQ.zero, QQ.one, QQ.from_int(5)))
+        with pytest.raises(TypeError):
+            QQ.coerce(0.5)
+
+    def test_subspace_rows_are_canonical(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            vecs = [{j: x for j, x in enumerate(self.values(rng.randrange(10**6), 6)) if x}
+                    for _ in range(rng.randint(1, 5))]
+            space = Subspace.from_vectors(QQ, 6, vecs)
+            rows = space.sparse_rows()
+            assert all(is_canonical(x) for r in rows for x in r.values())
+            assert all(r[p] == 1 for r, p in zip(rows, space.pivots))
+
+
 class TestRref:
     """A Subspace holds the RREF rows of the vectors it is built from."""
 
