@@ -19,6 +19,7 @@ from .linalg import (
     Subspace,
     apply_columns,
     inverse_columns,
+    kernel_columns,
     kernel_from_rows,
     _check_same_field,
 )
@@ -216,27 +217,74 @@ def derived_subalgebra(algebra):
     return IdealSubspace(algebra, _span(algebra, algebra.table.values()))
 
 
-def center(algebra):
-    """Z(L) = kernel of the adjoint action."""
-    n = algebra.dim
+def _adjacency(algebra):
+    """{i: [(j, [e_i, e_j] row, negate)]} over the table's nonzero brackets;
+    ``negate`` marks the pairs i > j, whose stored row is [e_j, e_i]."""
+    adj = {}
+    for (i, j), row in algebra.table.items():
+        adj.setdefault(i, []).append((j, row, False))
+        adj.setdefault(j, []).append((i, row, True))
+    return adj
+
+
+def _ad_images(algebra, adj, v):
+    """{j: [v, e_j]} for the sparse vector v, nonzero images only; the cost
+    is the table entries met by v's support."""
+    f = algebra.field
+    add, mul, neg, zero = f.add, f.mul, f.neg, f.zero
+    out = {}
+    for i, a in v.items():
+        for j, row, negate in adj.get(i, ()):
+            c = neg(a) if negate else a
+            w = out.setdefault(j, {})
+            for k, x in row.items():
+                nv = add(w.get(k, zero), mul(c, x))
+                if nv:
+                    w[k] = nv
+                else:
+                    w.pop(k, None)
+    return {j: w for j, w in out.items() if w}
+
+
+def _ad_kernel(algebra, modulo=None):
+    """{v : [v, e_j] in modulo for every j}, from one functional per residue
+    coordinate (j, k) of [e_i, e_j] mod modulo, read off the table; modulo
+    None stands for the zero subspace."""
+    f = algebra.field
     rows = {}
     for (i, j), row in algebra.table.items():
-        for k, c in row.items():
-            # condition indexed by (j, k): coefficient of e_k in [v, e_j]
+        residue = row if modulo is None else modulo.reduce(row)
+        for k, c in residue.items():
+            # [e_j, e_i] = -[e_i, e_j]
             rows.setdefault((j, k), {})[i] = c
-            rows.setdefault((i, k), {})[j] = algebra.field.neg(c)
-    space = kernel_from_rows(algebra.field, n, rows.values())
-    return IdealSubspace(algebra, space)
+            rows.setdefault((i, k), {})[j] = f.neg(c)
+    return kernel_from_rows(f, algebra.dim, rows.values())
 
 
-def _bracket_span(algebra, space):
+def center(algebra):
+    """Z(L) = kernel of the adjoint action."""
+    return IdealSubspace(algebra, _ad_kernel(algebra))
+
+
+def centralizer(algebra, space):
+    """C_L(S) = {x : [x, s] = 0 for every s in S}, as a Subspace."""
+    if isinstance(space, IdealSubspace):
+        space = space.space
+    adj = _adjacency(algebra)
+    # column j of x -> ([s_t, x])_t, the negative of x -> ([x, s_t])_t
+    cols = [{} for _ in range(algebra.dim)]
+    for t, s in enumerate(space.sparse_rows()):
+        for j, w in _ad_images(algebra, adj, s).items():
+            for k, c in w.items():
+                cols[j][(t, k)] = c
+    return kernel_columns(algebra.field, cols)
+
+
+def _bracket_span(algebra, space, adj):
     """Span of [space, L]."""
     vecs = []
     for row in space.sparse_rows():
-        for j in range(algebra.dim):
-            v = algebra.bracket_sparse(row, {j: algebra.field.one})
-            if v:
-                vecs.append(v)
+        vecs.extend(_ad_images(algebra, adj, row).values())
     return _span(algebra, vecs)
 
 
@@ -245,8 +293,9 @@ def lower_central_series(algebra):
     out = [IdealSubspace(algebra, Subspace.full(algebra.field, algebra.dim))]
     if algebra.dim == 0:
         return out
+    adj = _adjacency(algebra)
+    nxt = derived_subalgebra(algebra).space  # [L, L], the table's span
     while True:
-        nxt = _bracket_span(algebra, out[-1].space)
         if nxt.dim == out[-1].dim:
             # stabilized; nilpotent iff this is zero
             if nxt.dim != 0:
@@ -255,6 +304,7 @@ def lower_central_series(algebra):
         out.append(IdealSubspace(algebra, nxt))
         if nxt.dim == 0:
             return out
+        nxt = _bracket_span(algebra, nxt, adj)
 
 
 def is_nilpotent(algebra):
@@ -268,30 +318,15 @@ def nilpotency_class(algebra):
     return len(series) - 1
 
 
-def upper_central_series(algebra):
-    """Z_1 = Z(L), Z_{i+1} = preimage of Z(L/Z_i), until stable."""
-    f = algebra.field
-    out = [center(algebra).space]
+def upper_central_series(algebra, z=None):
+    """Z_1 = Z(L), Z_{i+1} = preimage of Z(L/Z_i), until stable; z is Z(L)
+    when the caller has it already."""
+    out = [center(algebra).space if z is None else z]
     while True:
         prev = out[-1]
         if prev.dim == algebra.dim:
             return out
-        # v is in Z_{i+1} iff [v, e_j] reduces to 0 mod Z_i for every j;
-        # residues are linear in v, one functional per residue coordinate
-        func_rows = []
-        for j in range(algebra.dim):
-            per_k = {}
-            for i in range(algebra.dim):
-                if i == j:
-                    continue
-                image = algebra.bracket_basis(i, j)
-                if not image:
-                    continue
-                residue = prev.reduce(image)
-                for k, c in residue.items():
-                    per_k.setdefault(k, {})[i] = c
-            func_rows.extend(per_k.values())
-        nxt = kernel_from_rows(f, algebra.dim, func_rows)
+        nxt = _ad_kernel(algebra, prev)
         if nxt.dim == prev.dim:
             return out
         out.append(nxt)
@@ -307,12 +342,9 @@ def minimal_generator_count(algebra):
 def is_ideal(algebra, space):
     if isinstance(space, IdealSubspace):
         space = space.space
-    one = algebra.field.one
-    for row in space.sparse_rows():
-        for j in range(algebra.dim):
-            if not space.contains(algebra.bracket_sparse(row, {j: one})):
-                return False
-    return True
+    adj = _adjacency(algebra)
+    return all(space.contains(w) for row in space.sparse_rows()
+               for w in _ad_images(algebra, adj, row).values())
 
 
 @dataclass(frozen=True)
@@ -353,12 +385,13 @@ def quotient(algebra, ideal):
         residue = space.reduce(vec)
         return {pos[c]: v for c, v in residue.items()}
 
+    # kept is ascending, so pos keeps each table pair's order
     brackets = {}
-    for a in range(len(kept)):
-        for b in range(a + 1, len(kept)):
-            img = project(algebra.bracket_basis(kept[a], kept[b]))
+    for (i, j), row in sorted(algebra.table.items()):
+        if i in pos and j in pos:
+            img = project(row)
             if img:
-                brackets[(a, b)] = img
+                brackets[(pos[i], pos[j])] = img
     q = LieAlgebra(f, len(kept), brackets, labels=tuple(algebra.labels[i] for i in kept))
     proj = AlgebraMap(algebra, q, tuple(project({i: f.one}) for i in range(algebra.dim)))
     return q, proj
@@ -403,8 +436,9 @@ def transform(algebra, cols):
 #  "brackets": [{"i": 1, "j": 2, "out": [{"k": 3, "c": "1"}]}]}
 # with 1-based indices and exact coefficient strings.
 
-# Lambda^2 has C(dim, 2) coordinates, and exterior_center reduces each of
-# them modulo im d3
+# Lambda^2 has C(dim, 2) coordinates: the exterior basis lists every pair,
+# and each pair outside the pivots of im d3 (all of them for an abelian
+# algebra) is a basis vector of L ^ L and two exterior-center functionals
 MAX_DIM = 300
 
 

@@ -287,7 +287,7 @@ def parse_key(text, field=QQ):
         raise UnknownKey(f"cannot parse key {text!r}")
     an, hm = m.group("an"), m.group("hm")
     if an is not None or hm is not None:
-        # exterior_center reduces all C(dim, 2) coordinates of Lambda^2
+        # the work on Lambda^2 grows with its C(dim, 2) coordinates (MAX_DIM)
         dim = int(an) if an is not None else 2 * int(hm) + 1
         if dim > MAX_DIM:
             raise CatalogError(f"{text.strip()} has dimension {dim}, beyond {MAX_DIM}")

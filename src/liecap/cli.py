@@ -88,6 +88,9 @@ def invariant_report(algebra, label):
     cls = nilpotency_class(algebra)  # NotNilpotent before any square is built
     multiplier = schur_multiplier(algebra)
     wedge = multiplier.exterior_square()
+    wedge_type = recognize(wedge)
+    diagonal = diagonal_square_dim(algebra)
+    # L x L = (L ^ L) + A(diagonal), so its label is read off the wedge's
     tensor = multiplier.tensor_square()
     zw = multiplier.exterior_center()
     report = InvariantReport(
@@ -98,10 +101,10 @@ def invariant_report(algebra, label):
         center_dim=center(algebra).dim,
         multiplier_dim=multiplier.dim,
         exterior_dim=wedge.dim,
-        exterior_type=recognize(wedge).label(),
-        diagonal_dim=diagonal_square_dim(algebra),
+        exterior_type=wedge_type.label(),
+        diagonal_dim=diagonal,
         tensor_dim=tensor.dim,
-        tensor_type=recognize(tensor).label(),
+        tensor_type=wedge_type.plus_abelian(diagonal).label(),
         exterior_center_dim=zw.dim,
         capable=zw.dim == 0,
     )
@@ -151,7 +154,8 @@ TABLE_SUITES = {
     "diagonal5": (5, lambda key: str(tables.DIAGONAL_5[key.b]),
                   lambda alg: str(diagonal_square_dim(alg))),
     "tensor5": (5, lambda key: tables.TENSOR_5[key.b],
-                lambda alg: recognize(schur_multiplier(alg).tensor_square()).label()),
+                lambda alg: recognize(schur_multiplier(alg).exterior_square())
+                .plus_abelian(diagonal_square_dim(alg)).label()),
     "multipliers6": (6, lambda key: str(tables.MULTIPLIER_6[key.b]),
                      lambda alg: str(schur_multiplier(alg).dim)),
     "exterior6": (6, lambda key: tables.exterior_6_label(key.b, key.epsilon),

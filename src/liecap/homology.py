@@ -145,6 +145,7 @@ class MultiplierResult:
 
     image: Subspace   # im d3
     algebra: LieAlgebra
+    ext: ExteriorBasis  # the Lambda^2 coordinates of image
 
     @cached_property
     def kept(self):
@@ -161,7 +162,7 @@ class MultiplierResult:
         # ker d2 on the kept pairs; kept is ascending, so the RREF rows stay
         # RREF when read back in Lambda^2 coordinates
         alg = self.algebra
-        pairs = ExteriorBasis(alg.dim).pairs
+        pairs = self.ext.pairs
         ker = kernel_columns(alg.field, [alg.bracket_basis(*pairs[t]) for t in self.kept])
         basis = Subspace(alg.field, self.image.ambient_dim,
                          tuple({self.kept[a]: c for a, c in r.items()} for r in ker.sparse_rows()),
@@ -172,7 +173,7 @@ class MultiplierResult:
     @cached_property
     def _square(self):
         alg = self.algebra
-        ext = ExteriorBasis(alg.dim)
+        ext = self.ext
         pos = {t: a for a, t in enumerate(self.kept)}
         d2 = [alg.bracket_basis(*ext.pairs[t]) for t in self.kept]
         live = [a for a in range(len(self.kept)) if d2[a]]
@@ -189,15 +190,26 @@ class MultiplierResult:
         return self._square
 
     def exterior_center(self):
-        """Z^(L), the kernel of l -> (l ^ e_j mod im d3) over all j."""
+        """Z^(L), the kernel of l -> (l ^ e_j mod im d3) over all j.
+
+        The residue of a pair mod im d3 is read off the RREF of im d3: a
+        kept pair is its own residue, and a pivot pair t is minus its row
+        with the unit entry at t removed.
+        """
         alg = self.algebra
         f = alg.field
+        neg = f.neg
+        residues = {t: {t: f.one} for t in self.kept}
+        for p, row in zip(self.image.pivots, self.image.sparse_rows()):
+            residues[p] = {s: neg(c) for s, c in row.items() if s != p}
         rows = {}
-        for t, (i, j) in enumerate(ExteriorBasis(alg.dim).pairs):
+        pairs = self.ext.pairs
+        for t, residue in residues.items():
             # l ^ e_j takes l_i (e_i ^ e_j); l ^ e_i takes -l_j (e_i ^ e_j)
-            for s, c in self.image.reduce({t: f.one}).items():
+            i, j = pairs[t]
+            for s, c in residue.items():
                 rows.setdefault((j, s), {})[i] = c
-                rows.setdefault((i, s), {})[j] = f.neg(c)
+                rows.setdefault((i, s), {})[j] = neg(c)
         space = kernel_from_rows(f, alg.dim, rows.values())
         assert center(alg).space.contains_subspace(space)
         return IdealSubspace(alg, space)
@@ -216,7 +228,7 @@ def schur_multiplier(algebra):
     for col in d3:
         if apply_columns(field, d2, col):
             raise NotContained("d2 . d3 is not zero: the bracket violates Jacobi")
-    return MultiplierResult(Subspace._from_sparse(field, len(ext.pairs), d3), algebra)
+    return MultiplierResult(Subspace._from_sparse(field, len(ext.pairs), d3), algebra, ext)
 
 
 def multiplier_dim(algebra):
@@ -230,9 +242,9 @@ def diagonal_square_dim(algebra):
     return (n - m) * (n - m + 1) // 2
 
 
-def _lambda2_map(linear_map):
-    """Columns of Lambda^2 of a linear map, as sparse target coordinates."""
-    index = ExteriorBasis(linear_map.target.dim).index
+def _lambda2_map(linear_map, index):
+    """Columns of Lambda^2 of a linear map, as sparse target coordinates;
+    index is the target's ``ExteriorBasis.index``."""
     cols = linear_map.columns
     return [_wedge(linear_map.target.field, index, cols[i], cols[j])
             for i, j in combinations(range(len(cols)), 2)]
@@ -250,7 +262,7 @@ def induced_multiplier_map(algebra, ideal):
         raise NotCentral("ideal is not central")
     q, proj = quotient(algebra, space)
     m_q = schur_multiplier(q)
-    lam2 = _lambda2_map(proj)
+    lam2 = _lambda2_map(proj, m_q.ext.index)
     # a cycle maps to a cycle; NotContained here would mean it did not
     return [m_q.basis.coords(m_q.image.reduce(apply_columns(algebra.field, lam2, v)))
             for v in schur_multiplier(algebra).basis.sparse_rows()]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import (
     center,
-    derived_subalgebra,
+    centralizer,
     direct_sum,
     lower_central_series,
     transform,
@@ -58,6 +58,26 @@ class Fingerprint:
                 self.center_dim, self.derived_cap_center,
                 self.centralizer_dims, self.multiplier_dim)
 
+    def plus_abelian(self, d):
+        """The fingerprint of W + A(d), for W the algebra of this one.
+
+        The A(d) block adds d to L, to every upper central term, to the
+        center and to every centralizer, and leaves L^k for k >= 2 and L^2
+        as they are.  The multiplier follows Kunneth:
+        M(W + A(d)) = M(W) + d(d-1)/2 + d dim(W/W^2).
+        """
+        return Fingerprint(
+            dim=self.dim + d,
+            lcs_dims=(self.lcs_dims[0] + d, *self.lcs_dims[1:]),
+            ucs_dims=tuple(x + d for x in self.ucs_dims),
+            derived_dim=self.derived_dim,
+            center_dim=self.center_dim + d,
+            derived_cap_center=self.derived_cap_center,
+            centralizer_dims=tuple(x + d for x in self.centralizer_dims),
+            multiplier_dim=(self.multiplier_dim + d * (d - 1) // 2
+                            + d * (self.dim - self.derived_dim)),
+        )
+
     def __str__(self):
         lcs = ",".join(str(d) for d in self.lcs_dims)
         ucs = ",".join(str(d) for d in self.ucs_dims)
@@ -67,22 +87,23 @@ class Fingerprint:
                 f"cent={cents};m={self.multiplier_dim}")
 
 
-def _centralizer_dim(algebra, space):
-    """dim of the kernel of x -> ([x, s_t])_t over the basis rows s_t of space."""
-    one = algebra.field.one
-    rows = space.sparse_rows()
-    cols = [{(t, k): c for t, s in enumerate(rows)
-             for k, c in algebra.bracket_sparse({i: one}, s).items()}
-            for i in range(algebra.dim)]
-    return kernel_columns(algebra.field, cols).dim
+def _structure(algebra, lcs=None, z=None):
+    """(lower central series, L^2, Z(L)) of algebra, computing the series
+    and the center unless given."""
+    if lcs is None:
+        lcs = lower_central_series(algebra)
+    if z is None:
+        z = center(algebra).space
+    # L^2 is the second term; the zero algebra's series has only the first
+    return lcs, lcs[min(1, len(lcs) - 1)].space, z
 
 
-def fingerprint(algebra):
-    lcs = lower_central_series(algebra)
-    ucs = upper_central_series(algebra)
-    der = derived_subalgebra(algebra).space
-    z = center(algebra).space
-    cents = tuple(_centralizer_dim(algebra, g.space) for g in lcs[1:])
+def fingerprint(algebra, lcs=None, z=None):
+    """The invariant profile; lcs and z are the lower central series and
+    Z(L) when the caller has them already."""
+    lcs, der, z = _structure(algebra, lcs, z)
+    ucs = upper_central_series(algebra, z)
+    cents = tuple(centralizer(algebra, g).dim for g in lcs[1:])
     return Fingerprint(
         dim=algebra.dim,
         lcs_dims=tuple(g.dim for g in lcs),
@@ -118,6 +139,21 @@ class IsoType:
             return "L5_8" + (f"+A({self.k})" if self.k else "")
         return f"UNRECOGNIZED[{self.fp}]"
 
+    def plus_abelian(self, d):
+        """The label of W + A(d), for W the algebra recognized as this one.
+
+        A split basis gains the unit columns of the A(d) block, which
+        follows W's coordinates as in ``direct_sum``.
+        """
+        if self.kind == "unrecognized":
+            return IsoType(self.kind, fp=self.fp.plus_abelian(d))
+        basis = self.basis
+        if basis is not None:
+            n = len(basis)
+            # 1 is the unit of Q and of GF(p) alike
+            basis = (*basis, *({n + t: 1} for t in range(d)))
+        return IsoType(self.kind, m=self.m, k=self.k + d, basis=basis)
+
     def __str__(self):
         return self.label()
 
@@ -143,19 +179,19 @@ class HeisenbergSplit:
     basis: tuple  # sparse columns
 
 
-def heisenberg_decomposition(algebra):
+def heisenberg_decomposition(algebra, lcs=None, z=None):
     """Split L with dim L^2 = 1 and class 2 as H(m) + A(k), constructively.
 
     The bracket factors through an alternating form beta on L with radical
     Z(L); a symplectic-style basis of a complement of the radical gives the
     H(m) part, and a complement of L^2 inside Z(L) the abelian part.  The
     returned basis transforms the table into the model table exactly.
+    lcs and z are as in ``fingerprint``.
     """
     f = algebra.field
-    der = derived_subalgebra(algebra).space
+    series, der, zspace = _structure(algebra, lcs, z)
     if der.dim != 1:
         raise NotApplicable("needs dim L^2 = 1")
-    series = lower_central_series(algebra)
     if not (len(series) >= 2 and series[-1].dim == 0 and len(series) - 1 == 2):
         raise NotApplicable("needs class exactly 2")
     z_vec = der.sparse_rows()[0]
@@ -167,7 +203,6 @@ def heisenberg_decomposition(algebra):
             return f.zero
         return f.div(w[z_pivot], z_vec[z_pivot])
 
-    zspace = center(algebra).space
     rem = complement(zspace, Subspace.full(f, algebra.dim))
     pairs = []
     while rem:
@@ -195,7 +230,7 @@ def heisenberg_decomposition(algebra):
     return HeisenbergSplit(m, k, basis)
 
 
-def _l58_sum_split(algebra):
+def _l58_sum_split(algebra, der, zspace):
     """Basis change to L5_8 + A(k) for class-2 algebras with dim L^2 = 2.
 
     Valid when the non-split core is five dimensional.  The core's bracket
@@ -204,10 +239,9 @@ def _l58_sum_split(algebra):
     decomposable bivector a ^ b (its alternating matrix has rank two and its
     column space is span(a, b)), so (v1, a, b) with v1 outside span(a, b)
     realizes the model relations [v1,v2]=z4, [v1,v3]=z5, [v2,v3]=0.
+    der and zspace are L^2 and Z(L).
     """
     f = algebra.field
-    der = derived_subalgebra(algebra).space
-    zspace = center(algebra).space
     if der.dim != 2 or not zspace.contains_subspace(der):
         return None
     w_rows = complement(zspace, Subspace.full(f, algebra.dim))
@@ -244,19 +278,19 @@ def _l58_sum_split(algebra):
 
 
 def recognize(algebra):
-    """Match against A(k), H(m)+A(k), L5_8+A(k); fingerprint otherwise."""
+    """Match against A(k), H(m)+A(k), L5_8+A(k); fingerprint otherwise.
+
+    The lower central series, L^2 and Z(L) are computed once and handed on.
+    """
     if algebra.is_abelian():
         return IsoType("abelian", k=algebra.dim)
-    series = lower_central_series(algebra)
-    nilpotent = series[-1].dim == 0
-    cls = len(series) - 1 if nilpotent else None
-    if nilpotent and cls == 2:
-        der_dim = derived_subalgebra(algebra).dim
-        if der_dim == 1:
-            split = heisenberg_decomposition(algebra)
+    lcs, der, z = _structure(algebra)
+    if lcs[-1].dim == 0 and len(lcs) - 1 == 2:
+        if der.dim == 1:
+            split = heisenberg_decomposition(algebra, lcs, z)
             return IsoType("heisenberg_sum", m=split.m, k=split.k, basis=split.basis)
-        if der_dim == 2:
-            hit = _l58_sum_split(algebra)
+        if der.dim == 2:
+            hit = _l58_sum_split(algebra, der, z)
             if hit is not None:
                 return hit
-    return IsoType("unrecognized", fp=fingerprint(algebra))
+    return IsoType("unrecognized", fp=fingerprint(algebra, lcs, z))

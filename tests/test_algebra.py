@@ -3,7 +3,7 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import central_extension
+from conftest import central_extension, random_basis_change
 
 from liecap import catalog
 from liecap.algebra import (
@@ -11,6 +11,7 @@ from liecap.algebra import (
     NotAnIdeal,
     NotNilpotent,
     center,
+    centralizer,
     derived_subalgebra,
     direct_sum,
     dumps,
@@ -33,6 +34,7 @@ from liecap.linalg import (
     Subspace,
     apply_columns,
     kernel_columns,
+    kernel_from_rows,
 )
 
 
@@ -221,6 +223,122 @@ class TestSeries:
         L = build("L4_3")
         ucs = upper_central_series(L)
         assert [s.dim for s in ucs] == [1, 2, 4]
+
+
+def all_pairs_bracket_span(L, space):
+    one = L.field.one
+    return Subspace.from_vectors(L.field, L.dim, [L.bracket_sparse(r, {j: one})
+                                                  for r in space.sparse_rows()
+                                                  for j in range(L.dim)])
+
+
+def all_pairs_lcs(L):
+    """The lower central series of a nilpotent L, bracketing every basis row
+    with every basis vector."""
+    out = [Subspace.full(L.field, L.dim)]
+    while out[-1].dim:
+        out.append(all_pairs_bracket_span(L, out[-1]))
+    return out
+
+
+def all_pairs_ucs(L):
+    """Z_{i+1} = {v : [v, e_j] in Z_i for all j}, one functional per residue
+    coordinate of [e_i, e_j] over all ordered pairs."""
+    out = [Subspace.zero(L.field, L.dim)]
+    while True:
+        rows = {}
+        for i in range(L.dim):
+            for j in range(L.dim):
+                for k, c in out[-1].reduce(L.bracket_basis(i, j)).items():
+                    rows.setdefault((j, k), {})[i] = c
+        nxt = kernel_from_rows(L.field, L.dim, rows.values())
+        if nxt.dim == out[-1].dim:
+            return out[1:]
+        out.append(nxt)
+
+
+def all_pairs_is_ideal(L, space):
+    one = L.field.one
+    return all(space.contains(L.bracket_sparse(r, {j: one}))
+               for r in space.sparse_rows() for j in range(L.dim))
+
+
+def all_pairs_quotient_table(L, space):
+    """(table key, labels, projection columns) of L/space over all kept pairs."""
+    kept = [i for i in range(L.dim) if i not in space.pivots]
+    pos = {c: t for t, c in enumerate(kept)}
+
+    def project(vec):
+        return {pos[c]: v for c, v in space.reduce(vec).items()}
+
+    brackets = {(a, b): project(L.bracket_basis(kept[a], kept[b]))
+                for a in range(len(kept)) for b in range(a + 1, len(kept))}
+    q = LieAlgebra(L.field, len(kept), brackets, labels=[L.labels[i] for i in kept])
+    cols = tuple(project({i: L.field.one}) for i in range(L.dim))
+    return q.table_key(), q.labels, cols
+
+
+def all_pairs_centralizer(L, space):
+    one = L.field.one
+    rows = space.sparse_rows()
+    return kernel_columns(L.field, [{(t, k): c for t, s in enumerate(rows)
+                                     for k, c in L.bracket_sparse({i: one}, s).items()}
+                                    for i in range(L.dim)])
+
+
+class TestTableWalks:
+    """The series and ideal code walks the bracket table; it must agree with
+    the all-pairs definitions on every catalog entry in a scrambled basis."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "GF3"])
+    def test_match_all_pairs_reference(self, field):
+        rng = random.Random(53)
+        verdicts = []
+        for key in catalog.all_keys(6, field):
+            base = catalog.build(key, field).algebra
+            n = base.dim
+            L = transform(base, random_basis_change(rng, n, field))
+            lcs = all_pairs_lcs(L)
+            ucs = all_pairs_ucs(L)
+            assert [g.space for g in lower_central_series(L)] == lcs, str(key)
+            assert upper_central_series(L) == ucs, str(key)
+            for g in lcs[1:]:
+                assert centralizer(L, g) == all_pairs_centralizer(L, g), str(key)
+            # a random line and plane are ideals only sometimes
+            probes = [Subspace.from_vectors(field, n, [
+                {i: field.from_int(rng.randint(-2, 2)) for i in range(n)}
+                for _ in range(r)]) for r in (1, 2)]
+            spaces = []
+            for space in lcs + ucs + probes:
+                if space not in spaces:
+                    spaces.append(space)
+            for space in spaces:
+                ideal = all_pairs_is_ideal(L, space)
+                assert is_ideal(L, space) == ideal, str(key)
+                verdicts.append(ideal)
+                if ideal:
+                    q, proj = quotient(L, space)
+                    assert ((q.table_key(), q.labels, proj.columns)
+                            == all_pairs_quotient_table(L, space)), str(key)
+        assert verdicts.count(True) > 200 and verdicts.count(False) > 50
+
+    def test_no_bracket_calls(self, monkeypatch):
+        # the walks read the table; none brackets basis vectors pair by pair
+        calls = []
+        for name in ("bracket_sparse", "bracket_basis"):
+            original = getattr(LieAlgebra, name)
+
+            def counted(self, *args, _original=original):
+                calls.append(1)
+                return _original(self, *args)
+            monkeypatch.setattr(LieAlgebra, name, counted)
+        for L in (catalog.abelian_algebra(300), catalog.heisenberg_algebra(60)):
+            lcs = lower_central_series(L)
+            upper_central_series(L)
+            assert is_ideal(L, lcs[1])
+            quotient(L, lcs[1])
+            centralizer(L, lcs[1])
+        assert not calls
 
 
 class TestGenerators:

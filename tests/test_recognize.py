@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from conftest import random_basis_change
+from conftest import central_extension, random_basis_change
 from liecap import catalog
 from liecap.algebra import LieAlgebra, direct_sum, transform, validate
+from liecap.covers import free_nilpotent
+from liecap.homology import diagonal_square_dim, schur_multiplier
 from liecap.linalg import QQ, PrimeField
 from liecap.recognize import (
     NotApplicable,
@@ -199,3 +201,71 @@ class TestFingerprint:
     def test_string_form(self):
         s = str(fingerprint(build("L4_3")))
         assert s.startswith("dim=4;") and "m=2" in s
+
+
+def derived_tensor_cases():
+    """(name, algebra): the catalog over Q and GF(3), F(d,c) for d + c <= 7
+    and ten seeded central extensions."""
+    cases = []
+    for field in (QQ, PrimeField(3)):
+        cases += [(f"{key}@{field}", catalog.build(key, field).algebra)
+                  for key in catalog.all_keys(6, field)]
+    cases += [(f"F({d},{c})", free_nilpotent(d, c).algebra)
+              for d in range(2, 7) for c in range(1, 8 - d)]
+    rng = random.Random(61)
+    keys = [k for k in catalog.all_keys(6) if k.a >= 3]
+    for t in range(10):
+        key = rng.choice(keys)
+        cases.append((f"ext{t}:{key}",
+                      central_extension(catalog.build(key).algebra, rng.choice((1, 2)), rng)))
+    return cases
+
+
+def assert_derived_label(derived, algebra, name):
+    """derived is the label that recognize gives algebra directly; a split
+    basis must take algebra to the model table."""
+    direct = recognize(algebra)
+    assert derived.label() == direct.label(), name
+    if derived.basis is None:
+        assert derived == direct, name
+    else:
+        model = (heisenberg_sum_model(derived.m, derived.k, algebra.field)
+                 if derived.kind == "heisenberg_sum"
+                 else l58_sum_model(derived.k, algebra.field))
+        assert transform(algebra, derived.basis).table_key() == model.table_key(), name
+
+
+class TestDerivedTensorLabel:
+    """L x L = (L ^ L) + A(diagonal): the tensor label read off the exterior
+    label equals the one recognized on L x L itself."""
+
+    def test_matches_direct_recognition(self):
+        rng = random.Random(67)
+        kinds = []
+        for name, base in derived_tensor_cases():
+            algebras = [base]
+            # a scrambled basis fills the table; above dim 8 (F(4,2), F(2,5),
+            # F(3,3), F(5,2), F(3,4), F(4,3)) its d3 takes up to seconds
+            if base.dim <= 8:
+                algebras.append(transform(base, random_basis_change(rng, base.dim, base.field)))
+            for L in algebras:
+                m = schur_multiplier(L)
+                derived = recognize(m.exterior_square()).plus_abelian(diagonal_square_dim(L))
+                assert_derived_label(derived, m.tensor_square(), name)
+                kinds.append(derived.kind)
+        assert min(kinds.count(k) for k in ("abelian", "heisenberg_sum", "l58_sum")) >= 10
+        assert kinds.count("unrecognized") >= 4
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "GF3"])
+    def test_catalog_plus_abelian(self, field):
+        # the catalog's own labels cover every kind, most of them fingerprints
+        rng = random.Random(71)
+        kinds = []
+        for key in catalog.all_keys(6, field):
+            W = catalog.build(key, field).algebra
+            W = transform(W, random_basis_change(rng, W.dim, field))
+            iso = recognize(W)
+            assert_derived_label(iso.plus_abelian(2),
+                                 direct_sum(W, catalog.abelian_algebra(2, field)), str(key))
+            kinds.append(iso.kind)
+        assert kinds.count("unrecognized") >= 20
