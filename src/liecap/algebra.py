@@ -288,13 +288,15 @@ def _bracket_span(algebra, space, adj):
     return _span(algebra, vecs)
 
 
-def lower_central_series(algebra):
-    """gamma_1 = L, gamma_{i+1} = [gamma_i, L], until it stops descending."""
+def lower_central_series(algebra, derived=None):
+    """gamma_1 = L, gamma_{i+1} = [gamma_i, L], until it stops descending;
+    derived is L^2 when the caller has it already."""
     out = [IdealSubspace(algebra, Subspace.full(algebra.field, algebra.dim))]
     if algebra.dim == 0:
         return out
     adj = _adjacency(algebra)
-    nxt = derived_subalgebra(algebra).space  # [L, L], the table's span
+    # [L, L], the table's span
+    nxt = (derived_subalgebra(algebra) if derived is None else derived).space
     while True:
         if nxt.dim == out[-1].dim:
             # stabilized; nilpotent iff this is zero
@@ -311,8 +313,8 @@ def is_nilpotent(algebra):
     return lower_central_series(algebra)[-1].dim == 0
 
 
-def nilpotency_class(algebra):
-    series = lower_central_series(algebra)
+def nilpotency_class(algebra, derived=None):
+    series = lower_central_series(algebra, derived)
     if series[-1].dim != 0:
         raise NotNilpotent("not nilpotent: the lower central series stabilizes above zero")
     return len(series) - 1

@@ -85,18 +85,19 @@ class InvariantReport:
 
 
 def invariant_report(algebra, label):
-    cls = nilpotency_class(algebra)  # NotNilpotent before any square is built
-    multiplier = schur_multiplier(algebra)
+    derived = derived_subalgebra(algebra)  # L^2, computed once per report
+    cls = nilpotency_class(algebra, derived)  # NotNilpotent before any square is built
+    multiplier = schur_multiplier(algebra, derived)
     wedge = multiplier.exterior_square()
     wedge_type = recognize(wedge)
-    diagonal = diagonal_square_dim(algebra)
+    diagonal = multiplier.diagonal_dim
     # L x L = (L ^ L) + A(diagonal), so its label is read off the wedge's
     tensor = multiplier.tensor_square()
     zw = multiplier.exterior_center()
     report = InvariantReport(
         label=label,
         dim=algebra.dim,
-        derived_dim=derived_subalgebra(algebra).dim,
+        derived_dim=derived.dim,
         nilpotency_class=cls,
         center_dim=center(algebra).dim,
         multiplier_dim=multiplier.dim,
@@ -144,6 +145,11 @@ class SuiteRow:
         return f"{mark}  {self.suite:<12} {self.row:<16} expected={self.expected} computed={self.computed}"
 
 
+def _tensor_label(alg):
+    m = schur_multiplier(alg)
+    return recognize(m.exterior_square()).plus_abelian(m.diagonal_dim).label()
+
+
 # suite name -> (dimension, published value of a key, computed value of its
 # algebra); one row per catalog key of that dimension, labelled by the key
 TABLE_SUITES = {
@@ -154,8 +160,7 @@ TABLE_SUITES = {
     "diagonal5": (5, lambda key: str(tables.DIAGONAL_5[key.b]),
                   lambda alg: str(diagonal_square_dim(alg))),
     "tensor5": (5, lambda key: tables.TENSOR_5[key.b],
-                lambda alg: recognize(schur_multiplier(alg).exterior_square())
-                .plus_abelian(diagonal_square_dim(alg)).label()),
+                _tensor_label),
     "multipliers6": (6, lambda key: str(tables.MULTIPLIER_6[key.b]),
                      lambda alg: str(schur_multiplier(alg).dim)),
     "exterior6": (6, lambda key: tables.exterior_6_label(key.b, key.epsilon),

@@ -9,7 +9,14 @@ d2 . d3 vanishing is a rewrite of the Jacobi identity, and it is checked on
 every d3 column whenever the complex is built.  Each of the three terms of
 d3(x_i ^ x_j ^ x_k) carries one bracket of two of its indices, so only the
 columns of ``algebra.support_triples`` are built: every other column is
-zero, adds nothing to im d3 and passes the check trivially.
+zero, adds nothing to im d3 and passes the check trivially.  A column is
+read straight off ``algebra.table``.
+
+The canonical RREF of im d3 peels its structural pivots before any row
+reduction (``linalg._rref``): a column with a single nonzero entry is a
+unit row, and its pair is struck from the other columns until no new
+singleton appears.  Most of im d3 is found this way on free nilpotent
+algebras, and all of it on H(m), so ``Echelon`` reduces only the rest.
 
 One object carries every invariant: L ^ L = Lambda^2 L / im d3, with
 bracket [a, b] = d2(a) ^ d2(b) (Ellis, "A non-abelian tensor product of Lie
@@ -109,13 +116,35 @@ def ce_d2(algebra):
 
 
 def _d3_column(algebra, index, triple):
+    """d3(e_i ^ e_j ^ e_k) for i < j < k, in sparse Lambda^2 coords."""
     f = algebra.field
+    add, neg = f.add, f.neg
+    table = algebra.table
     i, j, k = triple
     out = {}
-    for (a, b, c, sign) in ((i, j, k, 1), (i, k, j, -1), (j, k, i, 1)):
-        row = algebra.bracket_basis(a, b)
+    # the table holds [e_a, e_b] for a < b, which each of the three pairs is
+    for a, b, c, negate in ((i, j, k, False), (i, k, j, True), (j, k, i, False)):
+        row = table.get((a, b))
+        if not row:
+            continue
         for m, cm in row.items():
-            _wedge_entry(f, out, index, m, c, cm if sign > 0 else f.neg(cm))
+            # e_m ^ e_c = -(e_c ^ e_m), and e_c ^ e_c = 0
+            if m < c:
+                t = index[(m, c)]
+                x = neg(cm) if negate else cm
+            elif m > c:
+                t = index[(c, m)]
+                x = cm if negate else neg(cm)
+            else:
+                continue
+            if t in out:
+                nv = add(out[t], x)
+                if nv:
+                    out[t] = nv
+                else:
+                    del out[t]
+            else:
+                out[t] = x
     return out
 
 
@@ -146,6 +175,7 @@ class MultiplierResult:
     image: Subspace   # im d3
     algebra: LieAlgebra
     ext: ExteriorBasis  # the Lambda^2 coordinates of image
+    derived: IdealSubspace  # L^2
 
     @cached_property
     def kept(self):
@@ -155,7 +185,12 @@ class MultiplierResult:
 
     @cached_property
     def dim(self):
-        return len(self.kept) - derived_subalgebra(self.algebra).dim
+        return len(self.kept) - self.derived.dim
+
+    @property
+    def diagonal_dim(self):
+        """dim of the diagonal ideal of L x L; see ``diagonal_square_dim``."""
+        return diagonal_square_dim(self.algebra, self.derived)
 
     @cached_property
     def basis(self):
@@ -216,11 +251,13 @@ class MultiplierResult:
 
     def tensor_square(self):
         """L x L = (L ^ L) + diagonal ideal; the diagonal part is abelian."""
-        diag = abelian_algebra(diagonal_square_dim(self.algebra), self.algebra.field)
+        diag = abelian_algebra(self.diagonal_dim, self.algebra.field)
         return direct_sum(self._square, diag)
 
 
-def schur_multiplier(algebra):
+def schur_multiplier(algebra, derived=None):
+    """im d3 of algebra and the invariants read off it; derived is L^2 when
+    the caller has it already."""
     ext = ExteriorBasis(algebra.dim)
     field = algebra.field
     d2 = [algebra.bracket_basis(i, j) for i, j in ext.pairs]
@@ -228,17 +265,21 @@ def schur_multiplier(algebra):
     for col in d3:
         if apply_columns(field, d2, col):
             raise NotContained("d2 . d3 is not zero: the bracket violates Jacobi")
-    return MultiplierResult(Subspace._from_sparse(field, len(ext.pairs), d3), algebra, ext)
+    if derived is None:
+        derived = derived_subalgebra(algebra)
+    return MultiplierResult(Subspace._from_sparse(field, len(ext.pairs), d3), algebra, ext,
+                            derived)
 
 
 def multiplier_dim(algebra):
     return schur_multiplier(algebra).dim
 
 
-def diagonal_square_dim(algebra):
-    """dim of the diagonal ideal: (n - m)(n - m + 1)/2 for m = dim L^2."""
+def diagonal_square_dim(algebra, derived=None):
+    """dim of the diagonal ideal: (n - m)(n - m + 1)/2 for m = dim L^2;
+    derived is L^2 when the caller has it already."""
     n = algebra.dim
-    m = derived_subalgebra(algebra).dim
+    m = (derived_subalgebra(algebra) if derived is None else derived).dim
     return (n - m) * (n - m + 1) // 2
 
 

@@ -9,13 +9,18 @@ entries stay small during elimination and results are exact bit for bit.
 Vectors are sparse ``{index: value}`` dicts, and a linear map is a list of
 sparse columns, column i being the image of the i-th basis vector.
 Subspaces are stored in reduced row echelon form, which makes equality
-structural: two equal subspaces have identical basis matrices.  The dense
+structural: two equal subspaces have identical basis matrices.  Every
+subspace and kernel comes from one batch RREF, ``_rref``: it peels the
+structural pivots (a vector with a single nonzero entry spans a unit row,
+whose column is struck from the others, until no new singleton appears)
+and row-reduces only what is left with ``Echelon``.  The dense
 ``Matrix`` only stores the boundary matrices ``ce_d2`` and ``ce_d3``, the
 reference that the tests compare the sparse route against.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -218,6 +223,9 @@ class Echelon:
     scaled to a unit pivot on entry.  ``finalize`` back-substitutes and, over
     Q, divides each row by its pivot entry, yielding the canonical RREF
     basis of the row space with canonical Q scalars.
+
+    ``_rref`` feeds it only the vectors left after the structural pivots
+    are peeled; ``covers`` and ``inverse_columns`` use it directly.
     """
 
     def __init__(self, field, width):
@@ -242,17 +250,15 @@ class Echelon:
 
     def _prepare(self, row):
         if isinstance(self.field, RationalField):
-            if all(type(v) is int for v in row.values()):
-                return {c: v for c, v in row.items() if v}
-            den = lcm(*(v.denominator for v in row.values()))
-            return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
-        out = {}
-        coerce = self.field.coerce
-        for c, v in row.items():
-            iv = coerce(v)
-            if iv:
-                out[c] = iv
-        return out
+            out = {c: v for c, v in row.items() if v}
+            for v in out.values():
+                if type(v) is not int:
+                    den = lcm(*(v.denominator for v in out.values()))
+                    return {c: v.numerator * (den // v.denominator) for c, v in out.items()}
+            return out
+        p, coerce = self.field.p, self.field.coerce
+        return {c: iv for c, v in row.items()
+                if (iv := v % p if type(v) is int else coerce(v))}
 
     def _insert(self, row):
         rational = isinstance(self.field, RationalField)
@@ -347,6 +353,67 @@ class Echelon:
         if not self._final:
             self.finalize()
         return [(p, self._rows[p]) for p in self._sorted_pivots]
+
+
+def _rref(field, width, vectors):
+    """Canonical RREF of the span of sparse vectors over columns 0..width-1,
+    as ``(pivots, rows)`` with the pivots ascending.
+
+    Structural pivots are peeled first (``_peel``), and only the vectors
+    left go through ``Echelon``.  They vanish on the unit columns, so their
+    RREF rows do too, and with the unit rows they are the RREF of the whole
+    span.  The peel sees the values ``Echelon._prepare`` keeps: canonical
+    and nonzero.  Vectors stop being read once the rank reaches the width,
+    where the span is the whole space.
+    """
+    ech = Echelon(field, width)
+    units = set()
+    vecs = []
+    for v in vectors:
+        row = ech._prepare(v)  # a fresh dict, so it may be struck in place
+        if len(row) == 1:
+            units.update(row)
+            if len(units) == width:
+                break
+        elif row:
+            vecs.append(row)
+    if len(units) < width:
+        if units and vecs:
+            _peel(units, vecs)
+        for row in vecs:
+            if row:
+                ech.add(row)
+                if len(units) + ech.rank == width:
+                    break
+    one = field.one
+    if len(units) + ech.rank == width:
+        return tuple(range(width)), tuple({i: one} for i in range(width))
+    by_pivot = {t: {t: one} for t in units}
+    by_pivot.update(ech.rows())
+    pivots = tuple(sorted(by_pivot))
+    return pivots, tuple(by_pivot[p] for p in pivots)
+
+
+def _peel(units, vecs):
+    """Strike the unit columns from vecs in place, growing units to its
+    fixed point.  A vector with exactly one nonzero entry left spans the
+    unit row at that column, which is struck from every other vector in
+    turn, until no new singleton appears."""
+    holders = defaultdict(list)  # column -> the vectors with an entry there
+    for a, row in enumerate(vecs):
+        for c in row:
+            holders[c].append(a)
+    queue = list(units)
+    while queue:
+        t = queue.pop()
+        for a in holders.pop(t, ()):
+            row = vecs[a]
+            del row[t]
+            if len(row) == 1:
+                (s,) = row
+                if s not in units:
+                    units.add(s)
+                    queue.append(s)
 
 
 def _reduce(field, by_pivot, v):
@@ -447,26 +514,18 @@ class Matrix:
 
 
 def kernel_from_rows(field, width, rows):
-    """Kernel of the linear map given by stacked row functionals."""
-    ech = Echelon(field, width)
-    for r in rows:
-        ech.add(dict(r))
-    ech.finalize()
-    pivot_rows = dict(ech.rows())
-    pivots = ech.pivots()
+    """Kernel of the linear map given by stacked row functionals over
+    columns 0..width-1: e_f minus the RREF rows' entries at f, for each
+    column f off the pivots."""
+    pivots, prows = _rref(field, width, rows)
     pivot_set = set(pivots)
-    basis = []
-    one = field.one
-    for f in range(width):
-        if f in pivot_set:
-            continue
-        vec = {f: one}
-        for p in pivots:
-            c = pivot_rows[p].get(f)
-            if c:
-                vec[p] = field.neg(c)
-        basis.append(vec)
-    return Subspace._from_sparse(field, width, basis)
+    neg, one = field.neg, field.one
+    basis = {f: {f: one} for f in range(width) if f not in pivot_set}
+    for p, row in zip(pivots, prows):
+        for f, c in row.items():
+            if f != p:
+                basis[f][p] = neg(c)
+    return Subspace._from_sparse(field, width, basis.values())
 
 
 def kernel(m):
@@ -526,12 +585,8 @@ class Subspace:
 
     @classmethod
     def _from_sparse(cls, field, n, vectors):
-        ech = Echelon(field, n)
-        for v in vectors:
-            ech.add(dict(v))
-        ech.finalize()
-        rows = tuple(row for _, row in ech.rows())
-        return cls(field, n, rows, ech.pivots(), _internal=True)
+        pivots, rows = _rref(field, n, vectors)
+        return cls(field, n, rows, pivots, _internal=True)
 
     @classmethod
     def from_vectors(cls, field, n, vectors):

@@ -1,6 +1,16 @@
 from liecap.algebra import LieAlgebra
 from liecap.homology import ExteriorBasis, ce_d3
-from liecap.linalg import QQ, kernel_from_rows
+from liecap.linalg import QQ, Echelon, kernel_from_rows
+
+
+def echelon_rref(field, n, vectors):
+    """(pivots, RREF rows) of the span of sparse vectors, by plain Echelon
+    elimination of every vector: the reference for the peeled RREF that
+    every Subspace and kernel is built by."""
+    ech = Echelon(field, n)
+    for v in vectors:
+        ech.add(dict(v))
+    return ech.pivots(), tuple(row for _, row in ech.rows())
 
 
 def central_extension(algebra, kdim, rng):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import echelon_rref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from liecap.linalg import (
     complement,
     inverse_columns,
     kernel_columns,
+    kernel_from_rows,
     subspace_intersect,
     subspace_sum,
 )
@@ -429,3 +431,130 @@ class TestKernelColumns:
             assert ker.dim + rank == ncols
             ranks.add((rank, ncols))
         assert len(ranks) > 15
+
+
+PEEL_FIELDS = [QQ, PrimeField(3), PrimeField(101)]
+
+
+def raw_values(field):
+    """Scalars as callers may pass them: over Q ints, zeros and Fractions
+    (some of denominator 1), over GF(p) ints of any size, multiples of p
+    among them."""
+    if field.char == 0:
+        return st.one_of(st.integers(-4, 4),
+                         st.fractions(min_value=-3, max_value=3, max_denominator=5),
+                         st.integers(-4, 4).map(lambda a: Fraction(a, 1)))
+    p = field.p
+    return st.one_of(st.integers(-2 * p, 2 * p), st.sampled_from([0, p, -p, 2 * p, p + 1]))
+
+
+def nonzero_values(field):
+    """Raw scalars that are nonzero in the field: ints >= p over GF(p) too."""
+    if field.char == 0:
+        return st.one_of(st.integers(1, 4), st.integers(-4, -1),
+                         st.fractions(min_value=1, max_value=3, max_denominator=5))
+    p = field.p
+    return st.integers(1, 3 * p).filter(lambda a: a % p).map(lambda a: a if a % 2 else -a)
+
+
+@st.composite
+def peel_cases(draw):
+    """(field, n, vectors): a chain of singletons that takes one peeling
+    round per link (at least three), plus random vectors with raw entries,
+    duplicates and zero vectors, in a random order."""
+    field = draw(st.sampled_from(PEEL_FIELDS))
+    n = draw(st.integers(3, 9))
+    cols = draw(st.permutations(range(n)))
+    nonzero = nonzero_values(field)
+    length = draw(st.integers(3, n))
+    # link r becomes a singleton only once cols[r - 1] is a unit column
+    vecs = [{cols[0]: draw(nonzero)}]
+    vecs += [{cols[r - 1]: draw(nonzero), cols[r]: draw(nonzero)} for r in range(1, length)]
+    vecs += draw(st.lists(st.dictionaries(st.integers(0, n - 1), raw_values(field), max_size=n),
+                          max_size=5))
+    vecs += [dict(v) for v in draw(st.lists(st.sampled_from(vecs), max_size=3))]
+    vecs += [{}, {cols[-1]: 0}, {cols[0]: field.char, cols[-1]: 0}]
+    return field, n, draw(st.permutations(vecs))
+
+
+def reference_kernel(field, n, rows):
+    """The kernel basis read off the plain Echelon RREF, in RREF itself."""
+    pivots, prows = echelon_rref(field, n, rows)
+    basis = []
+    for f in range(n):
+        if f not in pivots:
+            vec = {f: field.one}
+            for p, row in zip(pivots, prows):
+                if row.get(f):
+                    vec[p] = field.neg(row[f])
+            basis.append(vec)
+    return echelon_rref(field, n, basis)
+
+
+class TestPeeledRref:
+    """Subspaces and kernels come from the RREF that peels structural
+    pivots first; it equals plain Echelon elimination of every vector."""
+
+    @staticmethod
+    def held(space):
+        return space.pivots, tuple(space.sparse_rows())
+
+    @given(peel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_plain_echelon(self, case):
+        field, n, vecs = case
+        want = echelon_rref(field, n, vecs)
+        for space in (Subspace.from_vectors(field, n, vecs), Subspace._from_sparse(field, n, vecs)):
+            assert self.held(space) == want
+            # == takes Fraction(1, 1) for 1, so the scalar types are checked apart
+            assert all(type(x) is int if field.char else is_canonical(x)
+                       for r in space.sparse_rows() for x in r.values())
+
+    @given(peel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_matches_plain_echelon(self, case):
+        field, n, vecs = case
+        ker = kernel_from_rows(field, n, vecs)
+        assert self.held(ker) == reference_kernel(field, n, vecs)
+        coerced = [{j: field.coerce(x) for j, x in v.items()} for v in vecs]
+        for v in ker.sparse_rows():
+            assert all(not field.coerce(sum(x * v.get(j, 0) for j, x in r.items()))
+                       for r in coerced)
+
+    @pytest.fixture
+    def added(self, monkeypatch):
+        """The rows that reach Echelon.add, in order."""
+        rows = []
+        add = Echelon.add
+
+        def counted(self, row):
+            rows.append(row)
+            return add(self, row)
+        monkeypatch.setattr(Echelon, "add", counted)
+        return rows
+
+    @pytest.mark.parametrize("field", PEEL_FIELDS, ids=repr)
+    def test_chains_need_no_elimination(self, field, added):
+        n = 12
+        # five rounds: 7, then 6, 5, 4, 3; the others never become singletons
+        chain = [{7: 2}, {7: 1, 6: 4}, {6: 1, 5: 1}, {5: 3, 4: 1}, {4: 1, 3: 5}]
+        rest = [{0: 1, 1: 1}, {1: 1, 2: 1, 3: 1}]
+        vecs = chain[::-1] + [{}, {9: 0}] + chain[:2] + rest
+        space = Subspace.from_vectors(field, n, vecs)
+        # only the rest, struck of the unit column 3, reaches Echelon
+        assert added == [{0: 1, 1: 1}, {1: 1, 2: 1}]
+        assert self.held(space) == echelon_rref(field, n, vecs)
+        assert {3, 4, 5, 6, 7} <= set(space.pivots)
+
+    @pytest.mark.parametrize("field", PEEL_FIELDS, ids=repr)
+    def test_stops_at_full_rank(self, field, added):
+        rng = random.Random(12)
+        n = 6
+        # J - I is invertible over Q, GF(3) and GF(101) (det -5), and has no
+        # singleton row; 40 more rows without zero entries follow it
+        rows = [{j: field.one for j in range(n) if j != i} for i in range(n)]
+        rows += [{j: field.from_int(rng.randint(1, 2)) for j in range(n)} for _ in range(40)]
+        assert kernel_from_rows(field, n, rows) == Subspace.zero(field, n)
+        assert Subspace.from_vectors(field, n, rows) == Subspace.full(field, n)
+        # each of the first n rows raises the rank, and no row follows them
+        assert added == rows[:n] * 2
