@@ -138,20 +138,31 @@ class ValidationReport:
         return self.failures[0] if self.failures else None
 
 
-def support_triples(algebra):
-    """The triples i < j < k with a nonzero bracket among their three pairs,
-    in ascending lexicographic order.
+def support_walk(algebra):
+    """Each triple i < j < k with a nonzero bracket among its three pairs,
+    once and unsorted: from the first of its pairs, in the order
+    (i, j) < (i, k) < (j, k), that is in the table.
 
     Only these can have a nonzero Jacobi sum or d3 column: both are sums of
     terms each carrying one of [x_i, x_j], [x_i, x_k], [x_j, x_k].
     """
     n = algebra.dim
-    out = set()
-    for i, j in algebra.table:
-        out.update((k, i, j) for k in range(i))
-        out.update((i, k, j) for k in range(i + 1, j))
-        out.update((i, j, k) for k in range(j + 1, n))
-    return sorted(out)
+    table = algebra.table
+    for i, j in table:
+        # (i, j) comes first in (i, j, k), second in (i, k, j), last in (k, i, j)
+        for k in range(j + 1, n):
+            yield i, j, k
+        for k in range(i + 1, j):
+            if (i, k) not in table:
+                yield i, k, j
+        for k in range(i):
+            if (k, i) not in table and (k, j) not in table:
+                yield k, i, j
+
+
+def support_triples(algebra):
+    """The ``support_walk`` triples in ascending lexicographic order."""
+    return sorted(support_walk(algebra))
 
 
 def validate(algebra):
@@ -160,17 +171,34 @@ def validate(algebra):
     Antisymmetry and the zero diagonal hold by construction of the table, so
     the Jacobi identity is the one axiom that can fail.  Only the
     ``support_triples`` can fail it, so only they are walked, in the same
-    lexicographic order.  Returns a report naming the first violating triple
-    rather than raising.
+    lexicographic order, with [e_a, [e_b, e_c]] read straight off the
+    table.  Returns a report naming the first violating triple rather than
+    raising.
     """
     f = algebra.field
-    add, mul, zero = f.add, f.mul, f.zero
+    add, mul, neg, zero = f.add, f.mul, f.neg, f.zero
+    table = algebra.table
     for i, j, k in support_triples(algebra):
         total = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, cm in algebra.bracket_basis(b, c).items():
-                for t, ct in algebra.bracket_basis(a, m).items():
-                    nv = add(total.get(t, zero), mul(cm, ct))
+        # [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]]; the table
+        # holds [e_a, e_b] for a < b only
+        for a, b, c, negate in ((i, j, k, False), (j, i, k, True), (k, i, j, False)):
+            inner = table.get((b, c))
+            if not inner:
+                continue
+            for m, cm in inner.items():
+                if negate:
+                    cm = neg(cm)
+                if a < m:
+                    outer, sign = table.get((a, m)), cm
+                elif a > m:
+                    outer, sign = table.get((m, a)), neg(cm)
+                else:
+                    continue
+                if not outer:
+                    continue
+                for t, ct in outer.items():
+                    nv = add(total.get(t, zero), mul(sign, ct))
                     if nv:
                         total[t] = nv
                     else:
@@ -421,15 +449,40 @@ def subalgebra_on(algebra, space):
 
 def transform(algebra, cols):
     """Rewrite the algebra on the new basis whose a-th vector is the sparse
-    column cols[a]; the columns must be a basis."""
+    column cols[a]; the columns must be a basis.
+
+    [b_a, b_b] is the sum of b_b[j] [b_a, e_j] over the ad images of b_a,
+    so only the pairs whose columns meet through the table are bracketed.
+    """
     n = algebra.dim
     if len(cols) != n:
         raise DimensionMismatch(f"{len(cols)} basis columns for dim {n}")
     f = algebra.field
+    add, mul, zero = f.add, f.mul, f.zero
     inv_cols = inverse_columns(f, cols)
-    # the new coordinates of [b_a, b_b] are its image under the inverse
-    brackets = {(a, b): apply_columns(f, inv_cols, algebra.bracket_sparse(cols[a], cols[b]))
-                for a in range(n) for b in range(a + 1, n)}
+    adj = _adjacency(algebra)
+    holders = {}  # j -> [(b, b_b[j])], the later columns with an entry at j
+    for b, col in enumerate(cols):
+        for j, c in col.items():
+            holders.setdefault(j, []).append((b, c))
+    brackets = {}
+    for a, col in enumerate(cols):
+        out = {}  # b -> [b_a, b_b]
+        for j, w in _ad_images(algebra, adj, col).items():
+            for b, c in holders.get(j, ()):
+                if b <= a:
+                    continue
+                acc = out.setdefault(b, {})
+                for k, x in w.items():
+                    nv = add(acc.get(k, zero), mul(c, x))
+                    if nv:
+                        acc[k] = nv
+                    else:
+                        acc.pop(k, None)
+        # the new coordinates of [b_a, b_b] are its image under the inverse
+        for b in sorted(out):
+            if out[b]:
+                brackets[(a, b)] = apply_columns(f, inv_cols, out[b])
     return LieAlgebra(f, n, brackets, labels=algebra.labels)
 
 
@@ -440,7 +493,7 @@ def transform(algebra, cols):
 
 # Lambda^2 has C(dim, 2) coordinates: the exterior basis lists every pair,
 # and each pair outside the pivots of im d3 (all of them for an abelian
-# algebra) is a basis vector of L ^ L and two exterior-center functionals
+# algebra) is a basis vector of L ^ L
 MAX_DIM = 300
 
 

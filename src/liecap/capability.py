@@ -15,8 +15,7 @@ from . import catalog
 from .algebra import (
     IdealSubspace,
     center,
-    derived_subalgebra,
-    is_nilpotent,
+    lower_central_series,
     quotient,
     subalgebra_on,
 )
@@ -53,11 +52,12 @@ def dagger_test(algebra, line):
     space = line.space if isinstance(line, IdealSubspace) else line
     if space.dim != 1:
         raise WrongDimension("the test applies to one dimensional ideals")
-    if not center(algebra).space.contains_subspace(space):
+    multiplier = schur_multiplier(algebra)
+    if not multiplier.center.space.contains_subspace(space):
         raise NotCentral("K must be central")
     q, _ = quotient(algebra, space)
-    lhs = schur_multiplier(algebra).dim
-    cap = subspace_intersect(derived_subalgebra(algebra).space, space).dim
+    lhs = multiplier.dim
+    cap = subspace_intersect(multiplier.derived.space, space).dim
     return lhs == schur_multiplier(q).dim - cap
 
 
@@ -147,11 +147,11 @@ def theorem2_bound_check(algebra, label=""):
         return BoundCheck(label, "skipped", reason="abelian")
     if algebra.dim < 3:
         return BoundCheck(label, "skipped", reason="dimension below 3")
-    if not is_nilpotent(algebra):
-        return BoundCheck(label, "skipped", reason="not nilpotent")
     multiplier = schur_multiplier(algebra)
+    der = multiplier.derived
+    if lower_central_series(algebra, der)[-1].dim != 0:
+        return BoundCheck(label, "skipped", reason="not nilpotent")
     zw = multiplier.exterior_center()
-    der = derived_subalgebra(algebra)
     assert der.space.contains_subspace(zw.space), "Z^(L) escaped L^2"
     dsub, _ = subalgebra_on(algebra, der)
     inner = Subspace.from_vectors(

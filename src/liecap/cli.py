@@ -14,17 +14,10 @@ import sys
 from dataclasses import dataclass
 
 from . import catalog, tables
-from .algebra import (
-    center,
-    derived_subalgebra,
-    direct_sum,
-    from_json,
-    nilpotency_class,
-    validate,
-)
+from .algebra import direct_sum, from_json, nilpotency_class, validate
 from .capability import noncapable_census, theorem2_bound_check
 from .covers import Cover, exterior_center
-from .homology import diagonal_square_dim, kunneth_exterior_dim, schur_multiplier
+from .homology import diagonal_square_dim, schur_multiplier, sum_exterior_dim
 from .linalg import QQ, LiecapError, PrimeField
 from .recognize import recognize
 
@@ -85,9 +78,9 @@ class InvariantReport:
 
 
 def invariant_report(algebra, label):
-    derived = derived_subalgebra(algebra)  # L^2, computed once per report
+    multiplier = schur_multiplier(algebra)
+    derived = multiplier.derived  # L^2, computed once per report
     cls = nilpotency_class(algebra, derived)  # NotNilpotent before any square is built
-    multiplier = schur_multiplier(algebra, derived)
     wedge = multiplier.exterior_square()
     wedge_type = recognize(wedge)
     diagonal = multiplier.diagonal_dim
@@ -99,7 +92,7 @@ def invariant_report(algebra, label):
         dim=algebra.dim,
         derived_dim=derived.dim,
         nilpotency_class=cls,
-        center_dim=center(algebra).dim,
+        center_dim=multiplier.center.dim,
         multiplier_dim=multiplier.dim,
         exterior_dim=wedge.dim,
         exterior_type=wedge_type.label(),
@@ -196,17 +189,21 @@ def _suite_census(field, eps):
 
 def _suite_kunneth(field, eps):
     # the direct side is dim M(S) + dim S^2, computed from scratch on the
-    # sum S by the homology route, against the formula from the summands
+    # sum S by the homology route, against the formula from the summands,
+    # whose multipliers are computed once per distinct key
     rows = []
     keys = catalog.all_keys(6, field)
     rng = random.Random(tables.KUNNETH_SEED)
+    summands = {}
     for t in range(tables.KUNNETH_PAIR_COUNT):
         k1, k2 = rng.choice(keys), rng.choice(keys)
-        h = catalog.build(k1, field).algebra
-        k = catalog.build(k2, field).algebra
-        s = direct_sum(h, k)
-        formula = kunneth_exterior_dim(h, k)
-        direct = schur_multiplier(s).dim + derived_subalgebra(s).dim
+        for key in (k1, k2):
+            if key not in summands:
+                summands[key] = schur_multiplier(catalog.build(key, field).algebra)
+        mh, mk = summands[k1], summands[k2]
+        formula = sum_exterior_dim(mh, mk)
+        m = schur_multiplier(direct_sum(mh.algebra, mk.algebra))
+        direct = m.dim + m.derived.dim
         rows.append(SuiteRow("kunneth", f"{k1}|{k2}", str(formula), str(direct)))
     for n in range(1, tables.ABELIAN_MULTIPLIER_RANGE + 1):
         alg = catalog.abelian_algebra(n, field)

@@ -5,18 +5,24 @@ The complex in low degrees is
     Lambda^3 L --d3--> Lambda^2 L --d2--> L
 
 with d2(x ^ y) = [x, y] and d3(x ^ y ^ z) = [x,y]^z - [x,z]^y + [y,z]^x;
-d2 . d3 vanishing is a rewrite of the Jacobi identity, and it is checked on
-every d3 column whenever the complex is built.  Each of the three terms of
-d3(x_i ^ x_j ^ x_k) carries one bracket of two of its indices, so only the
-columns of ``algebra.support_triples`` are built: every other column is
-zero, adds nothing to im d3 and passes the check trivially.  A column is
-read straight off ``algebra.table``.
+d2 . d3 vanishing is a rewrite of the Jacobi identity.  Each of the three
+terms of d3(x_i ^ x_j ^ x_k) carries one bracket of two of its indices, so
+only the columns of ``algebra.support_walk`` are built: every other column
+is zero and adds nothing to im d3.  A column is read straight off
+``algebra.table`` and goes to the RREF as it is, in one walk.
 
 The canonical RREF of im d3 peels its structural pivots before any row
 reduction (``linalg._rref``): a column with a single nonzero entry is a
 unit row, and its pair is struck from the other columns until no new
 singleton appears.  Most of im d3 is found this way on free nilpotent
 algebras, and all of it on H(m), so ``Echelon`` reduces only the rest.
+
+``schur_multiplier`` checks d2 . d3 = 0 on the RREF rows of im d3, once the
+image is built.  d2 is linear, so it kills every d3 column exactly when it
+kills their span, and the RREF rows are a basis of that span; this holds
+too when the RREF stops at full width, where the unit rows span all of
+Lambda^2.  A unit row e_t is killed exactly when pair t has no bracket in
+the table, so most rows cost one lookup.
 
 One object carries every invariant: L ^ L = Lambda^2 L / im d3, with
 bracket [a, b] = d2(a) ^ d2(b) (Ellis, "A non-abelian tensor product of Lie
@@ -45,7 +51,7 @@ from .algebra import (
     derived_subalgebra,
     direct_sum,
     quotient,
-    support_triples,
+    support_walk,
 )
 from .catalog import abelian_algebra
 from .linalg import (
@@ -53,6 +59,8 @@ from .linalg import (
     Matrix,
     NotContained,
     Subspace,
+    _prepare,
+    _rref,
     apply_columns,
     kernel_columns,
     kernel_from_rows,
@@ -169,13 +177,21 @@ class MultiplierResult:
     Lambda^2 coordinates, built only when asked for.  It is fixed by the
     lexicographic Lambda^2 order, so induced-map matrices are reproducible.
     The multiplier is an abelian Lie algebra of this dimension.  The squares
-    and the exterior center are read off the same im d3.
+    and the exterior center are read off the same im d3; L^2 (``derived``)
+    and Z(L) (``center``) are computed once, when first read.
     """
 
     image: Subspace   # im d3
     algebra: LieAlgebra
     ext: ExteriorBasis  # the Lambda^2 coordinates of image
-    derived: IdealSubspace  # L^2
+
+    @cached_property
+    def derived(self):
+        return derived_subalgebra(self.algebra)
+
+    @cached_property
+    def center(self):
+        return center(self.algebra)
 
     @cached_property
     def kept(self):
@@ -225,28 +241,51 @@ class MultiplierResult:
         return self._square
 
     def exterior_center(self):
-        """Z^(L), the kernel of l -> (l ^ e_j mod im d3) over all j.
+        """Z^(L), the l with l ^ e_j in im d3 for every j.
 
-        The residue of a pair mod im d3 is read off the RREF of im d3: a
-        kept pair is its own residue, and a pivot pair t is minus its row
-        with the unit entry at t removed.
+        Z^(L) lies in Z(L), so l runs over Z(L): l = sum of a_s z_s on the
+        RREF basis z_s of Z(L), and each residue coordinate of l ^ e_j mod
+        im d3 is one functional on the coefficients a.  The residue of a
+        pair is read off the RREF of im d3: a kept pair is its own residue,
+        and a pivot pair t is minus its row with the unit entry at t
+        removed.  The functionals come one j at a time, so the kernel stops
+        reading them once single-coefficient ones reach full rank, as on
+        A(n) after two values of j.
         """
         alg = self.algebra
         f = alg.field
-        neg = f.neg
-        residues = {t: {t: f.one} for t in self.kept}
-        for p, row in zip(self.image.pivots, self.image.sparse_rows()):
-            residues[p] = {s: neg(c) for s, c in row.items() if s != p}
-        rows = {}
-        pairs = self.ext.pairs
-        for t, residue in residues.items():
-            # l ^ e_j takes l_i (e_i ^ e_j); l ^ e_i takes -l_j (e_i ^ e_j)
-            i, j = pairs[t]
-            for s, c in residue.items():
-                rows.setdefault((j, s), {})[i] = c
-                rows.setdefault((i, s), {})[j] = neg(c)
-        space = kernel_from_rows(f, alg.dim, rows.values())
-        assert center(alg).space.contains_subspace(space)
+        add, mul, neg, zero, one = f.add, f.mul, f.neg, f.zero, f.one
+        index = self.ext.index
+        by_pivot = self.image._by_pivot
+        zrows = self.center.space.sparse_rows()
+
+        def residue(t):
+            row = by_pivot.get(t)
+            return {t: one} if row is None else {r: neg(v) for r, v in row.items() if r != t}
+
+        def functionals():
+            for j in range(alg.dim):
+                rows = {}  # residue coordinate of l ^ e_j -> {s: coefficient of a_s}
+                for s, z in enumerate(zrows):
+                    for i, c in z.items():
+                        # e_i ^ e_j = -(e_j ^ e_i), and e_j ^ e_j = 0
+                        if i < j:
+                            t = index[(i, j)]
+                        elif i > j:
+                            t, c = index[(j, i)], neg(c)
+                        else:
+                            continue
+                        for r, v in residue(t).items():
+                            functional = rows.setdefault(r, {})
+                            functional[s] = add(functional.get(s, zero), mul(c, v))
+                yield from rows.values()
+
+        coeffs = kernel_from_rows(f, len(zrows), functionals())
+        space = Subspace._from_sparse(f, alg.dim, [apply_columns(f, zrows, a)
+                                                   for a in coeffs.sparse_rows()])
+        # l ^ e_j in im d3 for every basis vector l and every j
+        assert not any(self.image.reduce(_wedge(f, index, l, {j: one}))
+                       for l in space.sparse_rows() for j in range(alg.dim))
         return IdealSubspace(alg, space)
 
     def tensor_square(self):
@@ -255,20 +294,41 @@ class MultiplierResult:
         return direct_sum(self._square, diag)
 
 
-def schur_multiplier(algebra, derived=None):
-    """im d3 of algebra and the invariants read off it; derived is L^2 when
-    the caller has it already."""
+def _check_jacobi(algebra, ext, image):
+    """d2 . d3 = 0, checked on the RREF rows of im d3; the module docstring
+    says why that is the same check as on every column."""
+    field, table, pairs = algebra.field, algebra.table, ext.pairs
+    for row in image.sparse_rows():
+        if len(row) == 1:
+            (t,) = row
+            bad = pairs[t] in table
+        else:
+            bad = apply_columns(field, {t: table.get(pairs[t], {}) for t in row}, row)
+        if bad:
+            raise NotContained("d2 . d3 is not zero: the bracket violates Jacobi")
+
+
+def schur_multiplier(algebra):
+    """im d3 of algebra and the invariants read off it.
+
+    One walk from the table to the RREF: each ``support_walk`` triple's d3
+    column is built fresh and handed to the peel as it is.  Its values are
+    sums of table entries, so they are canonical and nonzero, and over Q
+    they are integers unless the table holds a non-integer; only then are
+    the columns prepared.
+    """
     ext = ExteriorBasis(algebra.dim)
     field = algebra.field
-    d2 = [algebra.bracket_basis(i, j) for i, j in ext.pairs]
-    d3 = [_d3_column(algebra, ext.index, t) for t in support_triples(algebra)]
-    for col in d3:
-        if apply_columns(field, d2, col):
-            raise NotContained("d2 . d3 is not zero: the bracket violates Jacobi")
-    if derived is None:
-        derived = derived_subalgebra(algebra)
-    return MultiplierResult(Subspace._from_sparse(field, len(ext.pairs), d3), algebra, ext,
-                            derived)
+    index = ext.index
+    columns = (_d3_column(algebra, index, t) for t in support_walk(algebra))
+    if field.char == 0 and any(type(c) is not int
+                               for row in algebra.table.values() for c in row.values()):
+        columns = (_prepare(field, col) for col in columns)
+    width = len(ext.pairs)
+    pivots, rows = _rref(field, width, columns)
+    image = Subspace(field, width, rows, pivots, _internal=True)
+    _check_jacobi(algebra, ext, image)
+    return MultiplierResult(image, algebra, ext)
 
 
 def multiplier_dim(algebra):
@@ -314,15 +374,17 @@ def induced_map_injective(algebra, ideal):
 
 
 def kunneth_exterior_dim(h, k):
-    """dim of (H + K) ^ (H + K) from the summand squares and abelianizations.
+    """dim of (H + K) ^ (H + K) from the summand squares and abelianizations."""
+    return sum_exterior_dim(schur_multiplier(h), schur_multiplier(k))
+
+
+def sum_exterior_dim(mh, mk):
+    """``kunneth_exterior_dim`` read off the multipliers of the summands.
 
     The square dims come from the homology route: dim X^X = dim M(X) + dim X^2.
     """
-    dh = derived_subalgebra(h).dim
-    dk = derived_subalgebra(k).dim
-    wedge_h = multiplier_dim(h) + dh
-    wedge_k = multiplier_dim(k) + dk
-    return wedge_h + wedge_k + (h.dim - dh) * (k.dim - dk)
+    dh, dk = mh.derived.dim, mk.derived.dim
+    return (mh.dim + dh) + (mk.dim + dk) + (mh.algebra.dim - dh) * (mk.algebra.dim - dk)
 
 
 def kunneth_tensor_dim(h, k):

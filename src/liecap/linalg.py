@@ -246,19 +246,7 @@ class Echelon:
         """Insert a vector; returns True if it enlarged the row space."""
         if self._final:
             raise RuntimeError("echelon already finalized")
-        return self._insert(self._prepare(row))
-
-    def _prepare(self, row):
-        if isinstance(self.field, RationalField):
-            out = {c: v for c, v in row.items() if v}
-            for v in out.values():
-                if type(v) is not int:
-                    den = lcm(*(v.denominator for v in out.values()))
-                    return {c: v.numerator * (den // v.denominator) for c, v in out.items()}
-            return out
-        p, coerce = self.field.p, self.field.coerce
-        return {c: iv for c, v in row.items()
-                if (iv := v % p if type(v) is int else coerce(v))}
+        return self._insert(_prepare(self.field, row))
 
     def _insert(self, row):
         rational = isinstance(self.field, RationalField)
@@ -355,22 +343,41 @@ class Echelon:
         return [(p, self._rows[p]) for p in self._sorted_pivots]
 
 
+def _prepare(field, row):
+    """A fresh copy of the sparse vector row with the values elimination
+    works on: canonical and nonzero, and over Q integers (the row scaled by
+    the lcm of its denominators)."""
+    if isinstance(field, RationalField):
+        out = {c: v for c, v in row.items() if v}
+        for v in out.values():
+            if type(v) is not int:
+                den = lcm(*(v.denominator for v in out.values()))
+                return {c: v.numerator * (den // v.denominator) for c, v in out.items()}
+        return out
+    p, coerce = field.p, field.coerce
+    return {c: iv for c, v in row.items()
+            if (iv := v % p if type(v) is int else coerce(v))}
+
+
 def _rref(field, width, vectors):
     """Canonical RREF of the span of sparse vectors over columns 0..width-1,
     as ``(pivots, rows)`` with the pivots ascending.
 
-    Structural pivots are peeled first (``_peel``), and only the vectors
-    left go through ``Echelon``.  They vanish on the unit columns, so their
-    RREF rows do too, and with the unit rows they are the RREF of the whole
-    span.  The peel sees the values ``Echelon._prepare`` keeps: canonical
-    and nonzero.  Vectors stop being read once the rank reaches the width,
-    where the span is the whole space.
+    The vectors must come prepared, as ``_prepare`` leaves them: dicts of
+    their own, which the peel strikes in place, holding canonical nonzero
+    values, integers over Q.  Callers that pass borrowed vectors prepare
+    them; a builder of fresh vectors in that form hands them over as they
+    are.  Structural pivots are peeled first (``_peel``), and only the
+    vectors left go through ``Echelon``.  They vanish on the unit columns,
+    so their RREF rows do too, and with the unit rows they are the RREF of
+    the whole span.  Vectors stop being read once their unit rows alone
+    reach the width, and stop going through ``Echelon`` once the rank
+    does; the span is then the whole space.
     """
     ech = Echelon(field, width)
     units = set()
     vecs = []
-    for v in vectors:
-        row = ech._prepare(v)  # a fresh dict, so it may be struck in place
+    for row in vectors:
         if len(row) == 1:
             units.update(row)
             if len(units) == width:
@@ -517,7 +524,7 @@ def kernel_from_rows(field, width, rows):
     """Kernel of the linear map given by stacked row functionals over
     columns 0..width-1: e_f minus the RREF rows' entries at f, for each
     column f off the pivots."""
-    pivots, prows = _rref(field, width, rows)
+    pivots, prows = _rref(field, width, (_prepare(field, r) for r in rows))
     pivot_set = set(pivots)
     neg, one = field.neg, field.one
     basis = {f: {f: one} for f in range(width) if f not in pivot_set}
@@ -585,7 +592,7 @@ class Subspace:
 
     @classmethod
     def _from_sparse(cls, field, n, vectors):
-        pivots, rows = _rref(field, n, vectors)
+        pivots, rows = _rref(field, n, (_prepare(field, v) for v in vectors))
         return cls(field, n, rows, pivots, _internal=True)
 
     @classmethod

@@ -55,3 +55,22 @@ def random_basis_change(rng, n, field=QQ):
         upper.append(row)
     return tuple({i: upper[perm[i]][j] for i in range(n) if upper[perm[i]].get(j)}
                  for j in range(n))
+
+
+def exterior_center_reference(m):
+    """Z^(L) of the MultiplierResult m by the all-pairs formulation: the
+    kernel over all of L of l -> (l ^ e_j mod im d3), two functionals per
+    Lambda^2 pair, with no use of Z(L).  The reference for
+    ``MultiplierResult.exterior_center``."""
+    f = m.algebra.field
+    residues = {t: {t: f.one} for t in m.kept}
+    for p, row in zip(m.image.pivots, m.image.sparse_rows()):
+        residues[p] = {s: f.neg(c) for s, c in row.items() if s != p}
+    rows = {}
+    for t, residue in residues.items():
+        # l ^ e_j takes l_i (e_i ^ e_j); l ^ e_i takes -l_j (e_i ^ e_j)
+        i, j = m.ext.pairs[t]
+        for s, c in residue.items():
+            rows.setdefault((j, s), {})[i] = c
+            rows.setdefault((i, s), {})[j] = f.neg(c)
+    return kernel_from_rows(f, m.algebra.dim, rows.values())

@@ -4,8 +4,10 @@ from itertools import combinations
 
 import pytest
 from conftest import central_extension, random_basis_change
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liecap import catalog
+from liecap import catalog, covers
 from liecap.algebra import (
     LieAlgebra,
     NotAnIdeal,
@@ -33,6 +35,7 @@ from liecap.linalg import (
     PrimeField,
     Subspace,
     apply_columns,
+    inverse_columns,
     kernel_columns,
     kernel_from_rows,
 )
@@ -130,6 +133,33 @@ class TestSupportTriples:
                 assert validate(bad).ok == (expected is None)
                 failures += expected is not None
         assert failures >= 40
+
+    @given(st.sampled_from([QQ, PrimeField(3), PrimeField(101)]), st.integers(0, 55),
+           st.booleans(), st.integers(1, 3), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_validate_matches_full_scan_on_planted_violations(self, field, index, scramble,
+                                                              plants, rng):
+        # validate reads [e_a, [e_b, e_c]] off the table; the full scan goes
+        # through bracket_sparse on every triple, in the same lex order
+        # a plant needs two indices, and a Jacobi triple three
+        keys = [key for key in catalog.all_keys(6, field) if key.a >= 3]
+        L = catalog.build(keys[index % len(keys)], field).algebra
+        if rng.random() < 0.5:
+            L = central_extension(L, 1, rng)
+        if scramble:
+            L = transform(L, random_basis_change(rng, L.dim, field))
+        table = dict(L.table)
+        for _ in range(plants):
+            i, j = sorted(rng.sample(range(L.dim), 2))
+            row = dict(table.get((i, j), {}))
+            k = rng.randrange(L.dim)
+            row[k] = field.add(row.get(k, field.zero), field.from_int(rng.choice((1, 2, -1))))
+            table[(i, j)] = row
+        bad = LieAlgebra(field, L.dim, table)
+        expected = brute_first_failure(bad)
+        report = validate(bad)
+        assert report.first_failure() == expected
+        assert report.ok == (expected is None)
 
 
 def vector(*coords):
@@ -429,6 +459,44 @@ class TestTransform:
         T = ({0: 1, 1: 1}, {0: 1, 1: 1}, {2: 1})
         with pytest.raises(LinalgError):
             transform(L, T)
+
+    @staticmethod
+    def all_pairs(L, cols):
+        """The rewritten table by bracketing every pair of basis columns."""
+        f = L.field
+        inv = inverse_columns(f, cols)
+        return LieAlgebra(f, L.dim, {(a, b): apply_columns(f, inv, L.bracket_sparse(cols[a], cols[b]))
+                                     for a in range(L.dim) for b in range(a + 1, L.dim)},
+                          labels=L.labels)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+    def test_matches_all_pairs_reference(self, field, monkeypatch):
+        rng = random.Random(41)
+        algebras = seeded_algebras(field, 43, 10)
+        algebras += [covers.free_nilpotent(2, 4).algebra_over(field),
+                     direct_sum(catalog.heisenberg_algebra(3, field), catalog.abelian_algebra(2, field))]
+        cases = []
+        for L in algebras:
+            cols = random_basis_change(rng, L.dim, field)
+            # a second basis with a non-unit diagonal, so that the inverse
+            # holds fractions over Q
+            two = field.from_int(2)
+            halved = tuple({i: field.mul(two, c) for i, c in col.items()} for col in cols)
+            cases += [(L, cols), (L, halved), (transform(L, cols), halved)]
+        got = []
+        calls = []
+        bracket_sparse = LieAlgebra.bracket_sparse
+        monkeypatch.setattr(LieAlgebra, "bracket_sparse",
+                            lambda *args: calls.append(1) or bracket_sparse(*args))
+        for L, cols in cases:
+            got.append(transform(L, cols))
+        assert calls == []
+        monkeypatch.undo()
+        for (L, cols), M in zip(cases, got):
+            want = self.all_pairs(L, cols)
+            assert M.table == want.table and M.labels == want.labels
+            assert list(M.table) == sorted(M.table)
+            assert validate(M).ok
 
 
 class TestJson:

@@ -1,7 +1,15 @@
+import inspect
 import random
 
 import pytest
-from conftest import central_extension, echelon_rref, random_basis_change
+from conftest import (
+    central_extension,
+    echelon_rref,
+    exterior_center_reference,
+    random_basis_change,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_covers import witt_dim
 from test_linalg import is_canonical
 
@@ -478,9 +486,112 @@ class TestL614ExteriorSquare:
         report = validate(flipped)
         assert not report.ok
         assert report.first_failure()[:3] == (0, 1, 3)
-        # the column-by-column d2 . d3 = 0 check refuses the table
+        # d2 . d3 = 0, checked on the RREF rows of im d3, refuses the table
         with pytest.raises(NotContained):
             schur_multiplier(flipped)
+
+    def test_sign_flip_refused_over_gf101(self):
+        f = PrimeField(101)
+        L = catalog.build(catalog.indexed_key(6, 14), field=f).algebra
+        flipped = LieAlgebra(f, 6, {**L.table, (2, 3): {5: 1}})
+        assert validate(flipped).first_failure()[:3] == (0, 1, 3)
+        with pytest.raises(NotContained):
+            schur_multiplier(flipped)
+
+
+class TestJacobiRefusal:
+    """schur_multiplier checks d2 . d3 = 0 on the RREF rows of im d3, not on
+    each column; a basis of the span is killed exactly when every column
+    is, so every table that breaks Jacobi is still refused."""
+
+    @staticmethod
+    def unkilled_columns(L):
+        """The ce_d3 columns that ce_d2 does not send to zero."""
+        d2 = sparse_columns(ce_d2(L))
+        return [t for t, col in zip(ExteriorBasis(L.dim).triples, sparse_columns(ce_d3(L)))
+                if apply_columns(L.field, d2, col)]
+
+    @FIELDS
+    def test_violation_in_one_column(self, field):
+        # L6_13 with [x2, x5] = x6 added breaks Jacobi on (x1, x2, x3) only
+        L = catalog.build(catalog.indexed_key(6, 13), field=field).algebra
+        planted = LieAlgebra(field, 6, {**L.table, (1, 4): {5: 1}})
+        assert self.unkilled_columns(L) == []
+        assert self.unkilled_columns(planted) == [(0, 1, 2)]
+        assert validate(planted).first_failure()[:3] == (0, 1, 2)
+        with pytest.raises(NotContained):
+            schur_multiplier(planted)
+
+    @FIELDS
+    def test_full_width_image(self, field):
+        # a random dim-6 table: im d3 is all of Lambda^2, so the RREF ends
+        # at full width, in unit rows only, and they meet pairs of the table
+        rng = random.Random(3)
+        table = {(i, j): {k: field.from_int(rng.randint(1, 3)) for k in rng.sample(range(6), 2)}
+                 for i in range(6) for j in range(i + 1, 6)}
+        L = LieAlgebra(field, 6, table)
+        width = len(ExteriorBasis(6).pairs)
+        assert len(echelon_rref(field, width, sparse_columns(ce_d3(L)))[0]) == width
+        assert self.unkilled_columns(L)
+        with pytest.raises(NotContained):
+            schur_multiplier(L)
+
+
+class TestExteriorCenterOracle:
+    """exterior_center, solved inside Z(L) with the functionals generated
+    one j at a time, equals the all-pairs formulation over all of L."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(101)], ids=repr)
+    def test_catalog(self, field):
+        for key in catalog.all_keys(6, field):
+            m = schur_multiplier(catalog.build(key, field).algebra)
+            assert m.exterior_center().space == exterior_center_reference(m), str(key)
+
+    @given(st.sampled_from([QQ, PrimeField(3), PrimeField(101)]),
+           st.integers(0, 55), st.integers(0, 2), st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_extensions_and_scrambles(self, field, index, kdim, scramble, rng):
+        keys = catalog.all_keys(6, field)
+        key = keys[index % len(keys)]
+        L = catalog.build(key, field).algebra
+        if kdim:
+            L = central_extension(L, kdim, rng)
+        if scramble:
+            L = transform(L, random_basis_change(rng, L.dim, field))
+        m = schur_multiplier(L)
+        assert m.exterior_center().space == exterior_center_reference(m)
+
+    @given(st.sampled_from([QQ, PrimeField(3), PrimeField(101)]),
+           st.integers(1, 5), st.integers(0, 4), st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_heisenberg_plus_abelian(self, field, hm, k, scramble, rng):
+        L = direct_sum(catalog.heisenberg_algebra(hm, field), catalog.abelian_algebra(k, field))
+        if scramble:
+            L = transform(L, random_basis_change(rng, L.dim, field))
+        m = schur_multiplier(L)
+        zw = m.exterior_center()
+        assert zw.space == exterior_center_reference(m)
+        # Z^(H(m) + A(k)) is the center of H(m) when m >= 2, and 0 for H(1)
+        assert zw.dim == (0 if hm == 1 else 1)
+
+    def test_stops_at_full_rank(self, monkeypatch):
+        # A(40) is capable: its 40 coefficients meet full rank long before
+        # the C(40, 2) = 780 pairs are read, and the functionals are
+        # generated as they are read, not built up front
+        read = []
+        kernel = homology.kernel_from_rows
+
+        def counting(field, width, rows):
+            assert inspect.isgenerator(rows)
+
+            def counted():
+                for row in rows:
+                    read.append(row)
+                    yield row
+            return kernel(field, width, counted())
+        monkeypatch.setattr(homology, "kernel_from_rows", counting)
+        assert schur_multiplier(catalog.abelian_algebra(40)).exterior_center().dim == 0
+        assert 0 < len(read) < 40 * 39 // 2
 
 
 class TestKunneth:
