@@ -15,6 +15,7 @@ from . import catalog
 from .algebra import (
     IdealSubspace,
     center,
+    derived_subalgebra,
     lower_central_series,
     quotient,
     subalgebra_on,
@@ -52,9 +53,9 @@ def dagger_test(algebra, line):
     space = line.space if isinstance(line, IdealSubspace) else line
     if space.dim != 1:
         raise WrongDimension("the test applies to one dimensional ideals")
-    multiplier = schur_multiplier(algebra)
-    if not multiplier.center.space.contains_subspace(space):
+    if not center(algebra).space.contains_subspace(space):
         raise NotCentral("K must be central")
+    multiplier = schur_multiplier(algebra)
     q, _ = quotient(algebra, space)
     lhs = multiplier.dim
     cap = subspace_intersect(multiplier.derived.space, space).dim
@@ -147,10 +148,10 @@ def theorem2_bound_check(algebra, label=""):
         return BoundCheck(label, "skipped", reason="abelian")
     if algebra.dim < 3:
         return BoundCheck(label, "skipped", reason="dimension below 3")
-    multiplier = schur_multiplier(algebra)
-    der = multiplier.derived
+    der = derived_subalgebra(algebra)
     if lower_central_series(algebra, der)[-1].dim != 0:
         return BoundCheck(label, "skipped", reason="not nilpotent")
+    multiplier = schur_multiplier(algebra)
     zw = multiplier.exterior_center()
     assert der.space.contains_subspace(zw.space), "Z^(L) escaped L^2"
     dsub, _ = subalgebra_on(algebra, der)

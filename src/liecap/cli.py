@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from . import catalog, tables
-from .algebra import direct_sum, from_json, nilpotency_class, validate
+from .algebra import derived_subalgebra, direct_sum, from_json, nilpotency_class, validate
 from .capability import noncapable_census, theorem2_bound_check
 from .covers import Cover, exterior_center
 from .homology import diagonal_square_dim, schur_multiplier, sum_exterior_dim
@@ -55,6 +55,13 @@ class InvariantReport:
     exterior_center_dim: int
     capable: bool
 
+    def __post_init__(self):
+        # labels repeat across reports; interned, the reports a caller keeps
+        # share one copy of each
+        self.label = sys.intern(self.label)
+        self.exterior_type = sys.intern(self.exterior_type)
+        self.tensor_type = sys.intern(self.tensor_type)
+
     def check(self):
         assert self.tensor_dim == self.exterior_dim + self.diagonal_dim
         assert self.exterior_dim == self.multiplier_dim + self.derived_dim
@@ -78,9 +85,10 @@ class InvariantReport:
 
 
 def invariant_report(algebra, label):
+    derived = derived_subalgebra(algebra)  # L^2, computed once per report
+    cls = nilpotency_class(algebra, derived)  # NotNilpotent before im d3 is built
     multiplier = schur_multiplier(algebra)
-    derived = multiplier.derived  # L^2, computed once per report
-    cls = nilpotency_class(algebra, derived)  # NotNilpotent before any square is built
+    vars(multiplier)["derived"] = derived  # fills its cached property
     wedge = multiplier.exterior_square()
     wedge_type = recognize(wedge)
     diagonal = multiplier.diagonal_dim
@@ -128,6 +136,13 @@ class SuiteRow:
     row: str
     expected: str
     computed: str
+
+    def __post_init__(self):
+        # row strings repeat across runs; interned, the rows a caller keeps
+        # share one copy of each
+        self.row = sys.intern(self.row)
+        self.expected = sys.intern(self.expected)
+        self.computed = sys.intern(self.computed)
 
     @property
     def passed(self):

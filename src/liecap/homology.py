@@ -59,8 +59,6 @@ from .linalg import (
     Matrix,
     NotContained,
     Subspace,
-    _prepare,
-    _rref,
     apply_columns,
     kernel_columns,
     kernel_from_rows,
@@ -312,21 +310,13 @@ def schur_multiplier(algebra):
     """im d3 of algebra and the invariants read off it.
 
     One walk from the table to the RREF: each ``support_walk`` triple's d3
-    column is built fresh and handed to the peel as it is.  Its values are
-    sums of table entries, so they are canonical and nonzero, and over Q
-    they are integers unless the table holds a non-integer; only then are
-    the columns prepared.
+    column is built fresh, with canonical nonzero values (sums of table
+    entries), and handed to the peel without a copy.
     """
     ext = ExteriorBasis(algebra.dim)
-    field = algebra.field
     index = ext.index
-    columns = (_d3_column(algebra, index, t) for t in support_walk(algebra))
-    if field.char == 0 and any(type(c) is not int
-                               for row in algebra.table.values() for c in row.values()):
-        columns = (_prepare(field, col) for col in columns)
-    width = len(ext.pairs)
-    pivots, rows = _rref(field, width, columns)
-    image = Subspace(field, width, rows, pivots, _internal=True)
+    image = Subspace._from_fresh(algebra.field, len(ext.pairs),
+                                 (_d3_column(algebra, index, t) for t in support_walk(algebra)))
     _check_jacobi(algebra, ext, image)
     return MultiplierResult(image, algebra, ext)
 

@@ -366,9 +366,9 @@ def _rref(field, width, vectors):
     The vectors must come prepared, as ``_prepare`` leaves them: dicts of
     their own, which the peel strikes in place, holding canonical nonzero
     values, integers over Q.  Callers that pass borrowed vectors prepare
-    them; a builder of fresh vectors in that form hands them over as they
-    are.  Structural pivots are peeled first (``_peel``), and only the
-    vectors left go through ``Echelon``.  They vanish on the unit columns,
+    them; a builder of fresh vectors hands them to ``Subspace._from_fresh``.
+    Structural pivots are peeled first (``_peel``), and only the vectors
+    left go through ``Echelon``.  They vanish on the unit columns,
     so their RREF rows do too, and with the unit rows they are the RREF of
     the whole span.  Vectors stop being read once their unit rows alone
     reach the width, and stop going through ``Echelon`` once the rank
@@ -593,6 +593,19 @@ class Subspace:
     @classmethod
     def _from_sparse(cls, field, n, vectors):
         pivots, rows = _rref(field, n, (_prepare(field, v) for v in vectors))
+        return cls(field, n, rows, pivots, _internal=True)
+
+    @classmethod
+    def _from_fresh(cls, field, n, vectors):
+        """The span of vectors handed over by their builder: dicts of their
+        own, which the elimination strikes in place, holding canonical
+        nonzero values.  Over Q a vector is prepared only when it holds a
+        non-integer; no other vector is copied."""
+        if isinstance(field, RationalField):
+            # a sum of ints is an int, and one Fraction makes it a Fraction
+            vectors = (v if type(sum(v.values())) is int else _prepare(field, v)
+                       for v in vectors)
+        pivots, rows = _rref(field, n, vectors)
         return cls(field, n, rows, pivots, _internal=True)
 
     @classmethod

@@ -1,6 +1,29 @@
+import pytest
+
+from liecap import homology
 from liecap.algebra import LieAlgebra
 from liecap.homology import ExteriorBasis, ce_d3
 from liecap.linalg import QQ, Echelon, kernel_from_rows
+
+
+@pytest.fixture
+def d3_calls(monkeypatch):
+    """The triples of every d3 column built while the test runs."""
+    calls = []
+    column = homology._d3_column
+
+    def counted(algebra, index, triple):
+        calls.append(triple)
+        return column(algebra, index, triple)
+    monkeypatch.setattr(homology, "_d3_column", counted)
+    return calls
+
+
+def solvable_algebra(field=QQ):
+    """[x1, x2] = x2, [x1, x3] = x3: Jacobi holds, not nilpotent, and the
+    support walk has the triple (x1, x2, x3)."""
+    one = field.one
+    return LieAlgebra(field, 3, {(0, 1): {1: one}, (0, 2): {2: one}})
 
 
 def echelon_rref(field, n, vectors):

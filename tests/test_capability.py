@@ -1,4 +1,5 @@
 import pytest
+from conftest import solvable_algebra
 
 from liecap import catalog
 from liecap.algebra import center, derived_subalgebra
@@ -13,7 +14,7 @@ from liecap.capability import (
 )
 from liecap.covers import Cover, exterior_center
 from liecap.homology import NotCentral, induced_map_injective
-from liecap.linalg import QQ, Subspace
+from liecap.linalg import QQ, PrimeField, Subspace
 
 
 def build(text):
@@ -63,10 +64,11 @@ class TestDagger:
         with pytest.raises(WrongDimension):
             dagger_test(L, center(L).space)
 
-    def test_not_central(self):
+    def test_not_central(self, d3_calls):
         L = build("L4_3")
         with pytest.raises(NotCentral):
             dagger_test(L, Subspace.from_vectors(QQ, 4, [[1, 0, 0, 0]]))
+        assert d3_calls == []
 
 
 class TestCensus:
@@ -146,3 +148,9 @@ class TestBoundCheck:
     def test_small_dim_skipped(self):
         check = theorem2_bound_check(build("A2"))
         assert check.status == "skipped"
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "GF101"])
+    def test_not_nilpotent_skipped_before_im_d3(self, field, d3_calls):
+        check = theorem2_bound_check(solvable_algebra(field))
+        assert (check.status, check.reason) == ("skipped", "not nilpotent")
+        assert d3_calls == []

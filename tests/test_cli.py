@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from liecap import catalog, covers, homology, linalg
 from liecap.algebra import direct_sum
-from liecap.cli import invariant_report, main
+from liecap.cli import invariant_report, main, run_suites
 from liecap.homology import kunneth_exterior_dim, kunneth_tensor_dim
+from liecap.linalg import QQ
 
 
 def run(capsys, *argv):
@@ -104,6 +105,19 @@ class TestInvariants:
         code, _, err = run(capsys, "invariants", "--file", str(path))
         assert code == 2
         assert "nilpotent" in err
+
+    def test_not_nilpotent_refused_before_im_d3(self, tmp_path, capsys, d3_calls):
+        # [x1,x2]=x2, [x1,x3]=x3 has the d3 triple (x1,x2,x3), which the
+        # lower central series rejects before it is built
+        doc = {"dim": 3, "field": "Q",
+               "brackets": [{"i": 1, "j": 2, "out": [{"k": 2, "c": "1"}]},
+                            {"i": 1, "j": 3, "out": [{"k": 3, "c": "1"}]}]}
+        path = tmp_path / "solvable3.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "invariants", "--file", str(path))
+        assert code == 2 and out == ""
+        assert "nilpotent" in err
+        assert d3_calls == []
 
     def test_negative_dim_exit2(self, tmp_path, capsys):
         path = tmp_path / "negative.json"
@@ -445,6 +459,18 @@ class TestVerifyTables:
         diff = json.loads(out.splitlines()[-1])
         assert diff == [{"suite": "exterior6", "row": "L6_14",
                          "expected": "L5_8+A(1)", "computed": "H(1)+A(3)"}]
+
+    def test_kept_rows_and_reports_share_their_strings(self):
+        eps = tuple(QQ.coerce(e) for e in catalog.DEFAULT_EPSILON_SAMPLES)
+        first, again = (run_suites(["multipliers6", "kunneth"], QQ, eps) for _ in range(2))
+        assert [r.line() for r in first] == [r.line() for r in again]
+        assert all(a.row is b.row and a.expected is b.expected and a.computed is b.computed
+                   for a, b in zip(first, again))
+        key = catalog.parse_key("L6_14")
+        alg = catalog.build(key).algebra
+        a, b = (invariant_report(alg, str(key)) for _ in range(2))
+        assert a.label is b.label
+        assert a.exterior_type is b.exterior_type and a.tensor_type is b.tensor_type
 
     def test_jobs_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

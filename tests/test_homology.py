@@ -173,17 +173,6 @@ class TestSupportWalk:
     """schur_multiplier builds a d3 column only for a triple with a nonzero
     bracket among its pairs, and the answers reach the key bound."""
 
-    @pytest.fixture
-    def d3_calls(self, monkeypatch):
-        calls = []
-        column = homology._d3_column
-
-        def counted(algebra, index, triple):
-            calls.append(triple)
-            return column(algebra, index, triple)
-        monkeypatch.setattr(homology, "_d3_column", counted)
-        return calls
-
     def test_column_counts(self, d3_calls):
         for n in (1, 5, 16):
             assert schur_multiplier(catalog.abelian_algebra(n)).dim == n * (n - 1) // 2

@@ -504,7 +504,10 @@ class TestPeeledRref:
     def test_matches_plain_echelon(self, case):
         field, n, vecs = case
         want = echelon_rref(field, n, vecs)
-        for space in (Subspace.from_vectors(field, n, vecs), Subspace._from_sparse(field, n, vecs)):
+        # _from_fresh takes canonical nonzero values in dicts it may strike
+        fresh = [{j: y for j, x in v.items() if (y := field.coerce(x))} for v in vecs]
+        for space in (Subspace.from_vectors(field, n, vecs), Subspace._from_sparse(field, n, vecs),
+                      Subspace._from_fresh(field, n, fresh)):
             assert self.held(space) == want
             # == takes Fraction(1, 1) for 1, so the scalar types are checked apart
             assert all(type(x) is int if field.char else is_canonical(x)
@@ -520,6 +523,14 @@ class TestPeeledRref:
         for v in ker.sparse_rows():
             assert all(not field.coerce(sum(x * v.get(j, 0) for j, x in r.items()))
                        for r in coerced)
+
+    def test_fresh_rational_vectors_are_scaled(self):
+        # a sum of table entries can be a Fraction with denominator 1
+        vecs = [{0: Fraction(1, 2), 1: 1}, {1: Fraction(2, 1), 2: 4}, {0: 1, 1: 2}]
+        want = echelon_rref(QQ, 3, vecs)
+        space = Subspace._from_fresh(QQ, 3, [dict(v) for v in vecs])
+        assert self.held(space) == want
+        assert all(type(x) is int for r in space.sparse_rows() for x in r.values())
 
     @pytest.fixture
     def added(self, monkeypatch):
