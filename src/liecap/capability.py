@@ -5,6 +5,10 @@ The decision procedure is the exterior center read off Lambda^2 L / im d3
 in ``homology``; the one dimensional test through multiplier dimensions and
 the injectivity of the induced multiplier map are independent certificates
 that must agree with it line by line.
+
+The exterior-center bound reads M(L/Z^(L)) and the capability of
+L^2/Z^(L).  Z^(L) lies in L^2, so L^2/Z^(L) = (L/Z^(L))^2, the derived
+algebra of the quotient.
 """
 
 from __future__ import annotations
@@ -90,14 +94,17 @@ def central_test_lines(algebra):
     return out
 
 
-def noncapable_census(max_dim, field=QQ, epsilon_samples=catalog.DEFAULT_EPSILON_SAMPLES):
-    """Keys of the noncapable catalog entries through max_dim."""
+def noncapable_census(max_dim, field=QQ, epsilon_samples=catalog.DEFAULT_EPSILON_SAMPLES,
+                      *, homology=None):
+    """Keys of the noncapable catalog entries through max_dim; homology
+    stands in for ``schur_multiplier``, as in ``theorem2_bound_check``."""
     if max_dim > 6:
         raise catalog.UnsupportedDimension("catalog stops at dimension 6")
+    homology = homology or schur_multiplier
     out = []
     for key in catalog.all_keys(max_dim, field, epsilon_samples):
         entry = catalog.build(key, field)
-        if schur_multiplier(entry.algebra).exterior_center().dim > 0:
+        if homology(entry.algebra).exterior_center().dim > 0:
             out.append(key)
     return out
 
@@ -142,8 +149,15 @@ class BoundCheck:
     holds: bool = False
 
 
-def theorem2_bound_check(algebra, label=""):
-    """dim Z^(L^L) <= dim M(L/Z^(L)) whenever L^2/Z^(L) is capable."""
+def theorem2_bound_check(algebra, label="", *, homology=None):
+    """dim Z^(L^L) <= dim M(L/Z^(L)) whenever L^2/Z^(L) is capable.
+
+    homology is called in place of ``schur_multiplier`` on every algebra
+    the check builds, so a caller can share one result per distinct table;
+    by default each call computes afresh.  L^2/Z^(L) is built as
+    (L/Z^(L))^2 (see the module docstring), and L/Z^(L) is L itself when
+    Z^(L) = 0.
+    """
     if algebra.is_abelian():
         return BoundCheck(label, "skipped", reason="abelian")
     if algebra.dim < 3:
@@ -151,17 +165,14 @@ def theorem2_bound_check(algebra, label=""):
     der = derived_subalgebra(algebra)
     if lower_central_series(algebra, der)[-1].dim != 0:
         return BoundCheck(label, "skipped", reason="not nilpotent")
-    multiplier = schur_multiplier(algebra)
+    homology = homology or schur_multiplier
+    multiplier = homology(algebra)
     zw = multiplier.exterior_center()
     assert der.space.contains_subspace(zw.space), "Z^(L) escaped L^2"
-    dsub, _ = subalgebra_on(algebra, der)
-    inner = Subspace.from_vectors(
-        algebra.field, dsub.dim,
-        [der.space.coords(v) for v in zw.space.sparse_rows()])
-    dq, _ = quotient(dsub, inner)
-    if dq.dim > 0 and schur_multiplier(dq).exterior_center().dim > 0:
+    lbar = quotient(algebra, zw.space)[0] if zw.dim else algebra
+    dq, _ = subalgebra_on(lbar, der if lbar is algebra else derived_subalgebra(lbar))
+    if dq.dim > 0 and homology(dq).exterior_center().dim > 0:
         return BoundCheck(label, "skipped", reason="L^2/Z^(L) not capable")
-    lhs = schur_multiplier(multiplier.exterior_square()).exterior_center().dim
-    lbar, _ = quotient(algebra, zw.space)
-    rhs = schur_multiplier(lbar).dim
+    lhs = homology(multiplier.exterior_square()).exterior_center().dim
+    rhs = (homology(lbar) if zw.dim else multiplier).dim
     return BoundCheck(label, "checked", lhs=lhs, rhs=rhs, holds=lhs <= rhs)

@@ -92,8 +92,6 @@ def invariant_report(algebra, label):
     wedge = multiplier.exterior_square()
     wedge_type = recognize(wedge)
     diagonal = multiplier.diagonal_dim
-    # L x L = (L ^ L) + A(diagonal), so its label is read off the wedge's
-    tensor = multiplier.tensor_square()
     zw = multiplier.exterior_center()
     report = InvariantReport(
         label=label,
@@ -105,7 +103,8 @@ def invariant_report(algebra, label):
         exterior_dim=wedge.dim,
         exterior_type=wedge_type.label(),
         diagonal_dim=diagonal,
-        tensor_dim=tensor.dim,
+        # L x L = (L ^ L) + A(diagonal), so both are read off the wedge's
+        tensor_dim=wedge.dim + diagonal,
         tensor_type=wedge_type.plus_abelian(diagonal).label(),
         exterior_center_dim=zw.dim,
         capable=zw.dim == 0,
@@ -153,41 +152,47 @@ class SuiteRow:
         return f"{mark}  {self.suite:<12} {self.row:<16} expected={self.expected} computed={self.computed}"
 
 
-def _tensor_label(alg):
-    m = schur_multiplier(alg)
+def _tensor_label(alg, homology):
+    m = homology(alg)
     return recognize(m.exterior_square()).plus_abelian(m.diagonal_dim).label()
 
 
+def _exterior_label(alg, homology):
+    return recognize(homology(alg).exterior_square()).label()
+
+
+def _multiplier(alg, homology):
+    return str(homology(alg).dim)
+
+
 # suite name -> (dimension, published value of a key, computed value of its
-# algebra); one row per catalog key of that dimension, labelled by the key
+# algebra, given the homology callable); one row per catalog key of that
+# dimension, labelled by the key
 TABLE_SUITES = {
-    "multipliers5": (5, lambda key: str(tables.MULTIPLIER_5[key.b]),
-                     lambda alg: str(schur_multiplier(alg).dim)),
-    "exterior5": (5, lambda key: tables.EXTERIOR_5[key.b],
-                  lambda alg: recognize(schur_multiplier(alg).exterior_square()).label()),
+    "multipliers5": (5, lambda key: str(tables.MULTIPLIER_5[key.b]), _multiplier),
+    "exterior5": (5, lambda key: tables.EXTERIOR_5[key.b], _exterior_label),
     "diagonal5": (5, lambda key: str(tables.DIAGONAL_5[key.b]),
-                  lambda alg: str(diagonal_square_dim(alg))),
-    "tensor5": (5, lambda key: tables.TENSOR_5[key.b],
-                _tensor_label),
-    "multipliers6": (6, lambda key: str(tables.MULTIPLIER_6[key.b]),
-                     lambda alg: str(schur_multiplier(alg).dim)),
+                  lambda alg, homology: str(diagonal_square_dim(alg))),
+    "tensor5": (5, lambda key: tables.TENSOR_5[key.b], _tensor_label),
+    "multipliers6": (6, lambda key: str(tables.MULTIPLIER_6[key.b]), _multiplier),
     "exterior6": (6, lambda key: tables.exterior_6_label(key.b, key.epsilon),
-                  lambda alg: recognize(schur_multiplier(alg).exterior_square()).label()),
+                  _exterior_label),
 }
 
 
 def _table_suite(name):
     dim, published, computed = TABLE_SUITES[name]
 
-    def suite(field, eps):
+    def suite(field, eps, *, homology=None):
+        homology = homology or schur_multiplier
         return [SuiteRow(name, str(key), published(key),
-                         computed(catalog.build(key, field).algebra))
+                         computed(catalog.build(key, field).algebra, homology))
                 for key in catalog.expand_keys(dim, field, eps)]
     return suite
 
 
-def _suite_census(field, eps):
-    got = noncapable_census(6, field, eps)
+def _suite_census(field, eps, *, homology=None):
+    got = noncapable_census(6, field, eps, homology=homology)
     got_strs = []
     for key in got:
         base = f"L{key.a}_{key.b}" if key.kind == "L" else str(key)
@@ -202,10 +207,11 @@ def _suite_census(field, eps):
     return rows
 
 
-def _suite_kunneth(field, eps):
-    # the direct side is dim M(S) + dim S^2, computed from scratch on the
-    # sum S by the homology route, against the formula from the summands,
-    # whose multipliers are computed once per distinct key
+def _suite_kunneth(field, eps, *, homology=None):
+    # the direct side is dim M(S) + dim S^2, computed by the homology route
+    # on the sum S, against the formula from the summands, whose multipliers
+    # are computed once per distinct key
+    homology = homology or schur_multiplier
     rows = []
     keys = catalog.all_keys(6, field)
     rng = random.Random(tables.KUNNETH_SEED)
@@ -214,33 +220,33 @@ def _suite_kunneth(field, eps):
         k1, k2 = rng.choice(keys), rng.choice(keys)
         for key in (k1, k2):
             if key not in summands:
-                summands[key] = schur_multiplier(catalog.build(key, field).algebra)
+                summands[key] = homology(catalog.build(key, field).algebra)
         mh, mk = summands[k1], summands[k2]
         formula = sum_exterior_dim(mh, mk)
-        m = schur_multiplier(direct_sum(mh.algebra, mk.algebra))
+        m = homology(direct_sum(mh.algebra, mk.algebra))
         direct = m.dim + m.derived.dim
         rows.append(SuiteRow("kunneth", f"{k1}|{k2}", str(formula), str(direct)))
     for n in range(1, tables.ABELIAN_MULTIPLIER_RANGE + 1):
         alg = catalog.abelian_algebra(n, field)
         rows.append(SuiteRow("kunneth", f"A{n}-multiplier",
                              str(n * (n - 1) // 2),
-                             str(schur_multiplier(alg).dim)))
+                             str(homology(alg).dim)))
     rows.append(SuiteRow("kunneth", "H1-multiplier", "2",
-                         str(schur_multiplier(catalog.heisenberg_algebra(1, field)).dim)))
+                         str(homology(catalog.heisenberg_algebra(1, field)).dim)))
     for m in range(2, tables.HEISENBERG_MULTIPLIER_RANGE + 1):
         alg = catalog.heisenberg_algebra(m, field)
         rows.append(SuiteRow("kunneth", f"H{m}-multiplier",
                              str(2 * m * m - m - 1),
-                             str(schur_multiplier(alg).dim)))
+                             str(homology(alg).dim)))
     return rows
 
 
-def _suite_theorem2(field, eps):
+def _suite_theorem2(field, eps, *, homology=None):
     rows = []
     for dim in range(3, 7):
         for key in catalog.expand_keys(dim, field, eps):
             alg = catalog.build(key, field).algebra
-            check = theorem2_bound_check(alg, label=str(key))
+            check = theorem2_bound_check(alg, label=str(key), homology=homology)
             if check.status == "skipped":
                 computed = f"skipped({check.reason})"
                 expected = computed  # a skip is not a failure
@@ -252,14 +258,27 @@ def _suite_theorem2(field, eps):
     return rows
 
 
+# suite name -> suite(field, eps, *, homology=None); homology is called in
+# place of schur_multiplier, which by default computes afresh each time
 SUITES = {name: _table_suite(name) for name in TABLE_SUITES}
 SUITES.update(census=_suite_census, kunneth=_suite_kunneth, theorem2=_suite_theorem2)
 
 
 def run_suites(names, field, eps):
+    """The rows of the named suites.  im d3 is computed once per distinct
+    bracket table over the field for the whole call: the suites share one
+    ``schur_multiplier`` result per table, and forget them on return."""
+    results = {}
+
+    def homology(algebra):
+        key = (algebra.field, algebra.dim, algebra.table_key())
+        if key not in results:
+            results[key] = schur_multiplier(algebra)
+        return results[key]
+
     rows = []
     for name in names:
-        rows.extend(SUITES[name](field, eps))
+        rows.extend(SUITES[name](field, eps, homology=homology))
     return rows
 
 

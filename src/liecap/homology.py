@@ -8,8 +8,12 @@ with d2(x ^ y) = [x, y] and d3(x ^ y ^ z) = [x,y]^z - [x,z]^y + [y,z]^x;
 d2 . d3 vanishing is a rewrite of the Jacobi identity.  Each of the three
 terms of d3(x_i ^ x_j ^ x_k) carries one bracket of two of its indices, so
 only the columns of ``algebra.support_walk`` are built: every other column
-is zero and adds nothing to im d3.  A column is read straight off
-``algebra.table`` and goes to the RREF as it is, in one walk.
+is zero and adds nothing to im d3.  ``_d3_columns`` builds them all, in one
+loop over that walk: each column is read straight off ``algebra.table``,
+with plain + and - on the canonical scalars (reduced mod p over GF(p)),
+and goes to the RREF as it is.  The pair a < b of ``ExteriorBasis`` sits
+at the coordinate base[a] + b, where base[a] = a(2n - a - 3)/2 - 1 counts
+the pairs before (a, a+1), less a + 1; the ``index`` dict is not read.
 
 The canonical RREF of im d3 peels its structural pivots before any row
 reduction (``linalg._rref``): a column with a single nonzero entry is a
@@ -71,12 +75,16 @@ class NotCentral(LiecapError):
 
 class ExteriorBasis:
     """Lexicographic coordinates on Lambda^2 of F^n: ``index`` maps each of
-    the ``pairs`` i < j to its coordinate; ``triples`` are listed on request."""
+    the ``pairs`` i < j to its coordinate; it and ``triples`` are built on
+    request."""
 
     def __init__(self, n):
         self.n = n
         self.pairs = tuple(combinations(range(n), 2))
-        self.index = {p: t for t, p in enumerate(self.pairs)}
+
+    @cached_property
+    def index(self):
+        return {p: t for t, p in enumerate(self.pairs)}
 
     @classmethod
     def for_dim(cls, n):
@@ -121,47 +129,58 @@ def ce_d2(algebra):
     return Matrix.from_columns(algebra.field, cols, algebra.dim)
 
 
-def _d3_column(algebra, index, triple):
-    """d3(e_i ^ e_j ^ e_k) for i < j < k, in sparse Lambda^2 coords."""
-    f = algebra.field
-    add, neg = f.add, f.neg
+def _d3_columns(algebra):
+    """d3(e_i ^ e_j ^ e_k) for each ``support_walk`` triple, in sparse
+    Lambda^2 coordinates, each column a fresh dict with canonical nonzero
+    values (see the module docstring)."""
+    n = algebra.dim
     table = algebra.table
-    i, j, k = triple
-    out = {}
-    # the table holds [e_a, e_b] for a < b, which each of the three pairs is
-    for a, b, c, negate in ((i, j, k, False), (i, k, j, True), (j, k, i, False)):
-        row = table.get((a, b))
-        if not row:
-            continue
-        for m, cm in row.items():
-            # e_m ^ e_c = -(e_c ^ e_m), and e_c ^ e_c = 0
-            if m < c:
-                t = index[(m, c)]
-                x = neg(cm) if negate else cm
-            elif m > c:
-                t = index[(c, m)]
-                x = cm if negate else neg(cm)
-            else:
+    p = algebra.field.char  # 0 over Q, so p - x is -x there
+    base = [a * (2 * n - a - 3) // 2 - 1 for a in range(n)]
+    for i, j, k in support_walk(algebra):
+        out = {}
+        # the table holds [e_a, e_b] for a < b, which each of the three pairs is
+        for a, b, c, negate in ((i, j, k, False), (i, k, j, True), (j, k, i, False)):
+            row = table.get((a, b))
+            if not row:
                 continue
-            if t in out:
-                nv = add(out[t], x)
-                if nv:
-                    out[t] = nv
+            for m, x in row.items():
+                # e_m ^ e_c = -(e_c ^ e_m), and e_c ^ e_c = 0
+                if m < c:
+                    t = base[m] + c
+                    if negate:
+                        x = p - x
+                elif m > c:
+                    t = base[c] + m
+                    if not negate:
+                        x = p - x
                 else:
-                    del out[t]
-            else:
-                out[t] = x
-    return out
+                    continue
+                if t in out:
+                    y = out[t] + x
+                    if p:
+                        y %= p
+                    if y:
+                        out[t] = y
+                    else:
+                        del out[t]
+                else:
+                    out[t] = x
+        yield out
 
 
 def ce_d3(algebra):
     """Matrix of Lambda^3 L -> Lambda^2 L; satisfies d2 @ d3 = 0 exactly."""
+    f = algebra.field
     ext = ExteriorBasis(algebra.dim)
-    z = algebra.field.zero
     cols = []
-    for triple in ext.triples:
-        col = _d3_column(algebra, ext.index, triple)
-        cols.append(tuple(col.get(t, z) for t in range(len(ext.pairs))))
+    for i, j, k in ext.triples:
+        col = {}
+        # [x_i, x_j] ^ x_k - [x_i, x_k] ^ x_j + [x_j, x_k] ^ x_i
+        for a, b, c, negate in ((i, j, k, False), (i, k, j, True), (j, k, i, False)):
+            for m, v in algebra.bracket_basis(a, b).items():
+                _wedge_entry(f, col, ext.index, m, c, f.neg(v) if negate else v)
+        cols.append(tuple(col.get(t, f.zero) for t in range(len(ext.pairs))))
     return Matrix.from_columns(algebra.field, cols, len(ext.pairs))
 
 
@@ -239,7 +258,13 @@ class MultiplierResult:
         return self._square
 
     def exterior_center(self):
-        """Z^(L), the l with l ^ e_j in im d3 for every j.
+        """Z^(L), the l with l ^ e_j in im d3 for every j; computed once,
+        when first asked for."""
+        return self._exterior_center
+
+    @cached_property
+    def _exterior_center(self):
+        """Z^(L), solved inside Z(L).
 
         Z^(L) lies in Z(L), so l runs over Z(L): l = sum of a_s z_s on the
         RREF basis z_s of Z(L), and each residue coordinate of l ^ e_j mod
@@ -248,7 +273,9 @@ class MultiplierResult:
         and a pivot pair t is minus its row with the unit entry at t
         removed.  The functionals come one j at a time, so the kernel stops
         reading them once single-coefficient ones reach full rank, as on
-        A(n) after two values of j.
+        A(n) after two values of j.  The coefficient kernel is lifted
+        through the RREF rows of Z(L) without a second elimination
+        (``Subspace.lift``).
         """
         alg = self.algebra
         f = alg.field
@@ -278,9 +305,7 @@ class MultiplierResult:
                             functional[s] = add(functional.get(s, zero), mul(c, v))
                 yield from rows.values()
 
-        coeffs = kernel_from_rows(f, len(zrows), functionals())
-        space = Subspace._from_sparse(f, alg.dim, [apply_columns(f, zrows, a)
-                                                   for a in coeffs.sparse_rows()])
+        space = kernel_from_rows(f, len(zrows), functionals()).lift(self.center.space)
         # l ^ e_j in im d3 for every basis vector l and every j
         assert not any(self.image.reduce(_wedge(f, index, l, {j: one}))
                        for l in space.sparse_rows() for j in range(alg.dim))
@@ -309,14 +334,11 @@ def _check_jacobi(algebra, ext, image):
 def schur_multiplier(algebra):
     """im d3 of algebra and the invariants read off it.
 
-    One walk from the table to the RREF: each ``support_walk`` triple's d3
-    column is built fresh, with canonical nonzero values (sums of table
-    entries), and handed to the peel without a copy.
+    One walk from the table to the RREF: each column of ``_d3_columns`` is
+    handed to the peel without a copy.
     """
     ext = ExteriorBasis(algebra.dim)
-    index = ext.index
-    image = Subspace._from_fresh(algebra.field, len(ext.pairs),
-                                 (_d3_column(algebra, index, t) for t in support_walk(algebra)))
+    image = Subspace._from_fresh(algebra.field, len(ext.pairs), _d3_columns(algebra))
     _check_jacobi(algebra, ext, image)
     return MultiplierResult(image, algebra, ext)
 

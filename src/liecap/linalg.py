@@ -13,7 +13,11 @@ structural: two equal subspaces have identical basis matrices.  Every
 subspace and kernel comes from one batch RREF, ``_rref``: it peels the
 structural pivots (a vector with a single nonzero entry spans a unit row,
 whose column is struck from the others, until no new singleton appears)
-and row-reduces only what is left with ``Echelon``.  The dense
+and row-reduces only what is left with ``Echelon``.  A kernel takes that
+one elimination and no second: its functionals are eliminated in reversed
+column order, and the kernel's RREF is read straight off the rows
+(``kernel_from_rows``).  Likewise the images of an RREF coefficient basis
+under RREF rows are already in RREF (``Subspace.lift``).  The dense
 ``Matrix`` only stores the boundary matrices ``ce_d2`` and ``ce_d3``, the
 reference that the tests compare the sparse route against.
 """
@@ -343,19 +347,26 @@ class Echelon:
         return [(p, self._rows[p]) for p in self._sorted_pivots]
 
 
-def _prepare(field, row):
+def _prepare(field, row, last=None):
     """A fresh copy of the sparse vector row with the values elimination
     works on: canonical and nonzero, and over Q integers (the row scaled by
-    the lcm of its denominators)."""
+    the lcm of its denominators).  With last given, the entry at column c
+    is written at column last - c, in reversed column order."""
     if isinstance(field, RationalField):
-        out = {c: v for c, v in row.items() if v}
+        if last is None:
+            out = {c: v for c, v in row.items() if v}
+        else:
+            out = {last - c: v for c, v in row.items() if v}
         for v in out.values():
             if type(v) is not int:
                 den = lcm(*(v.denominator for v in out.values()))
                 return {c: v.numerator * (den // v.denominator) for c, v in out.items()}
         return out
     p, coerce = field.p, field.coerce
-    return {c: iv for c, v in row.items()
+    if last is None:
+        return {c: iv for c, v in row.items()
+                if (iv := v % p if type(v) is int else coerce(v))}
+    return {last - c: iv for c, v in row.items()
             if (iv := v % p if type(v) is int else coerce(v))}
 
 
@@ -522,17 +533,25 @@ class Matrix:
 
 def kernel_from_rows(field, width, rows):
     """Kernel of the linear map given by stacked row functionals over
-    columns 0..width-1: e_f minus the RREF rows' entries at f, for each
-    column f off the pivots."""
-    pivots, prows = _rref(field, width, (_prepare(field, r) for r in rows))
+    columns 0..width-1, in one elimination.
+
+    The functionals are eliminated in reversed column order (column c at
+    width-1-c).  Read back, each RREF row then ends at its pivot P, its
+    largest column, and its other entries sit at free columns f < P.  So
+    e_f minus the sum of row_P[f] e_P, the kernel vector of a free column
+    f, leads at f with the value 1 and vanishes at every other free column:
+    by ascending f, these vectors are already the kernel's canonical RREF.
+    """
+    last = width - 1
+    pivots, prows = _rref(field, width, (_prepare(field, r, last) for r in rows))
     pivot_set = set(pivots)
     neg, one = field.neg, field.one
-    basis = {f: {f: one} for f in range(width) if f not in pivot_set}
+    basis = {f: {f: one} for f in range(width) if last - f not in pivot_set}
     for p, row in zip(pivots, prows):
-        for f, c in row.items():
-            if f != p:
-                basis[f][p] = neg(c)
-    return Subspace._from_sparse(field, width, basis.values())
+        for c, v in row.items():
+            if c != p:
+                basis[last - c][last - p] = neg(v)
+    return Subspace(field, width, tuple(basis.values()), tuple(basis), _internal=True)
 
 
 def kernel(m):
@@ -640,6 +659,24 @@ class Subspace:
 
     def sparse_rows(self):
         return list(self._rows)
+
+    def lift(self, space):
+        """The span of the combinations of space's RREF rows z_t, with this
+        subspace's rows as coefficients, in RREF without an elimination.
+
+        A coefficient row a with pivot s combines only rows z_t with t >= s,
+        so the combination leads at the s-th pivot of space with the value
+        1; at the t-th pivot of space it takes a_t, which is 0 at the other
+        pivots t of this subspace.
+        """
+        if self.ambient_dim != space.dim:
+            raise DimensionMismatch("one coefficient per row of space")
+        field = space.field
+        coerce, zrows = field.coerce, space._rows
+        rows = tuple({c: coerce(v) for c, v in apply_columns(field, zrows, a).items()}
+                     for a in self._rows)
+        return Subspace(field, space.ambient_dim, rows,
+                        tuple(space.pivots[s] for s in self.pivots), _internal=True)
 
     def reduce(self, vec):
         """Residue of the sparse vector vec modulo this subspace, as a sparse dict."""

@@ -1,21 +1,38 @@
 import pytest
 
 from liecap import homology
-from liecap.algebra import LieAlgebra
-from liecap.homology import ExteriorBasis, ce_d3
-from liecap.linalg import QQ, Echelon, kernel_from_rows
+from liecap.algebra import (
+    LieAlgebra,
+    derived_subalgebra,
+    lower_central_series,
+    quotient,
+    subalgebra_on,
+)
+from liecap.capability import BoundCheck
+from liecap.homology import ExteriorBasis, ce_d3, schur_multiplier
+from liecap.linalg import (
+    QQ,
+    Echelon,
+    Subspace,
+    _prepare,
+    _rref,
+    kernel_columns,
+    kernel_from_rows,
+)
 
 
 @pytest.fixture
 def d3_calls(monkeypatch):
-    """The triples of every d3 column built while the test runs."""
+    """The triples of every d3 column built while the test runs: the
+    ``support_walk`` triples that ``homology._d3_columns`` reads."""
     calls = []
-    column = homology._d3_column
+    walk = homology.support_walk
 
-    def counted(algebra, index, triple):
-        calls.append(triple)
-        return column(algebra, index, triple)
-    monkeypatch.setattr(homology, "_d3_column", counted)
+    def counted(algebra):
+        for triple in walk(algebra):
+            calls.append(triple)
+            yield triple
+    monkeypatch.setattr(homology, "support_walk", counted)
     return calls
 
 
@@ -97,3 +114,72 @@ def exterior_center_reference(m):
             rows.setdefault((j, s), {})[i] = c
             rows.setdefault((i, s), {})[j] = f.neg(c)
     return kernel_from_rows(f, m.algebra.dim, rows.values())
+
+
+def two_pass_kernel(field, width, rows):
+    """The kernel of stacked row functionals by two eliminations: the RREF of
+    the rows in their own column order, then the RREF of the kernel vectors
+    read off it.  The reference for the one-pass ``kernel_from_rows``."""
+    pivots, prows = _rref(field, width, (_prepare(field, r) for r in rows))
+    pivot_set = set(pivots)
+    basis = {f: {f: field.one} for f in range(width) if f not in pivot_set}
+    for p, row in zip(pivots, prows):
+        for f, c in row.items():
+            if f != p:
+                basis[f][p] = field.neg(c)
+    return Subspace._from_sparse(field, width, basis.values())
+
+
+def theorem2_reference(algebra, label=""):
+    """``theorem2_bound_check`` as first formulated: L^2/Z^(L) built as the
+    quotient of the subalgebra L^2 by the coordinates of Z^(L) in it, and
+    L/Z^(L) always built as a quotient, with every multiplier computed
+    afresh.  The reference for the shared formulation."""
+    if algebra.is_abelian():
+        return BoundCheck(label, "skipped", reason="abelian")
+    if algebra.dim < 3:
+        return BoundCheck(label, "skipped", reason="dimension below 3")
+    der = derived_subalgebra(algebra)
+    if lower_central_series(algebra, der)[-1].dim != 0:
+        return BoundCheck(label, "skipped", reason="not nilpotent")
+    multiplier = schur_multiplier(algebra)
+    zw = multiplier.exterior_center()
+    dsub, _ = subalgebra_on(algebra, der)
+    inner = Subspace.from_vectors(
+        algebra.field, dsub.dim,
+        [der.space.coords(v) for v in zw.space.sparse_rows()])
+    dq, _ = quotient(dsub, inner)
+    if dq.dim > 0 and schur_multiplier(dq).exterior_center().dim > 0:
+        return BoundCheck(label, "skipped", reason="L^2/Z^(L) not capable")
+    lhs = schur_multiplier(multiplier.exterior_square()).exterior_center().dim
+    lbar, _ = quotient(algebra, zw.space)
+    rhs = schur_multiplier(lbar).dim
+    return BoundCheck(label, "checked", lhs=lhs, rhs=rhs, holds=lhs <= rhs)
+
+
+def generalized_heisenberg(rng, v, r, field=QQ):
+    """A random rank-r generalized Heisenberg algebra V + Z, dim V = v and
+    dim Z = r: [x_a, x_b] = sum of B_k(a, b) z_k over r alternating forms
+    B_k on V, drawn until they are independent and have no common radical.
+    Then L^2 = Z = Z(L), and the class is 2."""
+    pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
+    if not 1 <= r <= len(pairs) or v < 2:
+        raise ValueError(f"no rank-{r} forms on a space of dim {v}")
+    while True:
+        forms = [{ab: c for ab in pairs if (c := field.from_int(rng.randint(-2, 2)))}
+                 for _ in range(r)]
+        # the forms as vectors of Lambda^2 V, and x -> (B_k(x, .))_k as columns
+        independent = Subspace.from_vectors(
+            field, len(pairs), [{pairs.index(ab): c for ab, c in b.items()} for b in forms])
+        radical = [{} for _ in range(v)]
+        for k, b in enumerate(forms):
+            for (a, c), x in b.items():
+                radical[a][(k, c)] = x
+                radical[c][(k, a)] = field.neg(x)
+        if independent.dim == r and kernel_columns(field, radical).dim == 0:
+            break
+    table = {}
+    for k, b in enumerate(forms):
+        for ab, x in b.items():
+            table.setdefault(ab, {})[v + k] = x
+    return LieAlgebra(field, v + r, table)

@@ -1,8 +1,15 @@
-import pytest
-from conftest import solvable_algebra
+import random
 
-from liecap import catalog
-from liecap.algebra import center, derived_subalgebra
+import pytest
+from conftest import (
+    generalized_heisenberg,
+    random_basis_change,
+    solvable_algebra,
+    theorem2_reference,
+)
+
+from liecap import catalog, covers
+from liecap.algebra import center, derived_subalgebra, direct_sum, transform
 from liecap.capability import (
     WrongDimension,
     central_test_lines,
@@ -13,7 +20,7 @@ from liecap.capability import (
     theorem2_bound_check,
 )
 from liecap.covers import Cover, exterior_center
-from liecap.homology import NotCentral, induced_map_injective
+from liecap.homology import NotCentral, induced_map_injective, schur_multiplier
 from liecap.linalg import QQ, PrimeField, Subspace
 
 
@@ -154,3 +161,80 @@ class TestBoundCheck:
         check = theorem2_bound_check(solvable_algebra(field))
         assert (check.status, check.reason) == ("skipped", "not nilpotent")
         assert d3_calls == []
+
+
+class TestBoundCheckReference:
+    """theorem2_bound_check, with L/Z^(L) = L when Z^(L) = 0 and L^2/Z^(L)
+    built as (L/Z^(L))^2, gives the BoundCheck of the quotient-by-coords
+    formulation."""
+
+    FIELDS = [QQ, PrimeField(3), PrimeField(101)]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_catalog(self, field):
+        statuses = set()
+        for key in catalog.all_keys(6, field):
+            L = catalog.build(key, field).algebra
+            check = theorem2_bound_check(L, label=str(key))
+            assert check == theorem2_reference(L, label=str(key)), str(key)
+            statuses.add((check.status, check.reason))
+        # checked rows and both skips a nilpotent catalog entry can meet
+        assert statuses == {("checked", ""), ("skipped", "abelian"),
+                            ("skipped", "L^2/Z^(L) not capable")}
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_scrambles(self, field):
+        rng = random.Random(29)
+        keys = [k for k in catalog.all_keys(6, field) if k.a >= 4]
+        for key in rng.sample(keys, 8):
+            L = catalog.build(key, field).algebra
+            L = transform(L, random_basis_change(rng, L.dim, field))
+            assert theorem2_bound_check(L) == theorem2_reference(L), str(key)
+
+
+def class_two_cases(field):
+    """(name, algebra) of class 2 at dims 7 to 30: random rank-r generalized
+    Heisenberg algebras, sums H(m) + H(k) and free nilpotent F(d, 2)."""
+    rng = random.Random(41)
+    cases = [(f"GH({v},{r})", generalized_heisenberg(rng, v, r, field))
+             for v, r in [(4, 3), (5, 2), (5, 4), (6, 3), (7, 5), (8, 4), (9, 3)]]
+    cases += [(f"H({m})+H({k})", direct_sum(catalog.heisenberg_algebra(m, field),
+                                            catalog.heisenberg_algebra(k, field)))
+              for m, k in [(2, 1), (3, 2), (5, 5), (7, 6)]]
+    cases += [(f"F({d},2)", covers.free_nilpotent(d, 2).algebra_over(field)) for d in (4, 5, 7)]
+    assert all(7 <= L.dim <= 30 for _, L in cases)
+    return cases
+
+
+def class_two_summary(L):
+    """dims of M(L), L ^ L and Z^(L), and the theorem2 check of L."""
+    m = schur_multiplier(L)
+    return m.dim, m.exterior_square().dim, m.exterior_center().dim, theorem2_bound_check(L)
+
+
+class TestClassTwoBeyondCatalog:
+    """In class 2, d3(x ^ y ^ z) = [x, y] ^ z for central z puts L^2 ^ Z(L)
+    in im d3, so L ^ L is abelian of dim M(L) + dim L^2; an abelian square
+    of dim at least 2 is capable, so the theorem2 lhs is 0.  A basis change
+    moves none of the answers."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(101)], ids=repr)
+    def test_abelian_square_and_zero_lhs(self, field):
+        rng = random.Random(43)
+        checked = 0
+        for name, L in class_two_cases(field):
+            m = schur_multiplier(L)
+            square = m.exterior_square()
+            assert square.is_abelian(), name
+            assert square.dim == m.dim + derived_subalgebra(L).dim, name
+            check = theorem2_bound_check(L)
+            if check.status == "checked":
+                assert check.lhs == 0 and check.holds, name
+                checked += 1
+            else:
+                assert check.reason == "L^2/Z^(L) not capable", name
+            # a scrambled basis fills the table, and im d3 with it
+            if L.dim <= 8:
+                scrambled = transform(L, random_basis_change(rng, L.dim, field))
+                assert class_two_summary(scrambled) == class_two_summary(L), name
+        assert checked >= 10

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from liecap import catalog, covers, homology, linalg
 from liecap.algebra import direct_sum
-from liecap.cli import invariant_report, main, run_suites
-from liecap.homology import kunneth_exterior_dim, kunneth_tensor_dim
-from liecap.linalg import QQ
+from liecap import cli as cli_module
+from liecap.cli import SUITES, invariant_report, main, run_suites
+from liecap.homology import kunneth_exterior_dim, kunneth_tensor_dim, schur_multiplier
+from liecap.linalg import QQ, PrimeField
+from liecap.recognize import recognize
 
 
 def run(capsys, *argv):
@@ -64,6 +66,16 @@ class TestInvariants:
         assert d["diagonal_dim"] == 10
         assert d["tensor_type"] == "A(16)"
         assert d["capable"] is False
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "GF3"])
+    def test_tensor_fields_match_the_tensor_square(self, field):
+        # the report reads L x L off L ^ L; the built tensor square agrees
+        for key in catalog.all_keys(6, field):
+            L = catalog.build(key, field).algebra
+            report = invariant_report(L, str(key))
+            tensor = schur_multiplier(L).tensor_square()
+            assert tensor.dim == report.tensor_dim, str(key)
+            assert recognize(tensor).label() == report.tensor_type, str(key)
 
     def test_a1_noncapable(self, capsys):
         code, out, _ = run(capsys, "invariants", "A1", "--format", "json")
@@ -471,6 +483,24 @@ class TestVerifyTables:
         a, b = (invariant_report(alg, str(key)) for _ in range(2))
         assert a.label is b.label
         assert a.exterior_type is b.exterior_type and a.tensor_type is b.tensor_type
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "GF3"])
+    def test_one_multiplier_per_distinct_table(self, field, monkeypatch):
+        eps = tuple(field.coerce(e) for e in catalog.DEFAULT_EPSILON_SAMPLES)
+        # each suite alone, with a fresh schur_multiplier on every call
+        alone = [row for name in SUITES for row in SUITES[name](field, eps)]
+        tables = []
+
+        def counted(algebra):
+            tables.append((algebra.field, algebra.dim, algebra.table_key()))
+            return schur_multiplier(algebra)
+        monkeypatch.setattr(cli_module, "schur_multiplier", counted)
+        rows = run_suites(list(SUITES), field, eps)
+        assert len(tables) == len(set(tables)) > 100
+        assert [r.line() for r in rows] == [r.line() for r in alone]
+        # the shared results die with the call: a second call computes afresh
+        run_suites(["multipliers5"], field, eps)
+        assert len(tables) == len(set(tables)) + 9
 
     def test_jobs_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import echelon_rref
+from conftest import echelon_rref, two_pass_kernel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -567,5 +567,84 @@ class TestPeeledRref:
         rows += [{j: field.from_int(rng.randint(1, 2)) for j in range(n)} for _ in range(40)]
         assert kernel_from_rows(field, n, rows) == Subspace.zero(field, n)
         assert Subspace.from_vectors(field, n, rows) == Subspace.full(field, n)
-        # each of the first n rows raises the rank, and no row follows them
-        assert added == rows[:n] * 2
+        # each of the first n rows raises the rank, and no row follows them;
+        # the kernel eliminates its rows in reversed column order
+        reversed_rows = [{n - 1 - j: x for j, x in r.items()} for r in rows[:n]]
+        assert added == reversed_rows + rows[:n]
+
+
+@st.composite
+def kernel_cases(draw):
+    """(field, width, rows): raw rows over columns 0..width-1, widths 0 and
+    1 among them, with zero and duplicate rows, and sometimes a full-rank
+    block of unit upper-triangular rows mixed in."""
+    field = draw(st.sampled_from(PEEL_FIELDS))
+    width = draw(st.integers(0, 8))
+    cols = st.integers(0, width - 1) if width else st.nothing()
+    rows = draw(st.lists(st.dictionaries(cols, raw_values(field), max_size=width), max_size=8))
+    rows += [dict(r) for r in draw(st.lists(st.sampled_from(rows), max_size=3))] if rows else []
+    rows += [{}] + ([{width - 1: 0}] if width else [])
+    if draw(st.booleans()):
+        rows += [{c: draw(nonzero_values(field)) if c == a else draw(raw_values(field))
+                  for c in range(a, width)} for a in range(width)]
+    return field, width, draw(st.permutations(rows))
+
+
+class TestOnePassKernel:
+    """kernel_from_rows eliminates once, in reversed column order, and reads
+    the kernel's RREF straight off; it equals the kernel eliminated a second
+    time from its basis vectors."""
+
+    @given(kernel_cases(), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_two_pass_reference(self, case, lazy):
+        field, width, rows = case
+        want = two_pass_kernel(field, width, rows)
+        # the rows may come one at a time, as exterior_center generates them
+        given_rows = (dict(r) for r in rows) if lazy else rows
+        got = kernel_from_rows(field, width, given_rows)
+        assert (got.pivots, got.sparse_rows()) == (want.pivots, want.sparse_rows())
+        assert all(type(x) is int if field.char else is_canonical(x)
+                   for r in got.sparse_rows() for x in r.values())
+        # the rows are left as they were given
+        assert rows == case[2]
+
+    @pytest.mark.parametrize("field", PEEL_FIELDS, ids=repr)
+    def test_widths_zero_and_one(self, field):
+        assert kernel_from_rows(field, 0, [{}, {}]) == Subspace.zero(field, 0)
+        assert kernel_from_rows(field, 1, [{0: 0}]) == Subspace.full(field, 1)
+        assert kernel_from_rows(field, 1, [{0: 2}, {}]) == Subspace.zero(field, 1)
+
+
+class TestLift:
+    """The images of an RREF coefficient basis under RREF rows are already
+    the RREF of their span."""
+
+    @given(st.sampled_from(PEEL_FIELDS), st.integers(1, 8), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_span_of_images(self, field, n, data):
+        vecs = data.draw(st.lists(st.dictionaries(st.integers(0, n - 1), raw_values(field),
+                                                  max_size=n), max_size=n))
+        space = Subspace.from_vectors(field, n, vecs)
+        coeffs = Subspace.from_vectors(field, space.dim, data.draw(st.lists(
+            st.dictionaries(st.integers(0, max(space.dim - 1, 0)), raw_values(field),
+                            max_size=space.dim), max_size=space.dim + 1)) if space.dim else [])
+        lifted = coeffs.lift(space)
+        images = [apply_columns(field, space.sparse_rows(), a) for a in coeffs.sparse_rows()]
+        want = Subspace.from_vectors(field, n, images)
+        assert (lifted.pivots, lifted.sparse_rows()) == (want.pivots, want.sparse_rows())
+        assert all(type(x) is int if field.char else is_canonical(x)
+                   for r in lifted.sparse_rows() for x in r.values())
+
+    def test_integral_sums_are_ints(self):
+        # 1/2 + 2 * 1/4 sums to the int 1, not Fraction(1, 1)
+        space = Subspace.from_vectors(QQ, 3, [{0: 1, 2: Fraction(1, 2)},
+                                              {1: 1, 2: Fraction(1, 4)}])
+        lifted = Subspace.from_vectors(QQ, 2, [{0: 1, 1: 2}]).lift(space)
+        assert lifted.sparse_rows() == [{0: 1, 1: 2, 2: 1}]
+        assert all(type(x) is int for x in lifted.sparse_rows()[0].values())
+
+    def test_coefficient_count_checked(self):
+        space = Subspace.from_vectors(QQ, 3, [{0: 1}, {1: 1}])
+        with pytest.raises(DimensionMismatch):
+            Subspace.full(QQ, 3).lift(space)
