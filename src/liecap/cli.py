@@ -315,7 +315,7 @@ def cmd_invariants(args):
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
             algebra, label = from_json(json.load(fh)), args.file
-        # catalog.build has already validated a key's algebra
+        # only a file needs the check: tests/test_catalog.py validates every catalog key
         report = validate(algebra)
         if not report.ok:
             i, j, k, res = report.first_failure()

@@ -5,28 +5,43 @@ The complex in low degrees is
     Lambda^3 L --d3--> Lambda^2 L --d2--> L
 
 with d2(x ^ y) = [x, y] and d3(x ^ y ^ z) = [x,y]^z - [x,z]^y + [y,z]^x;
-d2 . d3 vanishing is a rewrite of the Jacobi identity.  Each of the three
+d2 . d3 vanishing is a rewrite of the Jacobi identity.
+
+im d3 comes from one walk over the table (``_im_d3``).  Each of the three
 terms of d3(x_i ^ x_j ^ x_k) carries one bracket of two of its indices, so
-only the columns of ``algebra.support_walk`` are built: every other column
-is zero and adds nothing to im d3.  ``_d3_columns`` builds them all, in one
-loop over that walk: each column is read straight off ``algebra.table``,
-with plain + and - on the canonical scalars (reduced mod p over GF(p)),
-and goes to the RREF as it is.  The pair a < b of ``ExteriorBasis`` sits
-at the coordinate base[a] + b, where base[a] = a(2n - a - 3)/2 - 1 counts
-the pairs before (a, a+1), less a + 1; the ``index`` dict is not read.
+only the triples of ``algebra.support_walk`` are visited: every other
+column is zero.  Each column is sorted as it is built, read straight off
+``algebra.table`` with plain + and - on the canonical scalars (reduced mod
+p over GF(p)):
 
-The canonical RREF of im d3 peels its structural pivots before any row
-reduction (``linalg._rref``): a column with a single nonzero entry is a
-unit row, and its pair is struck from the other columns until no new
-singleton appears.  Most of im d3 is found this way on free nilpotent
-algebras, and all of it on H(m), so ``Echelon`` reduces only the rest.
+- when exactly one of its three pairs has a bracket and that bracket has a
+  single term x e_m, the column is x (e_m ^ e_c) for the third index c: a
+  unit coordinate, added to a set with no vector built, or zero when m = c;
+- otherwise it is a fresh sparse vector, dropped when it is zero.
 
-``schur_multiplier`` checks d2 . d3 = 0 on the RREF rows of im d3, once the
-image is built.  d2 is linear, so it kills every d3 column exactly when it
-kills their span, and the RREF rows are a basis of that span; this holds
-too when the RREF stops at full width, where the unit rows span all of
-Lambda^2.  A unit row e_t is killed exactly when pair t has no bracket in
-the table, so most rows cost one lookup.
+The pair a < b of ``ExteriorBasis`` sits at the coordinate base[a] + b,
+where base[a] = a(2n - a - 3)/2 - 1 counts the pairs before (a, a+1), less
+a + 1; no pair tuple or index dict is read.  The units and the vectors go
+without a copy to ``linalg.Elimination``, which peels the structural
+pivots (a column with a single entry left is a unit, struck from the
+others until no new one appears) and row-reduces only the rest with
+``Echelon``.  Most of im d3 is units on free nilpotent algebras, and all
+of it on H(m).
+
+d2 . d3 = 0 is checked inside ``schur_multiplier``, on the unit
+coordinates and the echelon rows as the elimination leaves them.  The
+echelon rows vanish on the unit columns, so together they are a basis of
+im d3, as the RREF rows are; d2 is linear, so it kills every d3 column
+exactly when it kills a basis of their span.  This holds too when the
+elimination stops at full width, where units and rows span all of
+Lambda^2.  A unit e_t is killed exactly when pair t has no bracket, so the
+units cost one lookup per table entry.
+
+``MultiplierResult`` keeps that elimination as it stands.  Its pivots give
+``dim`` and ``kept``; the back-substitution to the canonical RREF
+(``Echelon.finalize``) runs on the first read of ``image``, which the
+squares, the exterior center, the multiplier basis and the induced maps
+make.
 
 One object carries every invariant: L ^ L = Lambda^2 L / im d3, with
 bracket [a, b] = d2(a) ^ d2(b) (Ellis, "A non-abelian tensor product of Lie
@@ -59,6 +74,7 @@ from .algebra import (
 )
 from .catalog import abelian_algebra
 from .linalg import (
+    Elimination,
     LiecapError,
     Matrix,
     NotContained,
@@ -74,13 +90,17 @@ class NotCentral(LiecapError):
 
 
 class ExteriorBasis:
-    """Lexicographic coordinates on Lambda^2 of F^n: ``index`` maps each of
-    the ``pairs`` i < j to its coordinate; it and ``triples`` are built on
-    request."""
+    """Lexicographic coordinates on Lambda^2 of F^n, ``width`` of them:
+    ``index`` maps each of the ``pairs`` i < j to its coordinate; it,
+    ``pairs`` and ``triples`` are built on request."""
 
     def __init__(self, n):
         self.n = n
-        self.pairs = tuple(combinations(range(n), 2))
+        self.width = n * (n - 1) // 2
+
+    @cached_property
+    def pairs(self):
+        return tuple(combinations(range(self.n), 2))
 
     @cached_property
     def index(self):
@@ -129,46 +149,6 @@ def ce_d2(algebra):
     return Matrix.from_columns(algebra.field, cols, algebra.dim)
 
 
-def _d3_columns(algebra):
-    """d3(e_i ^ e_j ^ e_k) for each ``support_walk`` triple, in sparse
-    Lambda^2 coordinates, each column a fresh dict with canonical nonzero
-    values (see the module docstring)."""
-    n = algebra.dim
-    table = algebra.table
-    p = algebra.field.char  # 0 over Q, so p - x is -x there
-    base = [a * (2 * n - a - 3) // 2 - 1 for a in range(n)]
-    for i, j, k in support_walk(algebra):
-        out = {}
-        # the table holds [e_a, e_b] for a < b, which each of the three pairs is
-        for a, b, c, negate in ((i, j, k, False), (i, k, j, True), (j, k, i, False)):
-            row = table.get((a, b))
-            if not row:
-                continue
-            for m, x in row.items():
-                # e_m ^ e_c = -(e_c ^ e_m), and e_c ^ e_c = 0
-                if m < c:
-                    t = base[m] + c
-                    if negate:
-                        x = p - x
-                elif m > c:
-                    t = base[c] + m
-                    if not negate:
-                        x = p - x
-                else:
-                    continue
-                if t in out:
-                    y = out[t] + x
-                    if p:
-                        y %= p
-                    if y:
-                        out[t] = y
-                    else:
-                        del out[t]
-                else:
-                    out[t] = x
-        yield out
-
-
 def ce_d3(algebra):
     """Matrix of Lambda^3 L -> Lambda^2 L; satisfies d2 @ d3 = 0 exactly."""
     f = algebra.field
@@ -193,14 +173,22 @@ class MultiplierResult:
     dim is len(kept) - dim L^2; ``basis`` is that kernel in RREF, in
     Lambda^2 coordinates, built only when asked for.  It is fixed by the
     lexicographic Lambda^2 order, so induced-map matrices are reproducible.
-    The multiplier is an abelian Lie algebra of this dimension.  The squares
-    and the exterior center are read off the same im d3; L^2 (``derived``)
-    and Z(L) (``center``) are computed once, when first read.
+    The multiplier is an abelian Lie algebra of this dimension.  im d3 is
+    held as its elimination (``span``), whose pivots give ``kept`` and
+    ``dim``; its canonical RREF (``image``), from which the squares and
+    the exterior center are read, is built on first read.  L^2
+    (``derived``) and Z(L) (``center``) are likewise computed once, when
+    first read.
     """
 
-    image: Subspace   # im d3
+    span: Elimination  # im d3, eliminated but not back-substituted
     algebra: LieAlgebra
-    ext: ExteriorBasis  # the Lambda^2 coordinates of image
+    ext: ExteriorBasis  # the Lambda^2 coordinates of im d3
+
+    @cached_property
+    def image(self):
+        """im d3 as its canonical RREF, back-substituted on first read."""
+        return self.span.subspace()
 
     @cached_property
     def derived(self):
@@ -213,12 +201,11 @@ class MultiplierResult:
     @cached_property
     def kept(self):
         """Ascending Lambda^2 coordinates that are not pivots of im d3."""
-        pivots = set(self.image.pivots)
-        return tuple(t for t in range(self.image.ambient_dim) if t not in pivots)
+        return self.span.free_columns()
 
     @cached_property
     def dim(self):
-        return len(self.kept) - self.derived.dim
+        return self.ext.width - self.span.rank - self.derived.dim
 
     @property
     def diagonal_dim(self):
@@ -232,7 +219,7 @@ class MultiplierResult:
         alg = self.algebra
         pairs = self.ext.pairs
         ker = kernel_columns(alg.field, [alg.bracket_basis(*pairs[t]) for t in self.kept])
-        basis = Subspace(alg.field, self.image.ambient_dim,
+        basis = Subspace(alg.field, self.ext.width,
                          tuple({self.kept[a]: c for a, c in r.items()} for r in ker.sparse_rows()),
                          tuple(self.kept[a] for a in ker.pivots), _internal=True)
         assert basis.dim == self.dim
@@ -317,30 +304,81 @@ class MultiplierResult:
         return direct_sum(self._square, diag)
 
 
-def _check_jacobi(algebra, ext, image):
-    """d2 . d3 = 0, checked on the RREF rows of im d3; the module docstring
-    says why that is the same check as on every column."""
-    field, table, pairs = algebra.field, algebra.table, ext.pairs
-    for row in image.sparse_rows():
-        if len(row) == 1:
-            (t,) = row
-            bad = pairs[t] in table
+def _im_d3(algebra, width):
+    """im d3 of algebra, eliminated but not back-substituted, with
+    d2 . d3 = 0 checked on its basis; the module docstring says how the
+    columns are sorted and why that check suffices."""
+    n = algebra.dim
+    field = algebra.field
+    table = algebra.table
+    get = table.get
+    p = field.char  # 0 over Q, so p - x is -x there
+    base = [a * (2 * n - a - 3) // 2 - 1 for a in range(n)]
+    units = set()
+    vectors = []
+    for i, j, k in support_walk(algebra):
+        # the table holds [e_a, e_b] for a < b, which each of the three pairs is
+        rij, rik, rjk = get((i, j)), get((i, k)), get((j, k))
+        if rik is None and rjk is None:
+            only, c = rij, k
+        elif rij is None and rjk is None:
+            only, c = rik, j
+        elif rij is None and rik is None:
+            only, c = rjk, i
         else:
-            bad = apply_columns(field, {t: table.get(pairs[t], {}) for t in row}, row)
-        if bad:
-            raise NotContained("d2 . d3 is not zero: the bracket violates Jacobi")
+            only = None
+        if only is not None and len(only) == 1:
+            # one term x e_m ^ e_c: the unit column of pair {m, c}, or zero
+            (m,) = only
+            if m < c:
+                units.add(base[m] + c)
+            elif m > c:
+                units.add(base[c] + m)
+            continue
+        out = {}
+        for row, c, negate in ((rij, k, False), (rik, j, True), (rjk, i, False)):
+            if row is None:
+                continue
+            for m, x in row.items():
+                # e_m ^ e_c = -(e_c ^ e_m), and e_c ^ e_c = 0
+                if m < c:
+                    t = base[m] + c
+                    if negate:
+                        x = p - x
+                elif m > c:
+                    t = base[c] + m
+                    if not negate:
+                        x = p - x
+                else:
+                    continue
+                if t in out:
+                    y = out[t] + x
+                    if p:
+                        y %= p
+                    if y:
+                        out[t] = y
+                    else:
+                        del out[t]
+                else:
+                    out[t] = x
+        if out:
+            vectors.append(out)
+    span = Elimination(field, width, vectors, units)
+    # d2 on Lambda^2 coordinates; a unit column is killed exactly when its
+    # pair has no bracket
+    d2 = {base[a] + b: row for (a, b), row in table.items()}
+    if any(t in units for t in d2) or any(
+            apply_columns(field, d2, {t: x for t, x in row.items() if t in d2})
+            for row in span.echelon_rows()):
+        raise NotContained("d2 . d3 is not zero: the bracket violates Jacobi")
+    return span
 
 
 def schur_multiplier(algebra):
-    """im d3 of algebra and the invariants read off it.
-
-    One walk from the table to the RREF: each column of ``_d3_columns`` is
-    handed to the peel without a copy.
-    """
+    """im d3 of algebra and the invariants read off it, in one walk from
+    the table; the RREF of im d3 is built when ``image`` is first read."""
     ext = ExteriorBasis(algebra.dim)
-    image = Subspace._from_fresh(algebra.field, len(ext.pairs), _d3_columns(algebra))
-    _check_jacobi(algebra, ext, image)
-    return MultiplierResult(image, algebra, ext)
+    return MultiplierResult(_im_d3(algebra, ext.width), algebra, ext)
 
 
 def multiplier_dim(algebra):

@@ -10,16 +10,21 @@ Vectors are sparse ``{index: value}`` dicts, and a linear map is a list of
 sparse columns, column i being the image of the i-th basis vector.
 Subspaces are stored in reduced row echelon form, which makes equality
 structural: two equal subspaces have identical basis matrices.  Every
-subspace and kernel comes from one batch RREF, ``_rref``: it peels the
-structural pivots (a vector with a single nonzero entry spans a unit row,
-whose column is struck from the others, until no new singleton appears)
-and row-reduces only what is left with ``Echelon``.  A kernel takes that
-one elimination and no second: its functionals are eliminated in reversed
-column order, and the kernel's RREF is read straight off the rows
-(``kernel_from_rows``).  Likewise the images of an RREF coefficient basis
-under RREF rows are already in RREF (``Subspace.lift``).  The dense
-``Matrix`` only stores the boundary matrices ``ce_d2`` and ``ce_d3``, the
-reference that the tests compare the sparse route against.
+subspace, every kernel and im d3 come from one elimination,
+``Elimination``: it peels the structural pivots (a vector with a single
+nonzero entry spans a unit row, whose column is struck from the others,
+until no new singleton appears) and row-reduces only what is left with
+``Echelon``.  The unit columns and the echelon rows are then a basis of
+the span, and their pivots are those of its RREF; the back-substitution
+that makes the RREF runs only when the RREF is read.  A caller that finds
+unit columns while building its vectors hands them over as columns, with
+no vector built.  A kernel takes one elimination and no second: its
+functionals are eliminated in reversed column order, and the kernel's RREF
+is read straight off the rows (``kernel_from_rows``).  Likewise the images
+of an RREF coefficient basis under RREF rows are already in RREF
+(``Subspace.lift``).  The dense ``Matrix`` only stores the boundary
+matrices ``ce_d2`` and ``ce_d3``, the reference that the tests compare the
+sparse route against.
 """
 
 from __future__ import annotations
@@ -228,8 +233,9 @@ class Echelon:
     Q, divides each row by its pivot entry, yielding the canonical RREF
     basis of the row space with canonical Q scalars.
 
-    ``_rref`` feeds it only the vectors left after the structural pivots
-    are peeled; ``covers`` and ``inverse_columns`` use it directly.
+    ``Elimination`` hands it, through ``_insert``, only the prepared
+    vectors left after the structural pivots are peeled; ``covers`` and
+    ``inverse_columns`` call ``add``, which prepares a copy of each vector.
     """
 
     def __init__(self, field, width):
@@ -370,46 +376,90 @@ def _prepare(field, row, last=None):
             if (iv := v % p if type(v) is int else coerce(v))}
 
 
-def _rref(field, width, vectors):
-    """Canonical RREF of the span of sparse vectors over columns 0..width-1,
-    as ``(pivots, rows)`` with the pivots ascending.
+class Elimination:
+    """The span of vectors over columns 0..width-1, eliminated up to the
+    back-substitution: the one elimination behind every ``Subspace``,
+    every kernel and im d3.
 
-    The vectors must come prepared, as ``_prepare`` leaves them: dicts of
-    their own, which the peel strikes in place, holding canonical nonzero
-    values, integers over Q.  Callers that pass borrowed vectors prepare
-    them; a builder of fresh vectors hands them to ``Subspace._from_fresh``.
-    Structural pivots are peeled first (``_peel``), and only the vectors
-    left go through ``Echelon``.  They vanish on the unit columns,
-    so their RREF rows do too, and with the unit rows they are the RREF of
-    the whole span.  Vectors stop being read once their unit rows alone
-    reach the width, and stop going through ``Echelon`` once the rank
-    does; the span is then the whole space.
+    The vectors must come prepared: dicts of their own, which the peel
+    strikes in place, holding canonical nonzero values.  ``_prepare`` makes
+    such a copy of a borrowed vector; a builder of fresh vectors hands its
+    own over.  ``units`` is the set of columns t with e_t known to lie in
+    the span, given by the caller or empty; a vector with a single nonzero
+    entry joins it.  The structural pivots are then peeled (``_peel``), and
+    only the vectors left go through ``Echelon``.  Over Q a vector that
+    still holds a non-integer is scaled to integers on its way in, the one
+    copy it gets.  Vectors stop being read once the unit columns alone
+    reach the width, and stop going through ``Echelon`` once the rank does;
+    the span is then the whole space.
+
+    The echelon rows vanish on the unit columns, so the unit columns and
+    the echelon rows as they stand are a basis of the span, and their
+    pivots are the pivots of its RREF.  ``rref`` back-substitutes
+    (``Echelon.finalize``) only when it is called.
     """
-    ech = Echelon(field, width)
-    units = set()
-    vecs = []
-    for row in vectors:
-        if len(row) == 1:
-            units.update(row)
-            if len(units) == width:
-                break
-        elif row:
-            vecs.append(row)
-    if len(units) < width:
+
+    __slots__ = ("field", "width", "units", "echelon")
+
+    def __init__(self, field, width, vectors, units=None):
+        self.field = field
+        self.width = width
+        self.units = units = set() if units is None else units
+        self.echelon = ech = Echelon(field, width)
+        if len(units) == width:
+            return
+        vecs = []
+        for row in vectors:
+            if len(row) == 1:
+                units.update(row)
+                if len(units) == width:
+                    return
+            elif row:
+                vecs.append(row)
         if units and vecs:
             _peel(units, vecs)
+        rational = isinstance(field, RationalField)
         for row in vecs:
             if row:
-                ech.add(row)
+                # a sum of ints is an int, and one Fraction makes it a Fraction
+                if rational and type(sum(row.values())) is not int:
+                    row = _prepare(field, row)
+                ech._insert(row)
                 if len(units) + ech.rank == width:
-                    break
-    one = field.one
-    if len(units) + ech.rank == width:
-        return tuple(range(width)), tuple({i: one} for i in range(width))
-    by_pivot = {t: {t: one} for t in units}
-    by_pivot.update(ech.rows())
-    pivots = tuple(sorted(by_pivot))
-    return pivots, tuple(by_pivot[p] for p in pivots)
+                    return
+
+    @property
+    def rank(self):
+        return len(self.units) + self.echelon.rank
+
+    def echelon_rows(self):
+        """The echelon rows as they stand, not back-substituted; with the
+        unit columns, a basis of the span."""
+        return self.echelon._rows.values()
+
+    def free_columns(self):
+        """The ascending columns that are not pivots of the span's RREF."""
+        if self.rank == self.width:
+            return ()
+        pivots = self.units.union(self.echelon._rows)
+        return tuple(t for t in range(self.width) if t not in pivots)
+
+    def rref(self):
+        """Canonical RREF of the span, as ``(pivots, rows)`` with the pivots
+        ascending: the unit rows and the back-substituted echelon rows,
+        which vanish on the unit columns as the echelon rows do."""
+        one, width = self.field.one, self.width
+        if self.rank == width:
+            return tuple(range(width)), tuple({i: one} for i in range(width))
+        by_pivot = {t: {t: one} for t in self.units}
+        if self.echelon.rank:
+            by_pivot.update(self.echelon.rows())
+        pivots = tuple(sorted(by_pivot))
+        return pivots, tuple(by_pivot[p] for p in pivots)
+
+    def subspace(self):
+        pivots, rows = self.rref()
+        return Subspace(self.field, self.width, rows, pivots, _internal=True)
 
 
 def _peel(units, vecs):
@@ -543,7 +593,7 @@ def kernel_from_rows(field, width, rows):
     by ascending f, these vectors are already the kernel's canonical RREF.
     """
     last = width - 1
-    pivots, prows = _rref(field, width, (_prepare(field, r, last) for r in rows))
+    pivots, prows = Elimination(field, width, (_prepare(field, r, last) for r in rows)).rref()
     pivot_set = set(pivots)
     neg, one = field.neg, field.one
     basis = {f: {f: one} for f in range(width) if last - f not in pivot_set}
@@ -611,21 +661,7 @@ class Subspace:
 
     @classmethod
     def _from_sparse(cls, field, n, vectors):
-        pivots, rows = _rref(field, n, (_prepare(field, v) for v in vectors))
-        return cls(field, n, rows, pivots, _internal=True)
-
-    @classmethod
-    def _from_fresh(cls, field, n, vectors):
-        """The span of vectors handed over by their builder: dicts of their
-        own, which the elimination strikes in place, holding canonical
-        nonzero values.  Over Q a vector is prepared only when it holds a
-        non-integer; no other vector is copied."""
-        if isinstance(field, RationalField):
-            # a sum of ints is an int, and one Fraction makes it a Fraction
-            vectors = (v if type(sum(v.values())) is int else _prepare(field, v)
-                       for v in vectors)
-        pivots, rows = _rref(field, n, vectors)
-        return cls(field, n, rows, pivots, _internal=True)
+        return Elimination(field, n, (_prepare(field, v) for v in vectors)).subspace()
 
     @classmethod
     def from_vectors(cls, field, n, vectors):

@@ -13,9 +13,9 @@ from liecap.homology import ExteriorBasis, ce_d3, schur_multiplier
 from liecap.linalg import (
     QQ,
     Echelon,
+    Elimination,
     Subspace,
     _prepare,
-    _rref,
     kernel_columns,
     kernel_from_rows,
 )
@@ -24,7 +24,7 @@ from liecap.linalg import (
 @pytest.fixture
 def d3_calls(monkeypatch):
     """The triples of every d3 column built while the test runs: the
-    ``support_walk`` triples that ``homology._d3_columns`` reads."""
+    ``support_walk`` triples that ``homology._im_d3`` reads."""
     calls = []
     walk = homology.support_walk
 
@@ -53,12 +53,14 @@ def echelon_rref(field, n, vectors):
     return ech.pivots(), tuple(row for _, row in ech.rows())
 
 
-def central_extension(algebra, kdim, rng):
+def central_extension(algebra, kdim, rng, denominators=None):
     """Random central extension by A(kdim) via a random 2-cocycle.
 
     Cocycles are combinations of a kernel basis of the transposed degree-3
     boundary map, which is exactly the condition for the extended table to
-    satisfy the Jacobi identity.  Works over the algebra's field.
+    satisfy the Jacobi identity.  Works over the algebra's field.  With
+    denominators given, each coefficient of a combination is divided by
+    one of them, drawn at random, so the table holds fractions over Q.
     """
     field = algebra.field
     m = ce_d3(algebra)
@@ -69,10 +71,12 @@ def central_extension(algebra, kdim, rng):
     for s in range(kdim):
         f = {}
         for r in cocycles:
-            c = rng.randint(-2, 2)
+            c = field.from_int(rng.randint(-2, 2))
+            if denominators:
+                c = field.div(c, field.from_int(rng.choice(denominators)))
             if c:
                 for col, v in r.items():
-                    f[col] = field.add(f.get(col, field.zero), field.mul(field.from_int(c), v))
+                    f[col] = field.add(f.get(col, field.zero), field.mul(c, v))
         for t, val in f.items():
             if val:
                 i, j = ext.pairs[t]
@@ -120,7 +124,7 @@ def two_pass_kernel(field, width, rows):
     """The kernel of stacked row functionals by two eliminations: the RREF of
     the rows in their own column order, then the RREF of the kernel vectors
     read off it.  The reference for the one-pass ``kernel_from_rows``."""
-    pivots, prows = _rref(field, width, (_prepare(field, r) for r in rows))
+    pivots, prows = Elimination(field, width, (_prepare(field, r) for r in rows)).rref()
     pivot_set = set(pivots)
     basis = {f: {f: field.one} for f in range(width) if f not in pivot_set}
     for p, row in zip(pivots, prows):

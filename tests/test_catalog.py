@@ -52,9 +52,41 @@ class TestBuild:
         assert ta == tb
 
     def test_every_entry_validates(self):
+        """The guarantee behind ``catalog.build``, which does not validate.
+
+        A non-family entry has integer structure constants, so its Jacobi
+        sums are integers, and zero over Q means zero over every field.  In
+        an epsilon family epsilon sits in one bracket entry (see
+        ``test_epsilon_enters_one_bracket``), so each Jacobi sum, a sum of
+        products of two structure constants, is an integer polynomial of
+        degree at most 2 in epsilon.  Zero at the four samples 0, 1, -1 and
+        2 over Q makes it the zero polynomial: every epsilon over every
+        field gives a Lie algebra.
+        """
+        assert catalog.DEFAULT_EPSILON_SAMPLES == (0, 1, -1, 2)
         for dim in range(1, 7):
             for key in catalog.expand_keys(dim):
                 assert validate(catalog.build(key).algebra).ok
+
+    def test_epsilon_enters_one_bracket(self):
+        # the family's table at epsilon is its table at 0 plus epsilon in
+        # the one entry catalog._EPSILON_BRACKET names
+        for key in catalog.list_keys(6):
+            if not key.is_epsilon_family:
+                continue
+            (i, j), k = catalog._EPSILON_BRACKET[(key.a, key.b)]
+            zero = catalog.build(catalog.indexed_key(6, key.b, 0)).algebra.table
+            assert (i - 1, j - 1) not in zero
+            for e in (1, -1, 2, Fraction(3, 7)):
+                table = dict(catalog.build(catalog.indexed_key(6, key.b, e)).algebra.table)
+                assert table.pop((i - 1, j - 1)) == {k - 1: e}
+                assert table == zero
+
+    def test_heisenberg_validates(self):
+        # [x_a, x_b] lies in the center for every bracket, so Jacobi holds
+        # for every m; checked here up to m = 6
+        for m in range(1, 7):
+            assert validate(catalog.heisenberg_algebra(m)).ok
 
     def test_derived_dims_spot(self):
         # recomputed from the tables, not hardcoded into the builder

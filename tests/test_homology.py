@@ -36,9 +36,12 @@ from liecap.homology import (
 )
 from liecap.linalg import (
     QQ,
+    Echelon,
+    Elimination,
     NotContained,
     PrimeField,
     Subspace,
+    _prepare,
     apply_columns,
     kernel,
     subspace_sum,
@@ -283,6 +286,22 @@ class TestSparseBoundaries:
             self.assert_matches_dense(E, f"extension {trial} of {key} over {field!r}")
 
     @FIELDS
+    def test_fraction_extensions(self, field):
+        # over Q the tables hold Fractions, which d3 columns carry into the
+        # elimination; over GF(101) the same draws are residues
+        rng = random.Random(15)
+        keys = [k for k in catalog.all_keys(6, field) if k.a >= 4]
+        fractions = 0
+        for trial in range(8):
+            key = rng.choice(keys)
+            E = central_extension(catalog.build(key, field).algebra, rng.choice((1, 2)), rng,
+                                  denominators=(1, 2, 3, 4))
+            assert validate(E).ok
+            fractions += any(type(x) is not int for row in E.table.values() for x in row.values())
+            self.assert_matches_dense(E, f"extension {trial} of {key} over {field!r}")
+        assert fractions if field == QQ else not fractions
+
+    @FIELDS
     def test_scrambled_bases(self, field):
         rng = random.Random(55)
         for text in ("L5_4", "L6_10", "L6_14", "L6_19(e=2)", "L6_25"):
@@ -488,10 +507,27 @@ class TestL614ExteriorSquare:
             schur_multiplier(flipped)
 
 
+@pytest.fixture
+def finalized(monkeypatch):
+    """The number of Echelon.finalize calls, the back-substitution that
+    builds an RREF, made while the test runs."""
+    calls = []
+    finalize = Echelon.finalize
+
+    def counted(self):
+        calls.append(self)
+        return finalize(self)
+    monkeypatch.setattr(Echelon, "finalize", counted)
+    return calls
+
+
 class TestJacobiRefusal:
-    """schur_multiplier checks d2 . d3 = 0 on the RREF rows of im d3, not on
-    each column; a basis of the span is killed exactly when every column
-    is, so every table that breaks Jacobi is still refused."""
+    """schur_multiplier checks d2 . d3 = 0 on the unit columns and the
+    echelon rows of im d3 as its elimination leaves them, not on each
+    column and not on the RREF; a basis of the span is killed exactly when
+    every column is, so every table that breaks Jacobi is still refused,
+    inside the call and before any RREF is built, wherever the violation
+    sits."""
 
     @staticmethod
     def unkilled_columns(L):
@@ -500,21 +536,66 @@ class TestJacobiRefusal:
         return [t for t, col in zip(ExteriorBasis(L.dim).triples, sparse_columns(ce_d3(L)))
                 if apply_columns(L.field, d2, col)]
 
+    @staticmethod
+    def violation_sites(L):
+        """Where d2 fails to kill im d3 once the ce_d3 columns are
+        eliminated: the unit columns d2 does not kill, the number of
+        echelon rows it does not kill, and whether im d3 is all of
+        Lambda^2.  The unit columns of the peel, and whether the echelon
+        rows span a subspace d2 kills, do not depend on the column order."""
+        width = ExteriorBasis(L.dim).width
+        span = Elimination(L.field, width, [_prepare(L.field, c)
+                                            for c in sparse_columns(ce_d3(L))])
+        d2 = sparse_columns(ce_d2(L))
+        rows = sum(1 for r in span.echelon_rows() if apply_columns(L.field, d2, r))
+        return sorted(t for t in span.units if d2[t]), rows, span.rank == width
+
     @FIELDS
-    def test_violation_in_one_column(self, field):
-        # L6_13 with [x2, x5] = x6 added breaks Jacobi on (x1, x2, x3) only
+    def test_violation_in_one_column(self, field, finalized):
+        # L6_13 with [x2, x5] = x6 added breaks Jacobi on (x1, x2, x3) only,
+        # at the unit column x5 ^ x6 less a combination of other units
         L = catalog.build(catalog.indexed_key(6, 13), field=field).algebra
         planted = LieAlgebra(field, 6, {**L.table, (1, 4): {5: 1}})
         assert self.unkilled_columns(L) == []
         assert self.unkilled_columns(planted) == [(0, 1, 2)]
         assert validate(planted).first_failure()[:3] == (0, 1, 2)
+        assert self.violation_sites(planted) == ([ExteriorBasis(6).index[(1, 4)]], 0, False)
+        finalized.clear()
         with pytest.raises(NotContained):
             schur_multiplier(planted)
+        assert finalized == []
 
     @FIELDS
-    def test_full_width_image(self, field):
-        # a random dim-6 table: im d3 is all of Lambda^2, so the RREF ends
-        # at full width, in unit rows only, and they meet pairs of the table
+    def test_violation_at_unit_columns(self, field, finalized):
+        # [x1, x2] = x3 and [x3, x4] = x1: every d3 column is a single term,
+        # and x3 ^ x4 and x1 ^ x2 are unit columns whose pairs have brackets
+        L = LieAlgebra(field, 4, {(0, 1): {2: 1}, (2, 3): {0: 1}})
+        index = ExteriorBasis(4).index
+        assert self.violation_sites(L) == (sorted([index[(0, 1)], index[(2, 3)]]), 0, False)
+        finalized.clear()
+        with pytest.raises(NotContained):
+            schur_multiplier(L)
+        assert finalized == []
+
+    @FIELDS
+    def test_violation_only_in_echelon_rows(self, field, finalized):
+        # L5_7 with [x2, x3] = x4 added: every unit column is killed, and
+        # only a row with several entries carries the violation
+        L = catalog.build(catalog.indexed_key(5, 7), field=field).algebra
+        planted = LieAlgebra(field, 5, {**L.table, (1, 2): {3: 1}})
+        assert self.unkilled_columns(L) == []
+        assert self.unkilled_columns(planted)
+        bad_units, bad_rows, full = self.violation_sites(planted)
+        assert bad_units == [] and bad_rows > 0 and not full
+        finalized.clear()
+        with pytest.raises(NotContained):
+            schur_multiplier(planted)
+        assert finalized == []
+
+    @FIELDS
+    def test_full_width_image(self, field, finalized):
+        # a random dim-6 table: im d3 is all of Lambda^2, so the elimination
+        # stops at full width, and its basis meets pairs of the table
         rng = random.Random(3)
         table = {(i, j): {k: field.from_int(rng.randint(1, 3)) for k in rng.sample(range(6), 2)}
                  for i in range(6) for j in range(i + 1, 6)}
@@ -522,8 +603,42 @@ class TestJacobiRefusal:
         width = len(ExteriorBasis(6).pairs)
         assert len(echelon_rref(field, width, sparse_columns(ce_d3(L)))[0]) == width
         assert self.unkilled_columns(L)
+        assert self.violation_sites(L)[2]
+        finalized.clear()
         with pytest.raises(NotContained):
             schur_multiplier(L)
+        assert finalized == []
+
+
+class TestLazyImage:
+    """schur_multiplier eliminates im d3 without back-substituting it:
+    ``dim`` and ``kept`` read the pivots, and the canonical RREF is built on
+    the first read of ``image`` (``TestSparseBoundaries`` compares it with
+    plain elimination of every ce_d3 column)."""
+
+    @staticmethod
+    def algebras(field):
+        for key in ("L5_6", "L6_13", "L6_14", "L6_22(e=2)"):
+            yield catalog.build(catalog.parse_key(key, field), field).algebra
+        yield covers.free_nilpotent(3, 3).algebra_over(field)
+
+    @FIELDS
+    def test_dim_and_kept_build_no_rref(self, field, finalized):
+        inserted = []
+        for L in self.algebras(field):
+            m = schur_multiplier(L)
+            inserted.append(m.span.echelon.rank)
+            m.derived  # L^2, a Subspace of L in its own RREF
+            finalized.clear()
+            dim, kept = m.dim, m.kept
+            assert finalized == []
+            # the RREF, once read, agrees with what was read off the pivots
+            image = m.image
+            assert len(finalized) == 1 and m.image is image
+            assert kept == tuple(t for t in range(m.ext.width) if t not in image.pivots)
+            assert dim == len(kept) - derived_subalgebra(L).dim
+        # these need Echelon, so a finalize was there to be skipped
+        assert all(inserted)
 
 
 class TestExteriorCenterOracle:

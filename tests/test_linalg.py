@@ -10,6 +10,7 @@ from liecap.linalg import (
     QQ,
     DimensionMismatch,
     Echelon,
+    Elimination,
     LinalgError,
     NotContained,
     PrimeField,
@@ -504,10 +505,10 @@ class TestPeeledRref:
     def test_matches_plain_echelon(self, case):
         field, n, vecs = case
         want = echelon_rref(field, n, vecs)
-        # _from_fresh takes canonical nonzero values in dicts it may strike
+        # Elimination takes canonical nonzero values in dicts it may strike
         fresh = [{j: y for j, x in v.items() if (y := field.coerce(x))} for v in vecs]
         for space in (Subspace.from_vectors(field, n, vecs), Subspace._from_sparse(field, n, vecs),
-                      Subspace._from_fresh(field, n, fresh)):
+                      Elimination(field, n, fresh).subspace()):
             assert self.held(space) == want
             # == takes Fraction(1, 1) for 1, so the scalar types are checked apart
             assert all(type(x) is int if field.char else is_canonical(x)
@@ -528,20 +529,21 @@ class TestPeeledRref:
         # a sum of table entries can be a Fraction with denominator 1
         vecs = [{0: Fraction(1, 2), 1: 1}, {1: Fraction(2, 1), 2: 4}, {0: 1, 1: 2}]
         want = echelon_rref(QQ, 3, vecs)
-        space = Subspace._from_fresh(QQ, 3, [dict(v) for v in vecs])
+        space = Elimination(QQ, 3, [dict(v) for v in vecs]).subspace()
         assert self.held(space) == want
         assert all(type(x) is int for r in space.sparse_rows() for x in r.values())
 
     @pytest.fixture
     def added(self, monkeypatch):
-        """The rows that reach Echelon.add, in order."""
+        """The rows that reach the Echelon elimination, in order: the
+        prepared rows that ``Echelon._insert`` row-reduces."""
         rows = []
-        add = Echelon.add
+        insert = Echelon._insert
 
         def counted(self, row):
             rows.append(row)
-            return add(self, row)
-        monkeypatch.setattr(Echelon, "add", counted)
+            return insert(self, row)
+        monkeypatch.setattr(Echelon, "_insert", counted)
         return rows
 
     @pytest.mark.parametrize("field", PEEL_FIELDS, ids=repr)
