@@ -4,6 +4,10 @@ An algebra is a basis ``x1..xn`` plus a sparse table of bracket vectors
 ``[e_i, e_j]`` stored only for i < j; the i > j values follow from
 antisymmetry and the diagonal is identically zero.  Everything is immutable
 after construction and all arithmetic is exact.
+
+L^2, Z(L) and the lower central series are computed once per algebra.  Its
+memo holds them as bare ``Subspace``s, wrapped in an ``IdealSubspace`` on
+return, so that an algebra holds no reference back to itself.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ class NotAnIdeal(AlgebraError):
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by structure constants."""
 
-    __slots__ = ("field", "dim", "labels", "table")
+    __slots__ = ("field", "dim", "labels", "table", "_memo")
 
     def __init__(self, field, dim, brackets, labels=None):
         if labels is None:
@@ -75,6 +79,7 @@ class LieAlgebra:
         self.dim = dim
         self.labels = labels
         self.table = table
+        self._memo = {}  # L^2, Z(L) and the lower central series, once computed
 
     # -- basic bracket machinery ------------------------------------------
 
@@ -242,7 +247,10 @@ def _span(algebra, sparse_vectors):
 
 def derived_subalgebra(algebra):
     """L^2 = [L, L]: the span of all structure table vectors."""
-    return IdealSubspace(algebra, _span(algebra, algebra.table.values()))
+    memo = algebra._memo
+    if "derived" not in memo:
+        memo["derived"] = _span(algebra, algebra.table.values())
+    return IdealSubspace(algebra, memo["derived"])
 
 
 def _adjacency(algebra):
@@ -291,7 +299,10 @@ def _ad_kernel(algebra, modulo=None):
 
 def center(algebra):
     """Z(L) = kernel of the adjoint action."""
-    return IdealSubspace(algebra, _ad_kernel(algebra))
+    memo = algebra._memo
+    if "center" not in memo:
+        memo["center"] = _ad_kernel(algebra)
+    return IdealSubspace(algebra, memo["center"])
 
 
 def centralizer(algebra, space):
@@ -316,42 +327,43 @@ def _bracket_span(algebra, space, adj):
     return _span(algebra, vecs)
 
 
-def lower_central_series(algebra, derived=None):
-    """gamma_1 = L, gamma_{i+1} = [gamma_i, L], until it stops descending;
-    derived is L^2 when the caller has it already."""
-    out = [IdealSubspace(algebra, Subspace.full(algebra.field, algebra.dim))]
-    if algebra.dim == 0:
-        return out
+def _series(algebra):
+    """The terms of ``lower_central_series``, as Subspaces."""
+    out = [Subspace.full(algebra.field, algebra.dim)]
     adj = _adjacency(algebra)
-    # [L, L], the table's span
-    nxt = (derived_subalgebra(algebra) if derived is None else derived).space
-    while True:
-        if nxt.dim == out[-1].dim:
-            # stabilized; nilpotent iff this is zero
-            if nxt.dim != 0:
-                out.append(IdealSubspace(algebra, nxt))
-            return out
-        out.append(IdealSubspace(algebra, nxt))
+    nxt = derived_subalgebra(algebra).space  # [L, L], the table's span
+    while nxt.dim != out[-1].dim:
+        out.append(nxt)
         if nxt.dim == 0:
             return out
         nxt = _bracket_span(algebra, nxt, adj)
+    if nxt.dim != 0:
+        out.append(nxt)  # stabilized above zero: not nilpotent
+    return out
+
+
+def lower_central_series(algebra):
+    """gamma_1 = L, gamma_{i+1} = [gamma_i, L], until it stops descending."""
+    memo = algebra._memo
+    if "lcs" not in memo:
+        memo["lcs"] = _series(algebra)
+    return [IdealSubspace(algebra, g) for g in memo["lcs"]]
 
 
 def is_nilpotent(algebra):
     return lower_central_series(algebra)[-1].dim == 0
 
 
-def nilpotency_class(algebra, derived=None):
-    series = lower_central_series(algebra, derived)
+def nilpotency_class(algebra):
+    series = lower_central_series(algebra)
     if series[-1].dim != 0:
         raise NotNilpotent("not nilpotent: the lower central series stabilizes above zero")
     return len(series) - 1
 
 
-def upper_central_series(algebra, z=None):
-    """Z_1 = Z(L), Z_{i+1} = preimage of Z(L/Z_i), until stable; z is Z(L)
-    when the caller has it already."""
-    out = [center(algebra).space if z is None else z]
+def upper_central_series(algebra):
+    """Z_1 = Z(L), Z_{i+1} = preimage of Z(L/Z_i), until stable."""
+    out = [center(algebra).space]
     while True:
         prev = out[-1]
         if prev.dim == algebra.dim:

@@ -20,7 +20,7 @@ from .algebra import (
     IdealSubspace,
     center,
     derived_subalgebra,
-    lower_central_series,
+    is_nilpotent,
     quotient,
     subalgebra_on,
 )
@@ -62,7 +62,7 @@ def dagger_test(algebra, line):
     multiplier = schur_multiplier(algebra)
     q, _ = quotient(algebra, space)
     lhs = multiplier.dim
-    cap = subspace_intersect(multiplier.derived.space, space).dim
+    cap = subspace_intersect(derived_subalgebra(algebra).space, space).dim
     return lhs == schur_multiplier(q).dim - cap
 
 
@@ -162,15 +162,14 @@ def theorem2_bound_check(algebra, label="", *, homology=None):
         return BoundCheck(label, "skipped", reason="abelian")
     if algebra.dim < 3:
         return BoundCheck(label, "skipped", reason="dimension below 3")
-    der = derived_subalgebra(algebra)
-    if lower_central_series(algebra, der)[-1].dim != 0:
+    if not is_nilpotent(algebra):
         return BoundCheck(label, "skipped", reason="not nilpotent")
     homology = homology or schur_multiplier
     multiplier = homology(algebra)
     zw = multiplier.exterior_center()
-    assert der.space.contains_subspace(zw.space), "Z^(L) escaped L^2"
+    assert derived_subalgebra(algebra).space.contains_subspace(zw.space), "Z^(L) escaped L^2"
     lbar = quotient(algebra, zw.space)[0] if zw.dim else algebra
-    dq, _ = subalgebra_on(lbar, der if lbar is algebra else derived_subalgebra(lbar))
+    dq, _ = subalgebra_on(lbar, derived_subalgebra(lbar))
     if dq.dim > 0 and homology(dq).exterior_center().dim > 0:
         return BoundCheck(label, "skipped", reason="L^2/Z^(L) not capable")
     lhs = homology(multiplier.exterior_square()).exterior_center().dim

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from . import catalog, tables
-from .algebra import derived_subalgebra, direct_sum, from_json, nilpotency_class, validate
+from .algebra import center, derived_subalgebra, direct_sum, from_json, nilpotency_class, validate
 from .capability import noncapable_census, theorem2_bound_check
 from .covers import Cover, exterior_center
 from .homology import diagonal_square_dim, schur_multiplier, sum_exterior_dim
@@ -85,10 +85,8 @@ class InvariantReport:
 
 
 def invariant_report(algebra, label):
-    derived = derived_subalgebra(algebra)  # L^2, computed once per report
-    cls = nilpotency_class(algebra, derived)  # NotNilpotent before im d3 is built
+    cls = nilpotency_class(algebra)  # NotNilpotent before im d3 is built
     multiplier = schur_multiplier(algebra)
-    vars(multiplier)["derived"] = derived  # fills its cached property
     wedge = multiplier.exterior_square()
     wedge_type = recognize(wedge)
     diagonal = multiplier.diagonal_dim
@@ -96,9 +94,9 @@ def invariant_report(algebra, label):
     report = InvariantReport(
         label=label,
         dim=algebra.dim,
-        derived_dim=derived.dim,
+        derived_dim=derived_subalgebra(algebra).dim,
         nilpotency_class=cls,
-        center_dim=multiplier.center.dim,
+        center_dim=center(algebra).dim,
         multiplier_dim=multiplier.dim,
         exterior_dim=wedge.dim,
         exterior_type=wedge_type.label(),
@@ -224,7 +222,7 @@ def _suite_kunneth(field, eps, *, homology=None):
         mh, mk = summands[k1], summands[k2]
         formula = sum_exterior_dim(mh, mk)
         m = homology(direct_sum(mh.algebra, mk.algebra))
-        direct = m.dim + m.derived.dim
+        direct = m.dim + derived_subalgebra(m.algebra).dim
         rows.append(SuiteRow("kunneth", f"{k1}|{k2}", str(formula), str(direct)))
     for n in range(1, tables.ABELIAN_MULTIPLIER_RANGE + 1):
         alg = catalog.abelian_algebra(n, field)

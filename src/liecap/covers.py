@@ -50,9 +50,7 @@ class ResourceLimit(LiecapError):
 DEFAULT_WORD_LIMIT = 5000
 
 
-def _word_limit(limit):
-    if limit is not None:
-        return limit
+def _word_limit():
     env = os.environ.get("LIECAP_RESOURCE_LIMIT")
     if not env:
         return DEFAULT_WORD_LIMIT
@@ -87,11 +85,11 @@ class HallWord:
         return f"[{self.left!r},{self.right!r}]"
 
 
-def hall_basis(d, c, limit=None):
+def hall_basis(d, c):
     """The Hall words on d generators through degree c, in canonical order."""
     if d < 0 or c < 1:
         raise ValueError("need d >= 0 and c >= 1")
-    cap = _word_limit(limit)
+    cap = _word_limit()
     by_degree = [[]]
     words = []
 
@@ -123,10 +121,10 @@ def hall_basis(d, c, limit=None):
 class FreeNilpotent:
     """F(d, c) with its Hall-word basis and integer structure constants."""
 
-    def __init__(self, d, c, limit=None):
+    def __init__(self, d, c):
         self.d = d
         self.c = c
-        self.words = hall_basis(d, c, limit)
+        self.words = hall_basis(d, c)
         self.dim = len(self.words)
         self._word_rank = {(w.left.rank, w.right.rank): w.rank
                            for w in self.words if w.gen is None}
@@ -188,14 +186,14 @@ class FreeNilpotent:
 _FREE_CACHE = {}
 
 
-def free_nilpotent(d, c, limit=None):
+def free_nilpotent(d, c):
     """Memoized F(d, c); degree-graded, validated in tests."""
     key = (d, c)
     hit = _FREE_CACHE.get(key)
     if hit is None:
-        hit = FreeNilpotent(d, c, limit)
+        hit = FreeNilpotent(d, c)
         _FREE_CACHE[key] = hit
-    elif _word_limit(limit) < hit.dim:
+    elif _word_limit() < hit.dim:
         raise ResourceLimit(f"F({d},{c}) has {hit.dim} words, over the cap")
     return hit
 
@@ -217,7 +215,7 @@ class Cover:
     sweeps skip the quotient table.
     """
 
-    def __init__(self, algebra, lift=None, extra_class=0, limit=None):
+    def __init__(self, algebra, lift=None, extra_class=0):
         if not is_nilpotent(algebra):
             raise NotNilpotent("covers need a nilpotent algebra")
         self.algebra = algebra
@@ -226,7 +224,7 @@ class Cover:
         c = nilpotency_class(algebra)
         self.gen_count = d
         self.cls = c
-        self.free = free_nilpotent(d, c + 1 + extra_class, limit)
+        self.free = free_nilpotent(d, c + 1 + extra_class)
         self._ffield = field
         free_alg = self.free.algebra_over(field)
         self._free_alg = free_alg

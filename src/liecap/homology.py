@@ -176,9 +176,8 @@ class MultiplierResult:
     The multiplier is an abelian Lie algebra of this dimension.  im d3 is
     held as its elimination (``span``), whose pivots give ``kept`` and
     ``dim``; its canonical RREF (``image``), from which the squares and
-    the exterior center are read, is built on first read.  L^2
-    (``derived``) and Z(L) (``center``) are likewise computed once, when
-    first read.
+    the exterior center are read, is built on first read.  L^2 and Z(L)
+    are read from the algebra, which computes each once.
     """
 
     span: Elimination  # im d3, eliminated but not back-substituted
@@ -191,26 +190,18 @@ class MultiplierResult:
         return self.span.subspace()
 
     @cached_property
-    def derived(self):
-        return derived_subalgebra(self.algebra)
-
-    @cached_property
-    def center(self):
-        return center(self.algebra)
-
-    @cached_property
     def kept(self):
         """Ascending Lambda^2 coordinates that are not pivots of im d3."""
         return self.span.free_columns()
 
     @cached_property
     def dim(self):
-        return self.ext.width - self.span.rank - self.derived.dim
+        return self.ext.width - self.span.rank - derived_subalgebra(self.algebra).dim
 
     @property
     def diagonal_dim(self):
         """dim of the diagonal ideal of L x L; see ``diagonal_square_dim``."""
-        return diagonal_square_dim(self.algebra, self.derived)
+        return diagonal_square_dim(self.algebra)
 
     @cached_property
     def basis(self):
@@ -269,7 +260,8 @@ class MultiplierResult:
         add, mul, neg, zero, one = f.add, f.mul, f.neg, f.zero, f.one
         index = self.ext.index
         by_pivot = self.image._by_pivot
-        zrows = self.center.space.sparse_rows()
+        zspace = center(alg).space
+        zrows = zspace.sparse_rows()
 
         def residue(t):
             row = by_pivot.get(t)
@@ -292,7 +284,7 @@ class MultiplierResult:
                             functional[s] = add(functional.get(s, zero), mul(c, v))
                 yield from rows.values()
 
-        space = kernel_from_rows(f, len(zrows), functionals()).lift(self.center.space)
+        space = kernel_from_rows(f, len(zrows), functionals()).lift(zspace)
         # l ^ e_j in im d3 for every basis vector l and every j
         assert not any(self.image.reduce(_wedge(f, index, l, {j: one}))
                        for l in space.sparse_rows() for j in range(alg.dim))
@@ -385,11 +377,10 @@ def multiplier_dim(algebra):
     return schur_multiplier(algebra).dim
 
 
-def diagonal_square_dim(algebra, derived=None):
-    """dim of the diagonal ideal: (n - m)(n - m + 1)/2 for m = dim L^2;
-    derived is L^2 when the caller has it already."""
+def diagonal_square_dim(algebra):
+    """dim of the diagonal ideal: (n - m)(n - m + 1)/2 for m = dim L^2."""
     n = algebra.dim
-    m = (derived_subalgebra(algebra) if derived is None else derived).dim
+    m = derived_subalgebra(algebra).dim
     return (n - m) * (n - m + 1) // 2
 
 
@@ -433,7 +424,7 @@ def sum_exterior_dim(mh, mk):
 
     The square dims come from the homology route: dim X^X = dim M(X) + dim X^2.
     """
-    dh, dk = mh.derived.dim, mk.derived.dim
+    dh, dk = derived_subalgebra(mh.algebra).dim, derived_subalgebra(mk.algebra).dim
     return (mh.dim + dh) + (mk.dim + dk) + (mh.algebra.dim - dh) * (mk.algebra.dim - dk)
 
 

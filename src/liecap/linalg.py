@@ -668,6 +668,8 @@ class Subspace:
         sparse = []
         for v in vectors:
             if isinstance(v, dict):
+                if not all(0 <= j < n for j in v):
+                    raise DimensionMismatch(f"vector index outside 0..{n - 1}")
                 sparse.append({j: field.coerce(x) for j, x in v.items()})
             else:
                 if len(v) != n:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .algebra import (
     center,
     centralizer,
+    derived_subalgebra,
     direct_sum,
     lower_central_series,
     transform,
@@ -87,27 +88,16 @@ class Fingerprint:
                 f"cent={cents};m={self.multiplier_dim}")
 
 
-def _structure(algebra, lcs=None, z=None):
-    """(lower central series, L^2, Z(L)) of algebra, computing the series
-    and the center unless given."""
-    if lcs is None:
-        lcs = lower_central_series(algebra)
-    if z is None:
-        z = center(algebra).space
-    # L^2 is the second term; the zero algebra's series has only the first
-    return lcs, lcs[min(1, len(lcs) - 1)].space, z
-
-
-def fingerprint(algebra, lcs=None, z=None):
-    """The invariant profile; lcs and z are the lower central series and
-    Z(L) when the caller has them already."""
-    lcs, der, z = _structure(algebra, lcs, z)
-    ucs = upper_central_series(algebra, z)
+def fingerprint(algebra):
+    """The invariant profile."""
+    lcs = lower_central_series(algebra)
+    der = derived_subalgebra(algebra).space
+    z = center(algebra).space
     cents = tuple(centralizer(algebra, g).dim for g in lcs[1:])
     return Fingerprint(
         dim=algebra.dim,
         lcs_dims=tuple(g.dim for g in lcs),
-        ucs_dims=tuple(s.dim for s in ucs),
+        ucs_dims=tuple(s.dim for s in upper_central_series(algebra)),
         derived_dim=der.dim,
         center_dim=z.dim,
         derived_cap_center=subspace_intersect(der, z).dim,
@@ -179,17 +169,18 @@ class HeisenbergSplit:
     basis: tuple  # sparse columns
 
 
-def heisenberg_decomposition(algebra, lcs=None, z=None):
+def heisenberg_decomposition(algebra):
     """Split L with dim L^2 = 1 and class 2 as H(m) + A(k), constructively.
 
     The bracket factors through an alternating form beta on L with radical
     Z(L); a symplectic-style basis of a complement of the radical gives the
     H(m) part, and a complement of L^2 inside Z(L) the abelian part.  The
     returned basis transforms the table into the model table exactly.
-    lcs and z are as in ``fingerprint``.
     """
     f = algebra.field
-    series, der, zspace = _structure(algebra, lcs, z)
+    series = lower_central_series(algebra)
+    der = derived_subalgebra(algebra).space
+    zspace = center(algebra).space
     if der.dim != 1:
         raise NotApplicable("needs dim L^2 = 1")
     if not (len(series) >= 2 and series[-1].dim == 0 and len(series) - 1 == 2):
@@ -230,7 +221,7 @@ def heisenberg_decomposition(algebra, lcs=None, z=None):
     return HeisenbergSplit(m, k, basis)
 
 
-def _l58_sum_split(algebra, der, zspace):
+def _l58_sum_split(algebra):
     """Basis change to L5_8 + A(k) for class-2 algebras with dim L^2 = 2.
 
     Valid when the non-split core is five dimensional.  The core's bracket
@@ -239,9 +230,10 @@ def _l58_sum_split(algebra, der, zspace):
     decomposable bivector a ^ b (its alternating matrix has rank two and its
     column space is span(a, b)), so (v1, a, b) with v1 outside span(a, b)
     realizes the model relations [v1,v2]=z4, [v1,v3]=z5, [v2,v3]=0.
-    der and zspace are L^2 and Z(L).
     """
     f = algebra.field
+    der = derived_subalgebra(algebra).space
+    zspace = center(algebra).space
     if der.dim != 2 or not zspace.contains_subspace(der):
         return None
     w_rows = complement(zspace, Subspace.full(f, algebra.dim))
@@ -280,17 +272,19 @@ def _l58_sum_split(algebra, der, zspace):
 def recognize(algebra):
     """Match against A(k), H(m)+A(k), L5_8+A(k); fingerprint otherwise.
 
-    The lower central series, L^2 and Z(L) are computed once and handed on.
+    Every step reads the lower central series, L^2 and Z(L) off the
+    algebra, which computes each once.
     """
     if algebra.is_abelian():
         return IsoType("abelian", k=algebra.dim)
-    lcs, der, z = _structure(algebra)
+    lcs = lower_central_series(algebra)
     if lcs[-1].dim == 0 and len(lcs) - 1 == 2:
+        der = derived_subalgebra(algebra)
         if der.dim == 1:
-            split = heisenberg_decomposition(algebra, lcs, z)
+            split = heisenberg_decomposition(algebra)
             return IsoType("heisenberg_sum", m=split.m, k=split.k, basis=split.basis)
         if der.dim == 2:
-            hit = _l58_sum_split(algebra, der, z)
+            hit = _l58_sum_split(algebra)
             if hit is not None:
                 return hit
-    return IsoType("unrecognized", fp=fingerprint(algebra, lcs, z))
+    return IsoType("unrecognized", fp=fingerprint(algebra))

@@ -144,7 +144,7 @@ def theorem2_reference(algebra, label=""):
     if algebra.dim < 3:
         return BoundCheck(label, "skipped", reason="dimension below 3")
     der = derived_subalgebra(algebra)
-    if lower_central_series(algebra, der)[-1].dim != 0:
+    if lower_central_series(algebra)[-1].dim != 0:
         return BoundCheck(label, "skipped", reason="not nilpotent")
     multiplier = schur_multiplier(algebra)
     zw = multiplier.exterior_center()

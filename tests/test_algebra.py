@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from itertools import combinations
@@ -497,6 +498,44 @@ class TestTransform:
             assert M.table == want.table and M.labels == want.labels
             assert list(M.table) == sorted(M.table)
             assert validate(M).ok
+
+
+class TestStructureMemo:
+    """L^2, Z(L) and the lower central series are kept per algebra object."""
+
+    @staticmethod
+    def structure(L):
+        return (derived_subalgebra(L).space, center(L).space,
+                *(g.space for g in lower_central_series(L)))
+
+    def test_no_reference_cycles(self):
+        # the memo holds bare Subspaces, so an algebra is freed by
+        # refcounting alone and leaves nothing for the cyclic collector
+        from liecap.cli import SUITES, invariant_report, run_suites
+        gc.collect()
+        gc.disable()
+        try:
+            for field in (QQ, PrimeField(101)):
+                for key in catalog.all_keys(6, field):
+                    invariant_report(catalog.build(key, field).algebra, str(key))
+            run_suites(list(SUITES), QQ, catalog.DEFAULT_EPSILON_SAMPLES)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_derived_algebras_compute_their_own(self):
+        L = build("L6_19(e=1)")
+        mine = self.structure(L)
+        z = center(L).space
+        cols = random_basis_change(random.Random(3), L.dim)
+        for M in (L.relabel([f"y{i}" for i in range(L.dim)]), transform(L, cols),
+                  quotient(L, z)[0]):
+            theirs = self.structure(M)
+            assert derived_subalgebra(M).parent is M
+            assert not {id(s) for s in theirs} & {id(s) for s in mine}
+            # the same structure as a fresh algebra on M's table
+            assert theirs == self.structure(LieAlgebra(M.field, M.dim, M.table))
+        assert self.structure(L) == mine
 
 
 class TestJson:

@@ -42,13 +42,18 @@ class TestIsCapable:
         assert is_capable(build("L6_22(e=1)")).capable
 
     def test_heisenberg_sums(self):
-        # H(m) + A(k) is capable exactly when m = 1
-        from liecap.algebra import direct_sum
-        for m in (1, 2):
-            for k in (0, 1, 2):
-                alg = direct_sum(catalog.heisenberg_algebra(m),
-                                 catalog.abelian_algebra(k))
-                assert is_capable(alg).capable == (m == 1), (m, k)
+        # Z^(H(m) + A(k)) is L^2 for m >= 2 and 0 for m = 1, so H(m) + A(k)
+        # is capable exactly when m = 1
+        for field in (QQ, PrimeField(3), PrimeField(101)):
+            for m in range(1, 5):
+                for k in range(4):
+                    alg = direct_sum(catalog.heisenberg_algebra(m, field),
+                                     catalog.abelian_algebra(k, field))
+                    report = is_capable(alg)
+                    expected = (Subspace.zero(field, alg.dim) if m == 1
+                                else derived_subalgebra(alg).space)
+                    assert report.witness == expected, (field, m, k)
+                    assert report.capable == (m == 1), (field, m, k)
 
 
 class TestDagger:

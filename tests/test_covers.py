@@ -74,9 +74,10 @@ class TestHallBasis:
                 if w.left.gen is None:
                     assert w.left.right.rank <= w.right.rank
 
-    def test_resource_limit(self):
+    def test_resource_limit(self, monkeypatch):
+        monkeypatch.setenv("LIECAP_RESOURCE_LIMIT", "1000")
         with pytest.raises(ResourceLimit):
-            hall_basis(6, 6, limit=1000)
+            hall_basis(6, 6)
 
     def test_resource_limit_env_override(self, monkeypatch, capsys):
         monkeypatch.setenv("LIECAP_RESOURCE_LIMIT", "4")

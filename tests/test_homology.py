@@ -628,7 +628,7 @@ class TestLazyImage:
         for L in self.algebras(field):
             m = schur_multiplier(L)
             inserted.append(m.span.echelon.rank)
-            m.derived  # L^2, a Subspace of L in its own RREF
+            derived_subalgebra(L)  # L^2, a Subspace of L in its own RREF
             finalized.clear()
             dim, kept = m.dim, m.kept
             assert finalized == []

@@ -247,6 +247,10 @@ class TestSubspaceOps:
         v = Subspace.from_vectors(QQ, 4, [[1, 0, 0, 0]])
         with pytest.raises(DimensionMismatch):
             subspace_sum(u, v)
+        # a vector that does not fit the ambient space, as a sequence or a dict
+        for vectors in ([[1, 0]], [{5: 1}], [{-1: 1, 0: 1}]):
+            with pytest.raises(DimensionMismatch):
+                Subspace.from_vectors(QQ, 3, vectors)
 
 
 small_entries = st.integers(min_value=-6, max_value=6)
