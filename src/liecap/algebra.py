@@ -143,31 +143,25 @@ class ValidationReport:
         return self.failures[0] if self.failures else None
 
 
-def support_walk(algebra):
-    """Each triple i < j < k with a nonzero bracket among its three pairs,
-    once and unsorted: from the first of its pairs, in the order
-    (i, j) < (i, k) < (j, k), that is in the table.
+def support_triples(algebra):
+    """The triples i < j < k with a nonzero bracket among their three pairs,
+    in ascending lexicographic order.
 
     Only these can have a nonzero Jacobi sum or d3 column: both are sums of
     terms each carrying one of [x_i, x_j], [x_i, x_k], [x_j, x_k].
     """
     n = algebra.dim
     table = algebra.table
+    out = []
     for i, j in table:
-        # (i, j) comes first in (i, j, k), second in (i, k, j), last in (k, i, j)
-        for k in range(j + 1, n):
-            yield i, j, k
-        for k in range(i + 1, j):
-            if (i, k) not in table:
-                yield i, k, j
-        for k in range(i):
-            if (k, i) not in table and (k, j) not in table:
-                yield k, i, j
-
-
-def support_triples(algebra):
-    """The ``support_walk`` triples in ascending lexicographic order."""
-    return sorted(support_walk(algebra))
+        # each triple once, from the first of its pairs in the order
+        # (a, b) < (a, c) < (b, c) that has a bracket: (i, j) comes first in
+        # (i, j, k), second in (i, k, j), last in (k, i, j)
+        out.extend([(i, j, k) for k in range(j + 1, n)])
+        out.extend([(i, k, j) for k in range(i + 1, j) if (i, k) not in table])
+        out.extend([(k, i, j) for k in range(i) if (k, i) not in table and (k, j) not in table])
+    out.sort()
+    return out
 
 
 def validate(algebra):

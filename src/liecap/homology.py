@@ -7,17 +7,26 @@ The complex in low degrees is
 with d2(x ^ y) = [x, y] and d3(x ^ y ^ z) = [x,y]^z - [x,z]^y + [y,z]^x;
 d2 . d3 vanishing is a rewrite of the Jacobi identity.
 
-im d3 comes from one walk over the table (``_im_d3``).  Each of the three
-terms of d3(x_i ^ x_j ^ x_k) carries one bracket of two of its indices, so
-only the triples of ``algebra.support_walk`` are visited: every other
-column is zero.  Each column is sorted as it is built, read straight off
-``algebra.table`` with plain + and - on the canonical scalars (reduced mod
-p over GF(p)):
+im d3 comes from one walk over the table (``_im_d3``), by table entry, not
+by triple.  Each of the three terms of d3(x_i ^ x_j ^ x_k) carries one
+bracket of two of its indices, so a triple with no bracketed pair has a
+zero column and is never met.  nb[a] holds the b whose pair {a, b} has a
+bracket.  For the entry (i, j) with bracket r, the c outside nb[i] and
+nb[j], one set difference, are the triples whose one bracketed pair is
+(i, j), and the column of each is r ^ e_c up to sign:
 
-- when exactly one of its three pairs has a bracket and that bracket has a
-  single term x e_m, the column is x (e_m ^ e_c) for the third index c: a
-  unit coordinate, added to a set with no vector built, or zero when m = c;
-- otherwise it is a fresh sparse vector, dropped when it is zero.
+- when r is a single term x e_m, it is the unit coordinate of the pair
+  {m, c}, or zero when m = c; the units of every such c join a set in one
+  update, with no vector built;
+- otherwise it is a fresh sparse vector, one entry for each term of r
+  other than the one on e_c.
+
+The triples with two or more bracketed pairs are the k other than i and j
+in nb[i] | nb[j].  Each is visited once, from the first of its bracketed
+pairs in the order (a, b) < (a, c) < (b, c), and its column is a fresh
+sparse vector summed over its three terms, dropped when it is zero.
+Every column is read straight off ``algebra.table`` with plain + and - on
+the canonical scalars (reduced mod p over GF(p)).
 
 The pair a < b of ``ExteriorBasis`` sits at the coordinate base[a] + b,
 where base[a] = a(2n - a - 3)/2 - 1 counts the pairs before (a, a+1), less
@@ -70,7 +79,6 @@ from .algebra import (
     derived_subalgebra,
     direct_sum,
     quotient,
-    support_walk,
 )
 from .catalog import abelian_algebra
 from .linalg import (
@@ -299,36 +307,57 @@ class MultiplierResult:
 def _im_d3(algebra, width):
     """im d3 of algebra, eliminated but not back-substituted, with
     d2 . d3 = 0 checked on its basis; the module docstring says how the
-    columns are sorted and why that check suffices."""
+    columns are built and why that check suffices."""
     n = algebra.dim
     field = algebra.field
     table = algebra.table
     get = table.get
     p = field.char  # 0 over Q, so p - x is -x there
     base = [a * (2 * n - a - 3) // 2 - 1 for a in range(n)]
+    nb = [set() for _ in range(n)]  # nb[a]: the b whose pair {a, b} has a bracket
+    for a, b in table:
+        nb[a].add(b)
+        nb[b].add(a)
+    everything = set(range(n))
     units = set()
     vectors = []
-    for i, j, k in support_walk(algebra):
-        # the table holds [e_a, e_b] for a < b, which each of the three pairs is
-        rij, rik, rjk = get((i, j)), get((i, k)), get((j, k))
-        if rik is None and rjk is None:
-            only, c = rij, k
-        elif rij is None and rjk is None:
-            only, c = rik, j
-        elif rij is None and rik is None:
-            only, c = rjk, i
+    shared = []
+    for (i, j), r in table.items():
+        ni, nj = nb[i], nb[j]
+        # j is in ni and i in nj, so lone is the c for which (i, j) is the
+        # one bracketed pair of {i, j, c}
+        lone = everything.difference(ni, nj)
+        if len(r) == 1:
+            # x e_m ^ e_c: the unit column of pair {m, c}, or zero when m = c
+            (m,) = r
+            lone.discard(m)
+            bm = base[m]
+            units.update([bm + c if m < c else base[c] + m for c in lone])
         else:
-            only = None
-        if only is not None and len(only) == 1:
-            # one term x e_m ^ e_c: the unit column of pair {m, c}, or zero
-            (m,) = only
-            if m < c:
-                units.add(base[m] + c)
-            elif m > c:
-                units.add(base[c] + m)
-            continue
+            terms = r.items()
+            for c in lone:
+                # r ^ e_c, the column up to sign: e_m ^ e_c = -(e_c ^ e_m),
+                # and e_c ^ e_c = 0; never zero, as r has two or more terms
+                out = {}
+                for m, x in terms:
+                    if m < c:
+                        out[base[m] + c] = x
+                    elif m > c:
+                        out[base[c] + m] = p - x
+                vectors.append(out)
+        # the other triples have two or more bracketed pairs, and each is
+        # taken from the first of them in the order (a, b) < (a, c) < (b, c):
+        # from (i, j) when k > j, or when i < k < j and (i, k) has none
+        for k in ni.union(nj):
+            if k > j:
+                shared.append((i, j, k))
+            elif i < k < j and k not in ni:
+                shared.append((i, k, j))
+    for i, j, k in shared:
+        # the table holds [e_a, e_b] for a < b, which each of the three pairs is
         out = {}
-        for row, c, negate in ((rij, k, False), (rik, j, True), (rjk, i, False)):
+        for row, c, negate in ((get((i, j)), k, False), (get((i, k)), j, True),
+                               (get((j, k)), i, False)):
             if row is None:
                 continue
             for m, x in row.items():

@@ -23,22 +23,21 @@ from liecap.linalg import (
 
 @pytest.fixture
 def d3_calls(monkeypatch):
-    """The triples of every d3 column built while the test runs: the
-    ``support_walk`` triples that ``homology._im_d3`` reads."""
+    """The algebra of every im d3 built while the test runs, one entry per
+    call of ``homology._im_d3``."""
     calls = []
-    walk = homology.support_walk
+    im_d3 = homology._im_d3
 
-    def counted(algebra):
-        for triple in walk(algebra):
-            calls.append(triple)
-            yield triple
-    monkeypatch.setattr(homology, "support_walk", counted)
+    def counted(algebra, width):
+        calls.append(algebra)
+        return im_d3(algebra, width)
+    monkeypatch.setattr(homology, "_im_d3", counted)
     return calls
 
 
 def solvable_algebra(field=QQ):
-    """[x1, x2] = x2, [x1, x3] = x3: Jacobi holds, not nilpotent, and the
-    support walk has the triple (x1, x2, x3)."""
+    """[x1, x2] = x2, [x1, x3] = x3: Jacobi holds, not nilpotent, and d3
+    has a nonzero column on the triple (x1, x2, x3)."""
     one = field.one
     return LieAlgebra(field, 3, {(0, 1): {1: one}, (0, 2): {2: one}})
 

@@ -9,7 +9,7 @@ from conftest import (
 )
 
 from liecap import catalog, covers
-from liecap.algebra import center, derived_subalgebra, direct_sum, transform
+from liecap.algebra import center, derived_subalgebra, direct_sum, quotient, transform
 from liecap.capability import (
     WrongDimension,
     central_test_lines,
@@ -22,6 +22,7 @@ from liecap.capability import (
 from liecap.covers import Cover, exterior_center
 from liecap.homology import NotCentral, induced_map_injective, schur_multiplier
 from liecap.linalg import QQ, PrimeField, Subspace
+from liecap.recognize import recognize
 
 
 def build(text):
@@ -166,6 +167,10 @@ class TestBoundCheck:
         check = theorem2_bound_check(solvable_algebra(field))
         assert (check.status, check.reason) == ("skipped", "not nilpotent")
         assert d3_calls == []
+        # the fixture does see an im d3 that is built
+        L = solvable_algebra(field)
+        schur_multiplier(L)
+        assert d3_calls == [L]
 
 
 class TestBoundCheckReference:
@@ -243,3 +248,26 @@ class TestClassTwoBeyondCatalog:
                 scrambled = transform(L, random_basis_change(rng, L.dim, field))
                 assert class_two_summary(scrambled) == class_two_summary(L), name
         assert checked >= 10
+
+
+class TestClassThreeRow:
+    """A class-3 row where the theorem2 lhs is not 0: F(4,3) modulo every
+    class-3 Hall word but [[x3,x1],x2] and [[x4,x1],x2].  Its L ^ L is
+    H(2) + A(22), whose exterior center is the line L^2, so lhs = 1."""
+
+    @staticmethod
+    def row(field):
+        F = covers.free_nilpotent(4, 3)
+        A = F.algebra_over(field)
+        kept = ("[[x3,x1],x2]", "[[x4,x1],x2]")
+        dropped = [{w.rank: field.one} for w in F.words if w.degree == 3 and repr(w) not in kept]
+        return quotient(A, Subspace.from_vectors(field, A.dim, dropped))[0]
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(101)], ids=repr)
+    def test_bound_bites(self, field):
+        L = self.row(field)
+        m = schur_multiplier(L)
+        assert (L.dim, m.dim, m.exterior_center().dim) == (12, 19, 0)
+        check = theorem2_bound_check(L)
+        assert (check.status, check.lhs, check.rhs, check.holds) == ("checked", 1, 19, True)
+        assert recognize(m.exterior_square()).label() == "H(2)+A(22)"

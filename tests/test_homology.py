@@ -1,5 +1,6 @@
 import inspect
 import random
+from itertools import combinations
 
 import pytest
 from conftest import (
@@ -170,21 +171,57 @@ class TestMultiplier:
 
 
 FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "GF101"])
+# GF(3) too: mod 3 the terms of a column with several brackets cancel
+FIELDS3 = pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(101)],
+                                  ids=["Q", "GF3", "GF101"])
 
 
 class TestSupportWalk:
-    """schur_multiplier builds a d3 column only for a triple with a nonzero
-    bracket among its pairs, and the answers reach the key bound."""
+    """The table walk behind im d3: a lone single-term bracket gives unit
+    columns and no vector, so A(n) has an empty im d3 and H(m) one of units
+    only; the answers reach the key bound."""
 
-    def test_column_counts(self, d3_calls):
+    def test_column_counts(self):
         for n in (1, 5, 16):
-            assert schur_multiplier(catalog.abelian_algebra(n)).dim == n * (n - 1) // 2
-            assert d3_calls == []
+            res = schur_multiplier(catalog.abelian_algebra(n))
+            assert res.dim == n * (n - 1) // 2
+            assert res.span.rank == 0
         for m in range(1, 6):
-            d3_calls.clear()
-            assert schur_multiplier(catalog.heisenberg_algebra(m)).dim == \
-                (2 if m == 1 else 2 * m * m - m - 1)
-            assert len(d3_calls) == m * (2 * m - 1)
+            res = schur_multiplier(catalog.heisenberg_algebra(m))
+            assert res.dim == (2 if m == 1 else 2 * m * m - m - 1)
+            # [x_i, y_i] = z with a third index c gives z ^ e_c, or zero
+            # when c = z, and every triple of H(1) has c = z
+            assert not res.span.echelon_rows()
+            assert len(res.span.units) == (0 if m == 1 else 2 * m)
+
+    @FIELDS3
+    def test_one_vector_per_column(self, field, monkeypatch):
+        # each nonzero d3 column is built once: a unit coordinate with no
+        # vector when its one bracketed pair holds a single term, else one
+        # vector, counted against the dense ce_d3
+        sizes = []
+        elimination = homology.Elimination
+
+        def counted(f, width, vectors, units):
+            sizes.append(len(vectors))
+            return elimination(f, width, vectors, units)
+        monkeypatch.setattr(homology, "Elimination", counted)
+        rng = random.Random(61)
+        algebras = [catalog.build(k, field).algebra for k in catalog.all_keys(6, field)]
+        algebras += [covers.free_nilpotent(d, c).algebra_over(field) for d, c in [(2, 4), (3, 3)]]
+        algebras += [transform(L, random_basis_change(rng, L.dim, field)) for L in algebras[-12:]]
+        for L in algebras:
+            sizes.clear()
+            schur_multiplier(L)
+            nonzero = sum(any(col) for col in columns(ce_d3(L)))
+            units = 0
+            for triple in combinations(range(L.dim), 3):
+                pairs = [ab for ab in combinations(triple, 2) if ab in L.table]
+                if len(pairs) == 1 and len(L.table[pairs[0]]) == 1:
+                    (m,) = L.table[pairs[0]]
+                    (c,) = set(triple) - set(pairs[0])
+                    units += m != c
+            assert sizes == [nonzero - units], L
 
     @FIELDS
     @pytest.mark.parametrize("d, c", [(3, 5), (4, 4)])
@@ -270,12 +307,12 @@ class TestSparseBoundaries:
         assert (m.image.pivots, tuple(m.image.sparse_rows())) == \
             echelon_rref(L.field, d3.nrows, sparse_columns(d3)), name
 
-    @FIELDS
+    @FIELDS3
     def test_catalog(self, field):
         for key in catalog.all_keys(6, field):
             self.assert_matches_dense(catalog.build(key, field).algebra, f"{key} over {field!r}")
 
-    @FIELDS
+    @FIELDS3
     def test_central_extensions(self, field):
         rng = random.Random(5)
         keys = [k for k in catalog.all_keys(6, field) if k.a >= 3]
@@ -301,7 +338,7 @@ class TestSparseBoundaries:
             self.assert_matches_dense(E, f"extension {trial} of {key} over {field!r}")
         assert fractions if field == QQ else not fractions
 
-    @FIELDS
+    @FIELDS3
     def test_scrambled_bases(self, field):
         rng = random.Random(55)
         for text in ("L5_4", "L6_10", "L6_14", "L6_19(e=2)", "L6_25"):
