@@ -57,7 +57,11 @@ bracket [a, b] = d2(a) ^ d2(b) (Ellis, "A non-abelian tensor product of Lie
 algebras", Glasgow Math. J., 1991).  Its basis is the pairs that are not
 pivots of im d3.  d2 maps it onto L^2, and the multiplier M(L) is the kernel
 of d2 on those pairs, so dim M(L) = dim L ^ L - dim L^2 needs no kernel at
-all.  The exterior center Z^(L) and the tensor square
+all.  As d2(a) lies in L^2, the bracket is a form on L^2: on the RREF rows
+u_s of L^2 it is phi(s, t) = u_s ^ u_t mod im d3, d(d-1)/2 residues for
+d = dim L^2, and [a, b] expands d2(a) and d2(b) on the u_s.  When phi is
+zero, as in class 2, where L^2 ^ L^2 lies in im d3, L ^ L is abelian and
+no kept pair is read.  The exterior center Z^(L) and the tensor square
 L x L = (L ^ L) + A(diagonal) follow from the same image without a free
 algebra.
 
@@ -138,6 +142,17 @@ def _wedge_entry(field, out, index, a, b, coeff):
         out.pop(idx, None)
 
 
+def _accumulate(field, out, c, v):
+    """out += c * v for sparse vectors, dropping the entries that cancel."""
+    add, mul, zero = field.add, field.mul, field.zero
+    for k, w in v.items():
+        nv = add(out.get(k, zero), mul(c, w))
+        if nv:
+            out[k] = nv
+        else:
+            out.pop(k, None)
+
+
 def _wedge(field, index, u, v):
     """u ^ v of two sparse L-vectors, in sparse Lambda^2 coords."""
     out = {}
@@ -185,7 +200,10 @@ class MultiplierResult:
     held as its elimination (``span``), whose pivots give ``kept`` and
     ``dim``; its canonical RREF (``image``), from which the squares and
     the exterior center are read, is built on first read.  L^2 and Z(L)
-    are read from the algebra, which computes each once.
+    are read from the algebra, which computes each once.  The bracket of
+    L ^ L is the alternating form phi(s, t) = u_s ^ u_t mod im d3 on the
+    RREF rows u_s of L^2, so it takes d(d-1)/2 residues for d = dim L^2;
+    L ^ L is abelian, with no kept pair read, exactly when phi is zero.
     """
 
     span: Elimination  # im d3, eliminated but not back-substituted
@@ -226,17 +244,51 @@ class MultiplierResult:
 
     @cached_property
     def _square(self):
+        """[a, b] = d2(a) ^ d2(b) mod im d3, expanded on the RREF rows u_s
+        of L^2: d2(a) = sum of alpha_a[s] u_s, with alpha_a[s] the entry of
+        d2(a) at the s-th pivot, so [a, b] = sum of alpha_a[s] alpha_b[t]
+        phi(s, t) for the alternating form phi(s, t) = u_s ^ u_t mod im d3.
+        phi takes d(d-1)/2 residues for d = dim L^2; when it is zero, as in
+        class 2, no kept pair is read.  Otherwise psi_a[t] = sum of
+        alpha_a[s] phi(s, t) is formed once per live a, and [a, b] = sum of
+        alpha_b[t] psi_a[t]."""
         alg = self.algebra
+        f = alg.field
         ext = self.ext
-        pos = {t: a for a, t in enumerate(self.kept)}
-        d2 = [alg.bracket_basis(*ext.pairs[t]) for t in self.kept]
-        live = [a for a in range(len(self.kept)) if d2[a]]
+        kept = self.kept
+        der = derived_subalgebra(alg).space
+        rows = der.sparse_rows()
+        d = len(rows)
+        pos = {t: a for a, t in enumerate(kept)}
+        phi = [[] for _ in range(d)]  # phi[s]: (t, phi(s, t)) for every t with phi(s, t) != 0
+        for s, t in combinations(range(d), 2):
+            residue = self.image.reduce(_wedge(f, ext.index, rows[s], rows[t]))
+            if residue:
+                w = {pos[r]: c for r, c in residue.items()}
+                phi[s].append((t, w))
+                phi[t].append((s, {r: f.neg(c) for r, c in w.items()}))
         brackets = {}
-        for x, a in enumerate(live):
-            for b in live[x + 1:]:
-                residue = self.image.reduce(_wedge(alg.field, ext.index, d2[a], d2[b]))
-                brackets[(a, b)] = {pos[t]: c for t, c in residue.items()}
-        return LieAlgebra(alg.field, len(self.kept), brackets)
+        if any(phi):
+            pivot = {p: s for s, p in enumerate(der.pivots)}
+            alpha = []  # (a, alpha_a) of the live kept pairs, in pair order
+            for a, t in enumerate(kept):
+                d2 = alg.bracket_basis(*ext.pairs[t])
+                if d2:
+                    alpha.append((a, {pivot[c]: v for c, v in d2.items() if c in pivot}))
+            for x, (a, coeffs) in enumerate(alpha):
+                psi = {}
+                for s, c in coeffs.items():
+                    for t, w in phi[s]:
+                        _accumulate(f, psi.setdefault(t, {}), c, w)
+                psi = {t: v for t, v in psi.items() if v}
+                if psi:
+                    for b, other in alpha[x + 1:]:
+                        out = {}
+                        for t, c in other.items():
+                            if t in psi:
+                                _accumulate(f, out, c, psi[t])
+                        brackets[(a, b)] = out
+        return LieAlgebra(f, len(kept), brackets)
 
     def exterior_square(self):
         """L ^ L on the pairs that are not pivots of im d3, in pair order,

@@ -9,7 +9,7 @@ from liecap.algebra import (
     subalgebra_on,
 )
 from liecap.capability import BoundCheck
-from liecap.homology import ExteriorBasis, ce_d3, schur_multiplier
+from liecap.homology import ExteriorBasis, _wedge, ce_d3, schur_multiplier
 from liecap.linalg import (
     QQ,
     Echelon,
@@ -117,6 +117,22 @@ def exterior_center_reference(m):
             rows.setdefault((j, s), {})[i] = c
             rows.setdefault((i, s), {})[j] = f.neg(c)
     return kernel_from_rows(f, m.algebra.dim, rows.values())
+
+
+def exterior_square_reference(m):
+    """L ^ L of the MultiplierResult m by the pairwise formulation: for every
+    pair of live kept pairs a < b, d2(a) ^ d2(b) reduced mod im d3, with no
+    use of L^2.  The reference for ``MultiplierResult.exterior_square``."""
+    alg = m.algebra
+    pos = {t: a for a, t in enumerate(m.kept)}
+    d2 = [alg.bracket_basis(*m.ext.pairs[t]) for t in m.kept]
+    live = [a for a in range(len(m.kept)) if d2[a]]
+    brackets = {}
+    for x, a in enumerate(live):
+        for b in live[x + 1:]:
+            residue = m.image.reduce(_wedge(alg.field, m.ext.index, d2[a], d2[b]))
+            brackets[(a, b)] = {pos[t]: c for t, c in residue.items()}
+    return LieAlgebra(alg.field, len(m.kept), brackets)
 
 
 def two_pass_kernel(field, width, rows):

@@ -7,10 +7,13 @@ from conftest import (
     central_extension,
     echelon_rref,
     exterior_center_reference,
+    exterior_square_reference,
+    generalized_heisenberg,
     random_basis_change,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_capability import class_two_cases
 from test_covers import witt_dim
 from test_linalg import is_canonical
 
@@ -733,6 +736,110 @@ class TestExteriorCenterOracle:
         monkeypatch.setattr(homology, "kernel_from_rows", counting)
         assert schur_multiplier(catalog.abelian_algebra(40)).exterior_center().dim == 0
         assert 0 < len(read) < 40 * 39 // 2
+
+
+class TestExteriorSquareOracle:
+    """exterior_square, read off the form phi on the RREF rows of L^2,
+    equals the pairwise wedge-and-reduce of every pair of live kept pairs:
+    the same basis, pair order and bracket values."""
+
+    @staticmethod
+    def assert_matches(L, name):
+        m = schur_multiplier(L)
+        square, reference = m.exterior_square(), exterior_square_reference(m)
+        assert (square.dim, square.table_key()) == (reference.dim, reference.table_key()), name
+        return square
+
+    @FIELDS3
+    def test_catalog(self, field):
+        for key in catalog.all_keys(6, field):
+            self.assert_matches(catalog.build(key, field).algebra, str(key))
+
+    @FIELDS3
+    def test_hall_bases(self, field):
+        rng = random.Random(61)
+        for d, c in ((2, 4), (3, 3), (4, 3)):
+            F = covers.free_nilpotent(d, c).algebra_over(field)
+            self.assert_matches(F, f"F({d},{c})")
+        # a scrambled class-4 basis, where phi has many nonzero values
+        F = covers.free_nilpotent(2, 4).algebra_over(field)
+        square = self.assert_matches(transform(F, random_basis_change(rng, F.dim, field)),
+                                     "scrambled F(2,4)")
+        assert not square.is_abelian()
+
+    @FIELDS3
+    def test_scrambled_generalized_heisenberg(self, field):
+        rng = random.Random(47)
+        for v, r in [(4, 3), (5, 2), (5, 4), (6, 3)]:
+            L = generalized_heisenberg(rng, v, r, field)
+            self.assert_matches(transform(L, random_basis_change(rng, L.dim, field)),
+                                f"GH({v},{r})")
+
+    def test_fraction_extensions(self):
+        # the tables, and with them im d3 and phi, hold Fractions over Q
+        rng = random.Random(67)
+        fractions = 0
+        for n, key in enumerate(catalog.all_keys(6, QQ)):
+            L = central_extension(catalog.build(key, QQ).algebra, rng.choice((1, 2)), rng,
+                                  denominators=(1, 2, 3, 4))
+            if n % 2:
+                L = transform(L, random_basis_change(rng, L.dim))
+            square = self.assert_matches(L, str(key))
+            fractions += any(type(x) is not int for row in square.table.values()
+                             for x in row.values())
+        assert fractions
+
+
+class TestSquareWork:
+    """exterior_square reduces d(d-1)/2 wedges u_s ^ u_t of the RREF rows of
+    L^2, d = dim L^2, and reads no kept pair when they all lie in im d3, as
+    in class 2, where L^2 ^ L^2 is in im d3."""
+
+    @staticmethod
+    def counted(monkeypatch, L):
+        """(square, reductions, bracket_basis calls) of exterior_square on L,
+        with im d3 and L^2 built before the count starts."""
+        m = schur_multiplier(L)
+        m.image, derived_subalgebra(L)
+        reduced, brackets = [], []
+        reduce, bracket_basis = Subspace.reduce, LieAlgebra.bracket_basis
+
+        def counted_reduce(self, vec):
+            reduced.append(vec)
+            return reduce(self, vec)
+
+        def counted_bracket(self, i, j):
+            brackets.append((i, j))
+            return bracket_basis(self, i, j)
+        with monkeypatch.context() as patch:
+            patch.setattr(Subspace, "reduce", counted_reduce)
+            patch.setattr(LieAlgebra, "bracket_basis", counted_bracket)
+            square = m.exterior_square()
+        return square, len(reduced), len(brackets)
+
+    def test_scrambled_generalized_heisenberg(self, monkeypatch):
+        rng = random.Random(43)
+        L = generalized_heisenberg(rng, 5, 4)
+        L = transform(L, random_basis_change(rng, L.dim))
+        assert derived_subalgebra(L).dim == 4
+        square, reduced, brackets = self.counted(monkeypatch, L)
+        assert square.is_abelian() and square.dim == schur_multiplier(L).dim + 4
+        assert reduced <= 6 and brackets == 0
+
+    @FIELDS3
+    def test_class_two_reads_no_pair(self, field, monkeypatch):
+        for name, L in class_two_cases(field):
+            d = derived_subalgebra(L).dim
+            square, reduced, brackets = self.counted(monkeypatch, L)
+            assert square.is_abelian(), name
+            assert reduced <= d * (d - 1) // 2 and brackets == 0, name
+
+    def test_class_four_reads_pairs(self, monkeypatch):
+        # F(2,4) has dim L^2 = 6 and a nonabelian square, so phi is not zero
+        L = covers.free_nilpotent(2, 4).algebra_over(QQ)
+        square, reduced, brackets = self.counted(monkeypatch, L)
+        assert not square.is_abelian()
+        assert reduced == 15 and brackets > 0
 
 
 class TestKunneth:
