@@ -8,23 +8,27 @@ with d2(x ^ y) = [x, y] and d3(x ^ y ^ z) = [x,y]^z - [x,z]^y + [y,z]^x;
 d2 . d3 vanishing is a rewrite of the Jacobi identity.
 
 im d3 comes from one walk over the table (``_im_d3``), by table entry, not
-by triple.  Each of the three terms of d3(x_i ^ x_j ^ x_k) carries one
-bracket of two of its indices, so a triple with no bracketed pair has a
-zero column and is never met.  nb[a] holds the b whose pair {a, b} has a
-bracket.  For the entry (i, j) with bracket r, the c outside nb[i] and
-nb[j], one set difference, are the triples whose one bracketed pair is
-(i, j), and the column of each is r ^ e_c up to sign:
+by triple, in two phases.  Each of the three terms of d3(x_i ^ x_j ^ x_k)
+carries one bracket of two of its indices, so a triple with no bracketed
+pair has a zero column and is never met.  nb[a] holds the b whose pair
+{a, b} has a bracket.  For the entry (i, j) with bracket r, the c outside
+nb[i] and nb[j], one set difference, are the triples whose one bracketed
+pair is (i, j), and the column of each is r ^ e_c up to sign.  The first
+phase loops once over the entries and collects:
 
-- when r is a single term x e_m, it is the unit coordinate of the pair
-  {m, c}, or zero when m = c; the units of every such c join a set in one
-  update, with no vector built;
-- otherwise it is a fresh sparse vector, one entry for each term of r
-  other than the one on e_c.
+- the unit columns: when r is a single term x e_m, the column of each
+  such c is the unit coordinate of the pair {m, c}, or zero when m = c,
+  and all of them join a set in one update, with no vector built;
+- the entries whose r has two or more terms, each with its set of c;
+- the triples with two or more bracketed pairs, the k other than i and j
+  in nb[i] | nb[j], each taken once, from the first of its bracketed
+  pairs in the order (a, b) < (a, c) < (b, c).
 
-The triples with two or more bracketed pairs are the k other than i and j
-in nb[i] | nb[j].  Each is visited once, from the first of its bracketed
-pairs in the order (a, b) < (a, c) < (b, c), and its column is a fresh
-sparse vector summed over its three terms, dropped when it is zero.
+The second phase builds the other columns as fresh sparse vectors: r ^ e_c
+for each multi-term entry and each of its c, and for each shared triple the
+sum of its three terms.  No entry is written at a unit column, and a vector
+that comes out empty is dropped.  Each unit is itself a d3 column, so
+striking it from the others changes neither the span nor the pivots.
 Every column is read straight off ``algebra.table`` with plain + and - on
 the canonical scalars (reduced mod p over GF(p)).
 
@@ -32,10 +36,10 @@ The pair a < b of ``ExteriorBasis`` sits at the coordinate base[a] + b,
 where base[a] = a(2n - a - 3)/2 - 1 counts the pairs before (a, a+1), less
 a + 1; no pair tuple or index dict is read.  The units and the vectors go
 without a copy to ``linalg.Elimination``, which peels the structural
-pivots (a column with a single entry left is a unit, struck from the
-others until no new one appears) and row-reduces only the rest with
-``Echelon``.  Most of im d3 is units on free nilpotent algebras, and all
-of it on H(m).
+pivots the struck vectors still hold (a column with a single entry left is
+a unit, struck from the others until no new one appears) and row-reduces
+only the rest with ``Echelon``.  Most of im d3 is units on free nilpotent
+algebras, and all of it on H(m).
 
 d2 . d3 = 0 is checked inside ``schur_multiplier``, on the unit
 coordinates and the echelon rows as the elimination leaves them.  The
@@ -359,7 +363,8 @@ class MultiplierResult:
 def _im_d3(algebra, width):
     """im d3 of algebra, eliminated but not back-substituted, with
     d2 . d3 = 0 checked on its basis; the module docstring says how the
-    columns are built and why that check suffices."""
+    columns are built, why no vector carries a unit column and why that
+    check suffices."""
     n = algebra.dim
     field = algebra.field
     table = algebra.table
@@ -371,8 +376,9 @@ def _im_d3(algebra, width):
         nb[a].add(b)
         nb[b].add(a)
     everything = set(range(n))
+    # first every unit column, so no vector below is written at one
     units = set()
-    vectors = []
+    multi = []  # (r, lone) of the entries whose bracket r has two or more terms
     shared = []
     for (i, j), r in table.items():
         ni, nj = nb[i], nb[j]
@@ -385,18 +391,8 @@ def _im_d3(algebra, width):
             lone.discard(m)
             bm = base[m]
             units.update([bm + c if m < c else base[c] + m for c in lone])
-        else:
-            terms = r.items()
-            for c in lone:
-                # r ^ e_c, the column up to sign: e_m ^ e_c = -(e_c ^ e_m),
-                # and e_c ^ e_c = 0; never zero, as r has two or more terms
-                out = {}
-                for m, x in terms:
-                    if m < c:
-                        out[base[m] + c] = x
-                    elif m > c:
-                        out[base[c] + m] = p - x
-                vectors.append(out)
+        elif lone:
+            multi.append((r.items(), lone))
         # the other triples have two or more bracketed pairs, and each is
         # taken from the first of them in the order (a, b) < (a, c) < (b, c):
         # from (i, j) when k > j, or when i < k < j and (i, k) has none
@@ -405,6 +401,23 @@ def _im_d3(algebra, width):
                 shared.append((i, j, k))
             elif i < k < j and k not in ni:
                 shared.append((i, k, j))
+    vectors = []
+    for terms, lone in multi:
+        for c in lone:
+            # r ^ e_c, the column up to sign: e_m ^ e_c = -(e_c ^ e_m), and
+            # e_c ^ e_c = 0; struck of the unit columns, so it may be empty
+            out = {}
+            for m, x in terms:
+                if m < c:
+                    t = base[m] + c
+                    if t not in units:
+                        out[t] = x
+                elif m > c:
+                    t = base[c] + m
+                    if t not in units:
+                        out[t] = p - x
+            if out:
+                vectors.append(out)
     for i, j, k in shared:
         # the table holds [e_a, e_b] for a < b, which each of the three pairs is
         out = {}
@@ -416,10 +429,14 @@ def _im_d3(algebra, width):
                 # e_m ^ e_c = -(e_c ^ e_m), and e_c ^ e_c = 0
                 if m < c:
                     t = base[m] + c
+                    if t in units:
+                        continue
                     if negate:
                         x = p - x
                 elif m > c:
                     t = base[c] + m
+                    if t in units:
+                        continue
                     if not negate:
                         x = p - x
                 else:

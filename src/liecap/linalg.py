@@ -3,8 +3,10 @@
 A scalar over Q is a plain ``int`` when it is integral and a
 ``fractions.Fraction`` with denominator above 1 otherwise; over GF(p) it is
 a canonical residue ``0..p-1``.  There is no per-element wrapper type.  Row
-reduction over Q is fraction-free (integer rows with gcd stripping), so
-entries stay small during elimination and results are exact bit for bit.
+reduction over Q is fraction-free: integer rows, each stored primitive
+(content 1, positive lead) and stripped of its content after a combination
+that scaled it, so entries stay small during elimination and results are
+exact bit for bit.
 
 Vectors are sparse ``{index: value}`` dicts, and a linear map is a list of
 sparse columns, column i being the image of the i-th basis vector.
@@ -227,9 +229,14 @@ class Echelon:
     """Incremental row echelon structure over a fixed field.
 
     Rows are sparse ``{column: value}`` dicts, held as ``{pivot: row}``.
-    Over Q the working rows are integer vectors (denominators cleared on
-    entry, gcd stripped after each combination); over GF(p) every row is
-    scaled to a unit pivot on entry.  ``finalize`` back-substitutes and, over
+    Over Q the working rows are integer vectors, denominators cleared on
+    entry.  A row reduced against a held row becomes a*row - b*held, with a
+    and b the two leads over their gcd; its content is stripped only when a
+    is above 1, since a row not scaled gains little.  Each row is made
+    primitive with a positive lead when it is stored, so the held rows are
+    the same whichever combinations skipped the strip: each is the one
+    primitive multiple of the same vector.  Over GF(p) every row is scaled
+    to a unit pivot when stored.  ``finalize`` back-substitutes and, over
     Q, divides each row by its pivot entry, yielding the canonical RREF
     basis of the row space with canonical Q scalars.
 
@@ -285,11 +292,14 @@ class Echelon:
                 a //= g
                 b //= g
                 row = _int_combine(row, a, prow, b)
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    row = {c: v // g for c, v in row.items()}
+                # with a = 1 the row was not scaled, and the strip is left
+                # to the store above, which makes it primitive all the same
+                if a != 1:
+                    g = 0
+                    for v in row.values():
+                        g = gcd(g, v)
+                    if g > 1:
+                        row = {c: v // g for c, v in row.items()}
             else:
                 row = _mod_combine(row, prow, row[lead], self.field.p)
         return False

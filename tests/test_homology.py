@@ -199,14 +199,15 @@ class TestSupportWalk:
 
     @FIELDS3
     def test_one_vector_per_column(self, field, monkeypatch):
-        # each nonzero d3 column is built once: a unit coordinate with no
-        # vector when its one bracketed pair holds a single term, else one
-        # vector, counted against the dense ce_d3
-        sizes = []
+        # a lone single-term bracket gives a unit coordinate and no vector;
+        # every other nonzero d3 column is built once, struck of the unit
+        # columns, and handed over unless that leaves it empty, counted
+        # against the dense ce_d3
+        handed = []
         elimination = homology.Elimination
 
         def counted(f, width, vectors, units):
-            sizes.append(len(vectors))
+            handed.append(([dict(v) for v in vectors], set(units)))
             return elimination(f, width, vectors, units)
         monkeypatch.setattr(homology, "Elimination", counted)
         rng = random.Random(61)
@@ -214,17 +215,25 @@ class TestSupportWalk:
         algebras += [covers.free_nilpotent(d, c).algebra_over(field) for d, c in [(2, 4), (3, 3)]]
         algebras += [transform(L, random_basis_change(rng, L.dim, field)) for L in algebras[-12:]]
         for L in algebras:
-            sizes.clear()
+            handed.clear()
             schur_multiplier(L)
-            nonzero = sum(any(col) for col in columns(ce_d3(L)))
-            units = 0
-            for triple in combinations(range(L.dim), 3):
+            index = ExteriorBasis(L.dim).index
+            units, lone_units = set(), set()
+            for t, triple in enumerate(combinations(range(L.dim), 3)):
                 pairs = [ab for ab in combinations(triple, 2) if ab in L.table]
                 if len(pairs) == 1 and len(L.table[pairs[0]]) == 1:
                     (m,) = L.table[pairs[0]]
                     (c,) = set(triple) - set(pairs[0])
-                    units += m != c
-            assert sizes == [nonzero - units], L
+                    if m != c:
+                        units.add(index[(min(m, c), max(m, c))])
+                        lone_units.add(t)
+            supports = [{i for i, x in enumerate(col) if x} for col in columns(ce_d3(L))]
+            want = sum(1 for t, s in enumerate(supports)
+                       if s and t not in lone_units and not s <= units)
+            ((vectors, given),) = handed
+            assert given == units, L
+            assert len(vectors) == want, L
+            assert all(v and not units.intersection(v) for v in vectors), L
 
     @FIELDS
     @pytest.mark.parametrize("d, c", [(3, 5), (4, 4)])

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from conftest import echelon_rref, two_pass_kernel
+from conftest import central_extension, echelon_rref, random_basis_change, two_pass_kernel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liecap import covers
+from liecap.algebra import transform
+from liecap.homology import schur_multiplier
 from liecap.linalg import (
     QQ,
     DimensionMismatch,
@@ -528,6 +532,43 @@ class TestPeeledRref:
         for v in ker.sparse_rows():
             assert all(not field.coerce(sum(x * v.get(j, 0) for j, x in r.items()))
                        for r in coerced)
+
+    @staticmethod
+    def assert_primitive(ech):
+        """Every row held before ``finalize`` leads at its pivot and is, over
+        Q, a primitive integer vector with a positive lead, over GF(p) one
+        with lead 1; a combine that skips the gcd relies on this."""
+        assert not ech._final
+        for pivot, row in ech._rows.items():
+            assert min(row) == pivot and all(row.values())
+            if ech.field.char:
+                assert row[pivot] == 1
+            else:
+                assert all(type(x) is int for x in row.values())
+                assert row[pivot] > 0 and gcd(*row.values()) == 1
+
+    @given(peel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_held_rows_are_primitive(self, case):
+        field, n, vecs = case
+        fresh = [{j: y for j, x in v.items() if (y := field.coerce(x))} for v in vecs]
+        self.assert_primitive(Elimination(field, n, fresh).echelon)
+
+    def test_held_rows_of_im_d3_are_primitive(self):
+        # F(2,4) extended by A(4) with Fractions in the table, as given and
+        # after a basis change that fills the table, so that many rows meet
+        # in Echelon over Q
+        rng = random.Random(29)
+        F = covers.free_nilpotent(2, 4).algebra_over(QQ)
+        held = 0
+        for trial in range(3):
+            E = central_extension(F, 4, rng, denominators=(1, 2, 3, 4))
+            assert any(type(x) is not int for row in E.table.values() for x in row.values())
+            for L in (E, transform(E, random_basis_change(rng, E.dim))):
+                ech = schur_multiplier(L).span.echelon
+                self.assert_primitive(ech)
+                held += ech.rank
+        assert held
 
     def test_fresh_rational_vectors_are_scaled(self):
         # a sum of table entries can be a Fraction with denominator 1
