@@ -5,9 +5,10 @@ An algebra is a basis ``x1..xn`` plus a sparse table of bracket vectors
 antisymmetry and the diagonal is identically zero.  Everything is immutable
 after construction and all arithmetic is exact.
 
-L^2, Z(L) and the lower central series are computed once per algebra.  Its
-memo holds them as bare ``Subspace``s, wrapped in an ``IdealSubspace`` on
-return, so that an algebra holds no reference back to itself.
+L^2, Z(L) and the lower central series are computed once per algebra and
+returned as the memo's own ``Subspace``s (the series as the memo's tuple).
+An ideal is a plain ``Subspace``; it refers to no algebra, so an algebra
+holds no reference back to itself.
 """
 
 from __future__ import annotations
@@ -223,18 +224,6 @@ def direct_sum(h, k):
 # -- ideals and series ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdealSubspace:
-    """A subspace of a fixed parent algebra, flagged as an ideal."""
-
-    parent: LieAlgebra
-    space: Subspace
-
-    @property
-    def dim(self):
-        return self.space.dim
-
-
 def _span(algebra, sparse_vectors):
     return Subspace._from_sparse(algebra.field, algebra.dim, sparse_vectors)
 
@@ -244,7 +233,7 @@ def derived_subalgebra(algebra):
     memo = algebra._memo
     if "derived" not in memo:
         memo["derived"] = _span(algebra, algebra.table.values())
-    return IdealSubspace(algebra, memo["derived"])
+    return memo["derived"]
 
 
 def _adjacency(algebra):
@@ -296,13 +285,11 @@ def center(algebra):
     memo = algebra._memo
     if "center" not in memo:
         memo["center"] = _ad_kernel(algebra)
-    return IdealSubspace(algebra, memo["center"])
+    return memo["center"]
 
 
 def centralizer(algebra, space):
     """C_L(S) = {x : [x, s] = 0 for every s in S}, as a Subspace."""
-    if isinstance(space, IdealSubspace):
-        space = space.space
     adj = _adjacency(algebra)
     # column j of x -> ([s_t, x])_t, the negative of x -> ([x, s_t])_t
     cols = [{} for _ in range(algebra.dim)]
@@ -322,18 +309,18 @@ def _bracket_span(algebra, space, adj):
 
 
 def _series(algebra):
-    """The terms of ``lower_central_series``, as Subspaces."""
+    """The terms of ``lower_central_series``, as a tuple of Subspaces."""
     out = [Subspace.full(algebra.field, algebra.dim)]
     adj = _adjacency(algebra)
-    nxt = derived_subalgebra(algebra).space  # [L, L], the table's span
+    nxt = derived_subalgebra(algebra)  # [L, L], the table's span
     while nxt.dim != out[-1].dim:
         out.append(nxt)
         if nxt.dim == 0:
-            return out
+            return tuple(out)
         nxt = _bracket_span(algebra, nxt, adj)
     if nxt.dim != 0:
         out.append(nxt)  # stabilized above zero: not nilpotent
-    return out
+    return tuple(out)
 
 
 def lower_central_series(algebra):
@@ -341,7 +328,7 @@ def lower_central_series(algebra):
     memo = algebra._memo
     if "lcs" not in memo:
         memo["lcs"] = _series(algebra)
-    return [IdealSubspace(algebra, g) for g in memo["lcs"]]
+    return memo["lcs"]
 
 
 def is_nilpotent(algebra):
@@ -357,7 +344,7 @@ def nilpotency_class(algebra):
 
 def upper_central_series(algebra):
     """Z_1 = Z(L), Z_{i+1} = preimage of Z(L/Z_i), until stable."""
-    out = [center(algebra).space]
+    out = [center(algebra)]
     while True:
         prev = out[-1]
         if prev.dim == algebra.dim:
@@ -376,8 +363,6 @@ def minimal_generator_count(algebra):
 
 
 def is_ideal(algebra, space):
-    if isinstance(space, IdealSubspace):
-        space = space.space
     adj = _adjacency(algebra)
     return all(space.contains(w) for row in space.sparse_rows()
                for w in _ad_images(algebra, adj, row).values())
@@ -407,18 +392,17 @@ class AlgebraMap:
 
 def quotient(algebra, ideal):
     """L/N with the canonical projection; basis = non-pivot coordinates of N."""
-    space = ideal.space if isinstance(ideal, IdealSubspace) else ideal
-    if space.ambient_dim != algebra.dim:
+    if ideal.ambient_dim != algebra.dim:
         raise DimensionMismatch("ideal lives in a different ambient space")
-    if not is_ideal(algebra, space):
+    if not is_ideal(algebra, ideal):
         raise NotAnIdeal("subspace is not an ideal")
-    pivots = set(space.pivots)
+    pivots = set(ideal.pivots)
     kept = [i for i in range(algebra.dim) if i not in pivots]
     pos = {c: t for t, c in enumerate(kept)}
     f = algebra.field
 
     def project(vec):
-        residue = space.reduce(vec)
+        residue = ideal.reduce(vec)
         return {pos[c]: v for c, v in residue.items()}
 
     # kept is ascending, so pos keeps each table pair's order
@@ -435,8 +419,6 @@ def quotient(algebra, ideal):
 
 def subalgebra_on(algebra, space):
     """The bracket-closed subspace as a standalone algebra plus its embedding."""
-    if isinstance(space, IdealSubspace):
-        space = space.space
     rows = space.sparse_rows()
     brackets = {}
     for a in range(len(rows)):

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from . import catalog
 from .algebra import (
-    IdealSubspace,
     center,
     derived_subalgebra,
     is_nilpotent,
@@ -43,10 +42,10 @@ class CapabilityReport:
 
 def is_capable(algebra, label=""):
     zw = schur_multiplier(algebra).exterior_center()
-    return CapabilityReport(label=label or repr(zw.parent),
+    return CapabilityReport(label=label or repr(algebra),
                             exterior_center_dim=zw.dim,
                             capable=zw.dim == 0,
-                            witness=zw.space)
+                            witness=zw)
 
 
 def dagger_test(algebra, line):
@@ -54,21 +53,20 @@ def dagger_test(algebra, line):
 
     True exactly when K lies inside the exterior center.
     """
-    space = line.space if isinstance(line, IdealSubspace) else line
-    if space.dim != 1:
+    if line.dim != 1:
         raise WrongDimension("the test applies to one dimensional ideals")
-    if not center(algebra).space.contains_subspace(space):
+    if not center(algebra).contains_subspace(line):
         raise NotCentral("K must be central")
     multiplier = schur_multiplier(algebra)
-    q, _ = quotient(algebra, space)
+    q, _ = quotient(algebra, line)
     lhs = multiplier.dim
-    cap = subspace_intersect(derived_subalgebra(algebra).space, space).dim
+    cap = subspace_intersect(derived_subalgebra(algebra), line).dim
     return lhs == schur_multiplier(q).dim - cap
 
 
 def central_test_lines(algebra):
     """Deterministic central lines: basis lines, pairwise sums and differences."""
-    z = center(algebra).space
+    z = center(algebra)
     f = algebra.field
     rows = z.sparse_rows()
     seen = set()
@@ -167,8 +165,8 @@ def theorem2_bound_check(algebra, label="", *, homology=None):
     homology = homology or schur_multiplier
     multiplier = homology(algebra)
     zw = multiplier.exterior_center()
-    assert derived_subalgebra(algebra).space.contains_subspace(zw.space), "Z^(L) escaped L^2"
-    lbar = quotient(algebra, zw.space)[0] if zw.dim else algebra
+    assert derived_subalgebra(algebra).contains_subspace(zw), "Z^(L) escaped L^2"
+    lbar = quotient(algebra, zw)[0] if zw.dim else algebra
     dq, _ = subalgebra_on(lbar, derived_subalgebra(lbar))
     if dq.dim > 0 and homology(dq).exterior_center().dim > 0:
         return BoundCheck(label, "skipped", reason="L^2/Z^(L) not capable")

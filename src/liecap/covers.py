@@ -27,7 +27,6 @@ import os
 
 from .algebra import (
     AlgebraMap,
-    IdealSubspace,
     LieAlgebra,
     center,
     derived_subalgebra,
@@ -200,7 +199,7 @@ def free_nilpotent(d, c):
 
 def default_generator_lift(algebra):
     """Coordinate lifts of the non-pivot complement of L^2, in label order."""
-    derived = derived_subalgebra(algebra).space
+    derived = derived_subalgebra(algebra)
     pivots = set(derived.pivots)
     one = algebra.field.one
     return [{i: one} for i in range(algebra.dim) if i not in pivots]
@@ -313,7 +312,7 @@ class Cover:
     @property
     def multiplier_part(self):
         """ker(pi) = R/[R,F] as a subspace of the star algebra."""
-        return IdealSubspace(self.star, kernel_columns(self.star.field, self.pi.columns))
+        return kernel_columns(self.star.field, self.pi.columns)
 
     @property
     def derived_part(self):
@@ -322,7 +321,7 @@ class Cover:
     def multiplier_is_central(self):
         star = self.star
         one = star.field.one
-        for row in self.multiplier_part.space.sparse_rows():
+        for row in self.multiplier_part.sparse_rows():
             for j in range(star.dim):
                 if star.bracket_sparse(row, {j: one}):
                     return False
@@ -343,11 +342,11 @@ def exterior_square_dim(cover):
 def exterior_center(cover):
     """Z^(L) = {l : l ^ l' = 0 for all l'}, the image of Z(L*) under pi."""
     algebra = cover.algebra
-    z_star = center(cover.star).space
+    z_star = center(cover.star)
     vectors = [cover.pi.apply(v) for v in z_star.sparse_rows()]
     space = Subspace.from_vectors(algebra.field, algebra.dim, vectors)
-    assert center(algebra).space.contains_subspace(space)
-    return IdealSubspace(algebra, space)
+    assert center(algebra).contains_subspace(space)
+    return space
 
 
 def tensor_square(cover):

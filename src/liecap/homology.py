@@ -32,9 +32,9 @@ striking it from the others changes neither the span nor the pivots.
 Every column is read straight off ``algebra.table`` with plain + and - on
 the canonical scalars (reduced mod p over GF(p)).
 
-The pair a < b of ``ExteriorBasis`` sits at the coordinate base[a] + b,
-where base[a] = a(2n - a - 3)/2 - 1 counts the pairs before (a, a+1), less
-a + 1; no pair tuple or index dict is read.  The units and the vectors go
+The pair a < b sits at the coordinate base[a] + b, with ``base`` from
+``ExteriorBasis``; that is the one coordinate rule on Lambda^2, and no pair
+tuple or pair dict is read on any user path.  The units and the vectors go
 without a copy to ``linalg.Elimination``, which peels the structural
 pivots the struck vectors still hold (a column with a single entry left is
 a unit, struck from the others until no new one appears) and row-reduces
@@ -70,8 +70,9 @@ L x L = (L ^ L) + A(diagonal) follow from the same image without a free
 algebra.
 
 Every map into or out of Lambda^2 L is built sparse from the bracket table
-in the coordinates of ``ExteriorBasis``; the dense ``ce_d2`` and ``ce_d3``
-are an independent reference for the tests.
+at the coordinates base[a] + b; d2 is read off the table the same way, as
+{base[a] + b: [e_a, e_b]}.  The dense ``ce_d2`` and ``ce_d3`` are an
+independent reference for the tests.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ from functools import cached_property
 from itertools import combinations
 
 from .algebra import (
-    IdealSubspace,
     LieAlgebra,
     center,
     derived_subalgebra,
@@ -106,21 +106,23 @@ class NotCentral(LiecapError):
 
 
 class ExteriorBasis:
-    """Lexicographic coordinates on Lambda^2 of F^n, ``width`` of them:
-    ``index`` maps each of the ``pairs`` i < j to its coordinate; it,
-    ``pairs`` and ``triples`` are built on request."""
+    """Lexicographic coordinates on Lambda^2 of F^n, ``width`` of them.
+
+    The pair a < b sits at base[a] + b, where base[a] = a(2n - a - 3)/2 - 1
+    counts the pairs before (a, a+1), less a + 1.  That is the one
+    coordinate rule; ``pairs`` and ``triples`` list the pairs and triples
+    in the same order, built on request for the dense reference maps and
+    the tests, and read on no user path.
+    """
 
     def __init__(self, n):
         self.n = n
         self.width = n * (n - 1) // 2
+        self.base = [a * (2 * n - a - 3) // 2 - 1 for a in range(n)]
 
     @cached_property
     def pairs(self):
         return tuple(combinations(range(self.n), 2))
-
-    @cached_property
-    def index(self):
-        return {p: t for t, p in enumerate(self.pairs)}
 
     @classmethod
     def for_dim(cls, n):
@@ -131,14 +133,14 @@ class ExteriorBasis:
         return tuple(combinations(range(self.n), 3))
 
 
-def _wedge_entry(field, out, index, a, b, coeff):
+def _wedge_entry(field, out, base, a, b, coeff):
     """Accumulate coeff * (e_a ^ e_b) into sparse Lambda^2 coords."""
     if a == b or not coeff:
         return
     if a > b:
         a, b = b, a
         coeff = field.neg(coeff)
-    idx = index[(a, b)]
+    idx = base[a] + b
     nv = field.add(out.get(idx, field.zero), coeff)
     if nv:
         out[idx] = nv
@@ -157,12 +159,12 @@ def _accumulate(field, out, c, v):
             out.pop(k, None)
 
 
-def _wedge(field, index, u, v):
+def _wedge(field, base, u, v):
     """u ^ v of two sparse L-vectors, in sparse Lambda^2 coords."""
     out = {}
     for i, a in u.items():
         for j, b in v.items():
-            _wedge_entry(field, out, index, i, j, field.mul(a, b))
+            _wedge_entry(field, out, base, i, j, field.mul(a, b))
     return out
 
 
@@ -186,9 +188,9 @@ def ce_d3(algebra):
         # [x_i, x_j] ^ x_k - [x_i, x_k] ^ x_j + [x_j, x_k] ^ x_i
         for a, b, c, negate in ((i, j, k, False), (i, k, j, True), (j, k, i, False)):
             for m, v in algebra.bracket_basis(a, b).items():
-                _wedge_entry(f, col, ext.index, m, c, f.neg(v) if negate else v)
-        cols.append(tuple(col.get(t, f.zero) for t in range(len(ext.pairs))))
-    return Matrix.from_columns(algebra.field, cols, len(ext.pairs))
+                _wedge_entry(f, col, ext.base, m, c, f.neg(v) if negate else v)
+        cols.append(tuple(col.get(t, f.zero) for t in range(ext.width)))
+    return Matrix.from_columns(algebra.field, cols, ext.width)
 
 
 @dataclass(frozen=True)
@@ -234,12 +236,19 @@ class MultiplierResult:
         return diagonal_square_dim(self.algebra)
 
     @cached_property
+    def _d2(self):
+        """d2 on Lambda^2 coordinates, {base[a] + b: [e_a, e_b]}, read off
+        the table; the pairs with no bracket are absent."""
+        base = self.ext.base
+        return {base[a] + b: row for (a, b), row in self.algebra.table.items()}
+
+    @cached_property
     def basis(self):
         # ker d2 on the kept pairs; kept is ascending, so the RREF rows stay
         # RREF when read back in Lambda^2 coordinates
         alg = self.algebra
-        pairs = self.ext.pairs
-        ker = kernel_columns(alg.field, [alg.bracket_basis(*pairs[t]) for t in self.kept])
+        d2 = self._d2
+        ker = kernel_columns(alg.field, [d2.get(t, {}) for t in self.kept])
         basis = Subspace(alg.field, self.ext.width,
                          tuple({self.kept[a]: c for a, c in r.items()} for r in ker.sparse_rows()),
                          tuple(self.kept[a] for a in ker.pivots), _internal=True)
@@ -258,15 +267,15 @@ class MultiplierResult:
         alpha_b[t] psi_a[t]."""
         alg = self.algebra
         f = alg.field
-        ext = self.ext
+        base = self.ext.base
         kept = self.kept
-        der = derived_subalgebra(alg).space
+        der = derived_subalgebra(alg)
         rows = der.sparse_rows()
         d = len(rows)
         pos = {t: a for a, t in enumerate(kept)}
         phi = [[] for _ in range(d)]  # phi[s]: (t, phi(s, t)) for every t with phi(s, t) != 0
         for s, t in combinations(range(d), 2):
-            residue = self.image.reduce(_wedge(f, ext.index, rows[s], rows[t]))
+            residue = self.image.reduce(_wedge(f, base, rows[s], rows[t]))
             if residue:
                 w = {pos[r]: c for r, c in residue.items()}
                 phi[s].append((t, w))
@@ -275,8 +284,9 @@ class MultiplierResult:
         if any(phi):
             pivot = {p: s for s, p in enumerate(der.pivots)}
             alpha = []  # (a, alpha_a) of the live kept pairs, in pair order
+            d2_of = self._d2
             for a, t in enumerate(kept):
-                d2 = alg.bracket_basis(*ext.pairs[t])
+                d2 = d2_of.get(t)
                 if d2:
                     alpha.append((a, {pivot[c]: v for c, v in d2.items() if c in pivot}))
             for x, (a, coeffs) in enumerate(alpha):
@@ -322,9 +332,9 @@ class MultiplierResult:
         alg = self.algebra
         f = alg.field
         add, mul, neg, zero, one = f.add, f.mul, f.neg, f.zero, f.one
-        index = self.ext.index
+        base = self.ext.base
         by_pivot = self.image._by_pivot
-        zspace = center(alg).space
+        zspace = center(alg)
         zrows = zspace.sparse_rows()
 
         def residue(t):
@@ -338,9 +348,9 @@ class MultiplierResult:
                     for i, c in z.items():
                         # e_i ^ e_j = -(e_j ^ e_i), and e_j ^ e_j = 0
                         if i < j:
-                            t = index[(i, j)]
+                            t = base[i] + j
                         elif i > j:
-                            t, c = index[(j, i)], neg(c)
+                            t, c = base[j] + i, neg(c)
                         else:
                             continue
                         for r, v in residue(t).items():
@@ -350,9 +360,9 @@ class MultiplierResult:
 
         space = kernel_from_rows(f, len(zrows), functionals()).lift(zspace)
         # l ^ e_j in im d3 for every basis vector l and every j
-        assert not any(self.image.reduce(_wedge(f, index, l, {j: one}))
+        assert not any(self.image.reduce(_wedge(f, base, l, {j: one}))
                        for l in space.sparse_rows() for j in range(alg.dim))
-        return IdealSubspace(alg, space)
+        return space
 
     def tensor_square(self):
         """L x L = (L ^ L) + diagonal ideal; the diagonal part is abelian."""
@@ -360,7 +370,7 @@ class MultiplierResult:
         return direct_sum(self._square, diag)
 
 
-def _im_d3(algebra, width):
+def _im_d3(algebra, ext):
     """im d3 of algebra, eliminated but not back-substituted, with
     d2 . d3 = 0 checked on its basis; the module docstring says how the
     columns are built, why no vector carries a unit column and why that
@@ -370,7 +380,7 @@ def _im_d3(algebra, width):
     table = algebra.table
     get = table.get
     p = field.char  # 0 over Q, so p - x is -x there
-    base = [a * (2 * n - a - 3) // 2 - 1 for a in range(n)]
+    base = ext.base
     nb = [set() for _ in range(n)]  # nb[a]: the b whose pair {a, b} has a bracket
     for a, b in table:
         nb[a].add(b)
@@ -453,7 +463,7 @@ def _im_d3(algebra, width):
                     out[t] = x
         if out:
             vectors.append(out)
-    span = Elimination(field, width, vectors, units)
+    span = Elimination(field, ext.width, vectors, units)
     # d2 on Lambda^2 coordinates; a unit column is killed exactly when its
     # pair has no bracket
     d2 = {base[a] + b: row for (a, b), row in table.items()}
@@ -468,7 +478,7 @@ def schur_multiplier(algebra):
     """im d3 of algebra and the invariants read off it, in one walk from
     the table; the RREF of im d3 is built when ``image`` is first read."""
     ext = ExteriorBasis(algebra.dim)
-    return MultiplierResult(_im_d3(algebra, ext.width), algebra, ext)
+    return MultiplierResult(_im_d3(algebra, ext), algebra, ext)
 
 
 def multiplier_dim(algebra):
@@ -482,11 +492,11 @@ def diagonal_square_dim(algebra):
     return (n - m) * (n - m + 1) // 2
 
 
-def _lambda2_map(linear_map, index):
+def _lambda2_map(linear_map, base):
     """Columns of Lambda^2 of a linear map, as sparse target coordinates;
-    index is the target's ``ExteriorBasis.index``."""
+    base is the target's ``ExteriorBasis.base``."""
     cols = linear_map.columns
-    return [_wedge(linear_map.target.field, index, cols[i], cols[j])
+    return [_wedge(linear_map.target.field, base, cols[i], cols[j])
             for i, j in combinations(range(len(cols)), 2)]
 
 
@@ -497,12 +507,11 @@ def induced_multiplier_map(algebra, ideal):
     coordinates on the multiplier basis of L/N; the kernel dimension does not
     depend on either basis choice.
     """
-    space = ideal.space if isinstance(ideal, IdealSubspace) else ideal
-    if not center(algebra).space.contains_subspace(space):
+    if not center(algebra).contains_subspace(ideal):
         raise NotCentral("ideal is not central")
-    q, proj = quotient(algebra, space)
+    q, proj = quotient(algebra, ideal)
     m_q = schur_multiplier(q)
-    lam2 = _lambda2_map(proj, m_q.ext.index)
+    lam2 = _lambda2_map(proj, m_q.ext.base)
     # a cycle maps to a cycle; NotContained here would mean it did not
     return [m_q.basis.coords(m_q.image.reduce(apply_columns(algebra.field, lam2, v)))
             for v in schur_multiplier(algebra).basis.sparse_rows()]

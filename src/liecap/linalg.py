@@ -236,9 +236,10 @@ class Echelon:
     primitive with a positive lead when it is stored, so the held rows are
     the same whichever combinations skipped the strip: each is the one
     primitive multiple of the same vector.  Over GF(p) every row is scaled
-    to a unit pivot when stored.  ``finalize`` back-substitutes and, over
-    Q, divides each row by its pivot entry, yielding the canonical RREF
-    basis of the row space with canonical Q scalars.
+    to a unit pivot when stored.  ``finalize`` back-substitutes, with the
+    same rule for the strip, and, over Q, divides each row by its pivot
+    entry, yielding the canonical RREF basis of the row space with
+    canonical Q scalars.
 
     ``Elimination`` hands it, through ``_insert``, only the prepared
     vectors left after the structural pivots are peeled; ``covers`` and
@@ -326,13 +327,17 @@ class Echelon:
                     a //= g
                     b //= g
                     row = _int_combine(row, a, qrow, b)
-                    g = 0
-                    for v in row.values():
-                        g = gcd(g, v)
-                    if row[p0] < 0:
-                        g = -g
-                    if g not in (0, 1):
-                        row = {c: v // g for c, v in row.items()}
+                    # with a = 1 the row was not scaled, and qrow is zero at
+                    # p0, so the pivot entry is unchanged: the division by
+                    # it below makes the row canonical all the same
+                    if a != 1:
+                        g = 0
+                        for v in row.values():
+                            g = gcd(g, v)
+                        if row[p0] < 0:
+                            g = -g
+                        if g not in (0, 1):
+                            row = {c: v // g for c, v in row.items()}
                 else:
                     row = _mod_combine(row, qrow, row[q], self.field.p)
             rows[p0] = row

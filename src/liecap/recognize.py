@@ -91,8 +91,8 @@ class Fingerprint:
 def fingerprint(algebra):
     """The invariant profile."""
     lcs = lower_central_series(algebra)
-    der = derived_subalgebra(algebra).space
-    z = center(algebra).space
+    der = derived_subalgebra(algebra)
+    z = center(algebra)
     cents = tuple(centralizer(algebra, g).dim for g in lcs[1:])
     return Fingerprint(
         dim=algebra.dim,
@@ -162,25 +162,19 @@ def l58_sum_model(k, field):
     return alg
 
 
-@dataclass(frozen=True)
-class HeisenbergSplit:
-    m: int
-    k: int
-    basis: tuple  # sparse columns
-
-
 def heisenberg_decomposition(algebra):
     """Split L with dim L^2 = 1 and class 2 as H(m) + A(k), constructively.
 
     The bracket factors through an alternating form beta on L with radical
     Z(L); a symplectic-style basis of a complement of the radical gives the
     H(m) part, and a complement of L^2 inside Z(L) the abelian part.  The
-    returned basis transforms the table into the model table exactly.
+    returned ``IsoType`` basis transforms the table into the model table
+    exactly.
     """
     f = algebra.field
     series = lower_central_series(algebra)
-    der = derived_subalgebra(algebra).space
-    zspace = center(algebra).space
+    der = derived_subalgebra(algebra)
+    zspace = center(algebra)
     if der.dim != 1:
         raise NotApplicable("needs dim L^2 = 1")
     if not (len(series) >= 2 and series[-1].dim == 0 and len(series) - 1 == 2):
@@ -218,7 +212,7 @@ def heisenberg_decomposition(algebra):
     model = heisenberg_sum_model(m, k, f)
     got = transform(algebra, basis)
     assert got.table_key() == model.table_key(), "symplectic split failed"
-    return HeisenbergSplit(m, k, basis)
+    return IsoType("heisenberg_sum", m=m, k=k, basis=basis)
 
 
 def _l58_sum_split(algebra):
@@ -232,8 +226,8 @@ def _l58_sum_split(algebra):
     realizes the model relations [v1,v2]=z4, [v1,v3]=z5, [v2,v3]=0.
     """
     f = algebra.field
-    der = derived_subalgebra(algebra).space
-    zspace = center(algebra).space
+    der = derived_subalgebra(algebra)
+    zspace = center(algebra)
     if der.dim != 2 or not zspace.contains_subspace(der):
         return None
     w_rows = complement(zspace, Subspace.full(f, algebra.dim))
@@ -281,8 +275,7 @@ def recognize(algebra):
     if lcs[-1].dim == 0 and len(lcs) - 1 == 2:
         der = derived_subalgebra(algebra)
         if der.dim == 1:
-            split = heisenberg_decomposition(algebra)
-            return IsoType("heisenberg_sum", m=split.m, k=split.k, basis=split.basis)
+            return heisenberg_decomposition(algebra)
         if der.dim == 2:
             hit = _l58_sum_split(algebra)
             if hit is not None:

@@ -130,7 +130,7 @@ def exterior_square_reference(m):
     brackets = {}
     for x, a in enumerate(live):
         for b in live[x + 1:]:
-            residue = m.image.reduce(_wedge(alg.field, m.ext.index, d2[a], d2[b]))
+            residue = m.image.reduce(_wedge(alg.field, m.ext.base, d2[a], d2[b]))
             brackets[(a, b)] = {pos[t]: c for t, c in residue.items()}
     return LieAlgebra(alg.field, len(m.kept), brackets)
 
@@ -166,12 +166,12 @@ def theorem2_reference(algebra, label=""):
     dsub, _ = subalgebra_on(algebra, der)
     inner = Subspace.from_vectors(
         algebra.field, dsub.dim,
-        [der.space.coords(v) for v in zw.space.sparse_rows()])
+        [der.coords(v) for v in zw.sparse_rows()])
     dq, _ = quotient(dsub, inner)
     if dq.dim > 0 and schur_multiplier(dq).exterior_center().dim > 0:
         return BoundCheck(label, "skipped", reason="L^2/Z^(L) not capable")
     lhs = schur_multiplier(multiplier.exterior_square()).exterior_center().dim
-    lbar, _ = quotient(algebra, zw.space)
+    lbar, _ = quotient(algebra, zw)
     rhs = schur_multiplier(lbar).dim
     return BoundCheck(label, "checked", lhs=lhs, rhs=rhs, holds=lhs <= rhs)
 

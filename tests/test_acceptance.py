@@ -205,7 +205,7 @@ def test_criterion_09_consistency_triangle(entries, covers_map):
         zw = exterior_center(covers_map[key])
         for line in central_test_lines(L):
             a = dagger_test(L, line)
-            b = zw.space.contains_subspace(line)
+            b = zw.contains_subspace(line)
             c = induced_map_injective(L, line)
             if not (a == b == c):
                 failures.append(f"{key}: dagger={a} member={b} mono={c}")
@@ -283,7 +283,7 @@ def test_criterion_13_robustness(entries, covers_map):
         expect = (base.star_dim, base.multiplier_dim,
                   recognize(exterior_square(base)).label())
         gens = default_generator_lift(L)
-        der_rows = derived_subalgebra(L).space.sparse_rows()
+        der_rows = derived_subalgebra(L).sparse_rows()
         for _ in range(20):
             lift = []
             for i in range(len(gens)):

@@ -217,7 +217,7 @@ class TestSeries:
         L = build("L5_4")
         d = derived_subalgebra(L)
         z = center(L)
-        assert d.dim == 1 and z.space == d.space
+        assert d.dim == 1 and z == d
 
     def test_class_l618(self):
         # chain x3, x4, x5, x6 gives class 5
@@ -241,7 +241,7 @@ class TestSeries:
             series = lower_central_series(L)
             if len(series) >= 2:
                 last = series[-2]  # gamma_c, the last nonzero term
-                assert center(L).space.contains_subspace(last.space)
+                assert center(L).contains_subspace(last)
 
     def test_not_nilpotent_detected(self):
         # [x1,x2]=x2 is solvable, not nilpotent
@@ -331,7 +331,7 @@ class TestTableWalks:
             L = transform(base, random_basis_change(rng, n, field))
             lcs = all_pairs_lcs(L)
             ucs = all_pairs_ucs(L)
-            assert [g.space for g in lower_central_series(L)] == lcs, str(key)
+            assert list(lower_central_series(L)) == lcs, str(key)
             assert upper_central_series(L) == ucs, str(key)
             for g in lcs[1:]:
                 assert centralizer(L, g) == all_pairs_centralizer(L, g), str(key)
@@ -392,11 +392,11 @@ class TestQuotient:
 
     def test_l43_mod_center(self):
         L = build("L4_3")
-        q, proj = quotient(L, center(L).space)
+        q, proj = quotient(L, center(L))
         assert q.dim == 3
         assert q.table_key() == build("L3_2").table_key()
         assert proj.is_bracket_preserving()
-        assert kernel_columns(QQ, proj.columns) == center(L).space
+        assert kernel_columns(QQ, proj.columns) == center(L)
 
     def test_not_an_ideal(self):
         L = build("L4_3")
@@ -418,8 +418,8 @@ class TestQuotient:
         for text in ("L6_17", "L6_14", "L5_7", "L6_19(e=1)"):
             L = build(text)
             g = lower_central_series(L)
-            n_small = g[-2].space   # gamma_c, the last nonzero term
-            n_big = g[-3].space
+            n_small = g[-2]   # gamma_c, the last nonzero term
+            n_big = g[-3]
             mid, proj = quotient(L, n_small)
             img = Subspace.from_vectors(QQ, mid.dim,
                                         [proj.apply(v) for v in n_big.sparse_rows()])
@@ -438,7 +438,7 @@ class TestSubalgebra:
 
     def test_ideal_check(self):
         L = build("L4_3")
-        assert is_ideal(L, derived_subalgebra(L).space)
+        assert is_ideal(L, derived_subalgebra(L))
         assert not is_ideal(L, Subspace.from_vectors(QQ, 4, [[1, 0, 0, 0]]))
 
 
@@ -505,8 +505,8 @@ class TestStructureMemo:
 
     @staticmethod
     def structure(L):
-        return (derived_subalgebra(L).space, center(L).space,
-                *(g.space for g in lower_central_series(L)))
+        return (derived_subalgebra(L), center(L),
+                *lower_central_series(L))
 
     def test_no_reference_cycles(self):
         # the memo holds bare Subspaces, so an algebra is freed by
@@ -523,15 +523,33 @@ class TestStructureMemo:
         finally:
             gc.enable()
 
+    def test_memo_objects_are_plain_ideals(self):
+        # every call returns the memo's own objects, which the ideal
+        # calculus takes as they are
+        L = build("L6_19(e=1)")
+        der, z, lcs = derived_subalgebra(L), center(L), lower_central_series(L)
+        assert derived_subalgebra(L) is der
+        assert center(L) is z
+        assert isinstance(lcs, tuple) and lower_central_series(L) is lcs
+        assert lcs[1] is der
+        for ideal in (der, z, *lcs):
+            assert is_ideal(L, ideal)
+            q, proj = quotient(L, ideal)
+            assert q.dim == L.dim - ideal.dim
+            assert kernel_columns(L.field, proj.columns) == ideal
+            sub, emb = subalgebra_on(L, ideal)
+            assert sub.dim == ideal.dim and emb.is_bracket_preserving()
+        assert centralizer(L, lcs[0]) == z
+        assert centralizer(L, z).dim == L.dim
+
     def test_derived_algebras_compute_their_own(self):
         L = build("L6_19(e=1)")
         mine = self.structure(L)
-        z = center(L).space
+        z = center(L)
         cols = random_basis_change(random.Random(3), L.dim)
         for M in (L.relabel([f"y{i}" for i in range(L.dim)]), transform(L, cols),
                   quotient(L, z)[0]):
             theirs = self.structure(M)
-            assert derived_subalgebra(M).parent is M
             assert not {id(s) for s in theirs} & {id(s) for s in mine}
             # the same structure as a fresh algebra on M's table
             assert theirs == self.structure(LieAlgebra(M.field, M.dim, M.table))

@@ -52,7 +52,7 @@ class TestIsCapable:
                                      catalog.abelian_algebra(k, field))
                     report = is_capable(alg)
                     expected = (Subspace.zero(field, alg.dim) if m == 1
-                                else derived_subalgebra(alg).space)
+                                else derived_subalgebra(alg))
                     assert report.witness == expected, (field, m, k)
                     assert report.capable == (m == 1), (field, m, k)
 
@@ -65,7 +65,7 @@ class TestDagger:
 
     def test_h2_derived_true(self):
         L = build("L5_4")
-        assert dagger_test(L, derived_subalgebra(L).space)
+        assert dagger_test(L, derived_subalgebra(L))
 
     def test_a2_lines_false(self):
         L = build("A2")
@@ -75,7 +75,7 @@ class TestDagger:
     def test_wrong_dimension(self):
         L = build("L5_3")
         with pytest.raises(WrongDimension):
-            dagger_test(L, center(L).space)
+            dagger_test(L, center(L))
 
     def test_not_central(self, d3_calls):
         L = build("L4_3")
@@ -114,7 +114,7 @@ class TestTriangle:
             zw = exterior_center(Cover(L))
             for line in central_test_lines(L):
                 a = dagger_test(L, line)
-                b = zw.space.contains_subspace(line)
+                b = zw.contains_subspace(line)
                 c = induced_map_injective(L, line)
                 assert a == b == c, text
 
@@ -125,9 +125,9 @@ class TestMonotonicity:
             for key in catalog.expand_keys(dim):
                 L = catalog.build(key).algebra
                 zw = exterior_center(Cover(L))
-                assert center(L).space.contains_subspace(zw.space), str(key)
+                assert center(L).contains_subspace(zw), str(key)
                 if not L.is_abelian():
-                    assert derived_subalgebra(L).space.contains_subspace(zw.space), str(key)
+                    assert derived_subalgebra(L).contains_subspace(zw), str(key)
 
 
 class TestSweep:

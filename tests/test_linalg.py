@@ -181,6 +181,24 @@ class TestRref:
         assert rows[0].get(1, 0) == 0
 
 
+    def test_back_substitution_leaves_content(self):
+        # each second row is subtracted once from the first, with a = 1:
+        # [2, 1, 3] - [0, 1, -1] = [2, 0, 4] and [4, 1, 1] - [0, 1, -1] =
+        # [4, 0, 2], both of content 2, which the division by the pivot
+        # entry takes out: rows x1 + 2x3 and x1 + x3/2
+        for first, want in (({0: 2, 1: 1, 2: 3}, {0: 1, 2: 2}),
+                            ({0: 4, 1: 1, 2: 1}, {0: 1, 2: Fraction(1, 2)})):
+            ech = Echelon(QQ, 3)
+            ech.add(first)
+            ech.add({1: 1, 2: -1})
+            rows = ech.rows()
+            assert rows == [(0, want), (1, {1: 1, 2: -1})]
+            assert all(is_canonical(x) and type(x) is type(want[c])
+                       for c, x in rows[0][1].items())
+            assert Subspace.from_vectors(QQ, 3, [first, {1: 1, 2: -1}]).sparse_rows() == [
+                want, {1: 1, 2: -1}]
+
+
 class TestKernel:
     def test_identity_kernel_trivial(self):
         assert kernel_columns(QQ, [{i: QQ.one} for i in range(4)]).dim == 0
