@@ -7,8 +7,10 @@ after construction and all arithmetic is exact.
 
 L^2, Z(L) and the lower central series are computed once per algebra and
 returned as the memo's own ``Subspace``s (the series as the memo's tuple).
-An ideal is a plain ``Subspace``; it refers to no algebra, so an algebra
-holds no reference back to itself.
+The adjacency of the table, which every ad image reads, joins them in the
+memo; it holds lists of the table's own rows.  An ideal is a plain
+``Subspace``; it refers to no algebra, so an algebra holds no reference
+back to itself.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .linalg import (
     LiecapError,
     PrimeField,
     Subspace,
+    accumulate,
     apply_columns,
     inverse_columns,
     kernel_columns,
@@ -80,7 +83,7 @@ class LieAlgebra:
         self.dim = dim
         self.labels = labels
         self.table = table
-        self._memo = {}  # L^2, Z(L) and the lower central series, once computed
+        self._memo = {}  # L^2, Z(L), the lower central series and the adjacency
 
     # -- basic bracket machinery ------------------------------------------
 
@@ -100,7 +103,7 @@ class LieAlgebra:
         """Bracket of two sparse vectors; cost scales with their supports."""
         out = {}
         f = self.field
-        add, mul, neg, zero = f.add, f.mul, f.neg, f.zero
+        mul, neg = f.mul, f.neg
         table = self.table
         for i, a in u.items():
             for j, b in v.items():
@@ -112,12 +115,7 @@ class LieAlgebra:
                 c = mul(a, b)
                 if i > j:
                     c = neg(c)
-                for k, w in row.items():
-                    nv = add(out.get(k, zero), mul(c, w))
-                    if nv:
-                        out[k] = nv
-                    else:
-                        out.pop(k, None)
+                accumulate(f, out, c, row)
         return out
 
     def is_abelian(self):
@@ -176,7 +174,7 @@ def validate(algebra):
     raising.
     """
     f = algebra.field
-    add, mul, neg, zero = f.add, f.mul, f.neg, f.zero
+    neg = f.neg
     table = algebra.table
     for i, j, k in support_triples(algebra):
         total = {}
@@ -195,14 +193,8 @@ def validate(algebra):
                     outer, sign = table.get((m, a)), neg(cm)
                 else:
                     continue
-                if not outer:
-                    continue
-                for t, ct in outer.items():
-                    nv = add(total.get(t, zero), mul(sign, ct))
-                    if nv:
-                        total[t] = nv
-                    else:
-                        total.pop(t, None)
+                if outer:
+                    accumulate(f, total, sign, outer)
         if total:
             return ValidationReport(False, [(i, j, k, total)])
     return ValidationReport(True)
@@ -237,31 +229,28 @@ def derived_subalgebra(algebra):
 
 
 def _adjacency(algebra):
-    """{i: [(j, [e_i, e_j] row, negate)]} over the table's nonzero brackets;
-    ``negate`` marks the pairs i > j, whose stored row is [e_j, e_i]."""
-    adj = {}
-    for (i, j), row in algebra.table.items():
-        adj.setdefault(i, []).append((j, row, False))
-        adj.setdefault(j, []).append((i, row, True))
-    return adj
+    """{i: [(j, [e_i, e_j] row, negate)]} over the table's nonzero brackets,
+    built once per algebra; ``negate`` marks the pairs i > j, whose stored
+    row is [e_j, e_i]."""
+    memo = algebra._memo
+    if "adj" not in memo:
+        adj = memo["adj"] = {}
+        for (i, j), row in algebra.table.items():
+            adj.setdefault(i, []).append((j, row, False))
+            adj.setdefault(j, []).append((i, row, True))
+    return memo["adj"]
 
 
-def _ad_images(algebra, adj, v):
+def _ad_images(algebra, v):
     """{j: [v, e_j]} for the sparse vector v, nonzero images only; the cost
     is the table entries met by v's support."""
     f = algebra.field
-    add, mul, neg, zero = f.add, f.mul, f.neg, f.zero
+    neg = f.neg
+    adj = _adjacency(algebra)
     out = {}
     for i, a in v.items():
         for j, row, negate in adj.get(i, ()):
-            c = neg(a) if negate else a
-            w = out.setdefault(j, {})
-            for k, x in row.items():
-                nv = add(w.get(k, zero), mul(c, x))
-                if nv:
-                    w[k] = nv
-                else:
-                    w.pop(k, None)
+            accumulate(f, out.setdefault(j, {}), neg(a) if negate else a, row)
     return {j: w for j, w in out.items() if w}
 
 
@@ -290,34 +279,32 @@ def center(algebra):
 
 def centralizer(algebra, space):
     """C_L(S) = {x : [x, s] = 0 for every s in S}, as a Subspace."""
-    adj = _adjacency(algebra)
     # column j of x -> ([s_t, x])_t, the negative of x -> ([x, s_t])_t
     cols = [{} for _ in range(algebra.dim)]
     for t, s in enumerate(space.sparse_rows()):
-        for j, w in _ad_images(algebra, adj, s).items():
+        for j, w in _ad_images(algebra, s).items():
             for k, c in w.items():
                 cols[j][(t, k)] = c
     return kernel_columns(algebra.field, cols)
 
 
-def _bracket_span(algebra, space, adj):
+def _bracket_span(algebra, space):
     """Span of [space, L]."""
     vecs = []
     for row in space.sparse_rows():
-        vecs.extend(_ad_images(algebra, adj, row).values())
+        vecs.extend(_ad_images(algebra, row).values())
     return _span(algebra, vecs)
 
 
 def _series(algebra):
     """The terms of ``lower_central_series``, as a tuple of Subspaces."""
     out = [Subspace.full(algebra.field, algebra.dim)]
-    adj = _adjacency(algebra)
     nxt = derived_subalgebra(algebra)  # [L, L], the table's span
     while nxt.dim != out[-1].dim:
         out.append(nxt)
         if nxt.dim == 0:
             return tuple(out)
-        nxt = _bracket_span(algebra, nxt, adj)
+        nxt = _bracket_span(algebra, nxt)
     if nxt.dim != 0:
         out.append(nxt)  # stabilized above zero: not nilpotent
     return tuple(out)
@@ -363,9 +350,8 @@ def minimal_generator_count(algebra):
 
 
 def is_ideal(algebra, space):
-    adj = _adjacency(algebra)
     return all(space.contains(w) for row in space.sparse_rows()
-               for w in _ad_images(algebra, adj, row).values())
+               for w in _ad_images(algebra, row).values())
 
 
 @dataclass(frozen=True)
@@ -446,9 +432,7 @@ def transform(algebra, cols):
     if len(cols) != n:
         raise DimensionMismatch(f"{len(cols)} basis columns for dim {n}")
     f = algebra.field
-    add, mul, zero = f.add, f.mul, f.zero
     inv_cols = inverse_columns(f, cols)
-    adj = _adjacency(algebra)
     holders = {}  # j -> [(b, b_b[j])], the later columns with an entry at j
     for b, col in enumerate(cols):
         for j, c in col.items():
@@ -456,17 +440,10 @@ def transform(algebra, cols):
     brackets = {}
     for a, col in enumerate(cols):
         out = {}  # b -> [b_a, b_b]
-        for j, w in _ad_images(algebra, adj, col).items():
+        for j, w in _ad_images(algebra, col).items():
             for b, c in holders.get(j, ()):
-                if b <= a:
-                    continue
-                acc = out.setdefault(b, {})
-                for k, x in w.items():
-                    nv = add(acc.get(k, zero), mul(c, x))
-                    if nv:
-                        acc[k] = nv
-                    else:
-                        acc.pop(k, None)
+                if b > a:
+                    accumulate(f, out.setdefault(b, {}), c, w)
         # the new coordinates of [b_a, b_b] are its image under the inverse
         for b in sorted(out):
             if out[b]:

@@ -39,7 +39,7 @@ from .algebra import (
 )
 from .catalog import abelian_algebra
 from .homology import diagonal_square_dim
-from .linalg import QQ, Echelon, LiecapError, Subspace, kernel_columns
+from .linalg import QQ, Echelon, LiecapError, Subspace, complement, kernel_columns
 
 
 class ResourceLimit(LiecapError):
@@ -199,10 +199,7 @@ def free_nilpotent(d, c):
 
 def default_generator_lift(algebra):
     """Coordinate lifts of the non-pivot complement of L^2, in label order."""
-    derived = derived_subalgebra(algebra)
-    pivots = set(derived.pivots)
-    one = algebra.field.one
-    return [{i: one} for i in range(algebra.dim) if i not in pivots]
+    return complement(derived_subalgebra(algebra), Subspace.full(algebra.field, algebra.dim))
 
 
 class Cover:

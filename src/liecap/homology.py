@@ -95,6 +95,7 @@ from .linalg import (
     Matrix,
     NotContained,
     Subspace,
+    accumulate,
     apply_columns,
     kernel_columns,
     kernel_from_rows,
@@ -146,17 +147,6 @@ def _wedge_entry(field, out, base, a, b, coeff):
         out[idx] = nv
     else:
         out.pop(idx, None)
-
-
-def _accumulate(field, out, c, v):
-    """out += c * v for sparse vectors, dropping the entries that cancel."""
-    add, mul, zero = field.add, field.mul, field.zero
-    for k, w in v.items():
-        nv = add(out.get(k, zero), mul(c, w))
-        if nv:
-            out[k] = nv
-        else:
-            out.pop(k, None)
 
 
 def _wedge(field, base, u, v):
@@ -293,14 +283,14 @@ class MultiplierResult:
                 psi = {}
                 for s, c in coeffs.items():
                     for t, w in phi[s]:
-                        _accumulate(f, psi.setdefault(t, {}), c, w)
+                        accumulate(f, psi.setdefault(t, {}), c, w)
                 psi = {t: v for t, v in psi.items() if v}
                 if psi:
                     for b, other in alpha[x + 1:]:
                         out = {}
                         for t, c in other.items():
                             if t in psi:
-                                _accumulate(f, out, c, psi[t])
+                                accumulate(f, out, c, psi[t])
                         brackets[(a, b)] = out
         return LieAlgebra(f, len(kept), brackets)
 

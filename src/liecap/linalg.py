@@ -10,6 +10,8 @@ exact bit for bit.
 
 Vectors are sparse ``{index: value}`` dicts, and a linear map is a list of
 sparse columns, column i being the image of the i-th basis vector.
+``accumulate`` (out += c * v) is the one sparse combination outside the
+elimination's own inner loops; ``apply_columns`` is one per column.
 Subspaces are stored in reduced row echelon form, which makes equality
 structural: two equal subspaces have identical basis matrices.  Every
 subspace, every kernel and im d3 come from one elimination,
@@ -518,18 +520,24 @@ def _reduce(field, by_pivot, v):
     return v
 
 
+def accumulate(field, out, c, v):
+    """out += c * v for sparse vectors, in place, dropping the entries that
+    cancel."""
+    add, mul, zero = field.add, field.mul, field.zero
+    for k, w in v.items():
+        nv = add(out.get(k, zero), mul(c, w))
+        if nv:
+            out[k] = nv
+        else:
+            out.pop(k, None)
+
+
 def apply_columns(field, cols, vec):
     """Image of the sparse vector vec under the map whose sparse columns are
     cols: the sum of vec[i] * cols[i]."""
-    add, mul, zero = field.add, field.mul, field.zero
     out = {}
     for i, c in vec.items():
-        for k, w in cols[i].items():
-            nv = add(out.get(k, zero), mul(c, w))
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
+        accumulate(field, out, c, cols[i])
     return out
 
 
@@ -770,23 +778,6 @@ class Subspace:
 def subspace_sum(u, v):
     u._check_compatible(v)
     return Subspace._from_sparse(u.field, u.ambient_dim, list(u._rows) + list(v._rows))
-
-
-def subspace_intersect(u, v):
-    """U cap V via left-kernel coefficients on stacked bases."""
-    u._check_compatible(v)
-    urows = u.sparse_rows()
-    vrows = v.sparse_rows()
-    if not urows or not vrows:
-        return Subspace.zero(u.field, u.ambient_dim)
-    # coefficient vectors (a, b) with a*U + b*V = 0 give points a*U of the intersection
-    coeff_kernel = kernel_columns(u.field, urows + vrows)
-    vectors = []
-    for coeff in coeff_kernel.sparse_rows():
-        vec = apply_columns(u.field, urows, {i: a for i, a in coeff.items() if i < len(urows)})
-        if vec:
-            vectors.append(vec)
-    return Subspace._from_sparse(u.field, u.ambient_dim, vectors)
 
 
 def complement(u, w):

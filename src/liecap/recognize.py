@@ -28,7 +28,7 @@ from .linalg import (
     apply_columns,
     complement,
     kernel_columns,
-    subspace_intersect,
+    subspace_sum,
 )
 
 
@@ -94,13 +94,14 @@ def fingerprint(algebra):
     der = derived_subalgebra(algebra)
     z = center(algebra)
     cents = tuple(centralizer(algebra, g).dim for g in lcs[1:])
+    # dim(L^2 cap Z) = dim L^2 + dim Z - dim(L^2 + Z), from one elimination
     return Fingerprint(
         dim=algebra.dim,
         lcs_dims=tuple(g.dim for g in lcs),
         ucs_dims=tuple(s.dim for s in upper_central_series(algebra)),
         derived_dim=der.dim,
         center_dim=z.dim,
-        derived_cap_center=subspace_intersect(der, z).dim,
+        derived_cap_center=der.dim + z.dim - subspace_sum(der, z).dim,
         centralizer_dims=cents,
         multiplier_dim=multiplier_dim(algebra),
     )

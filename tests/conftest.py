@@ -16,6 +16,7 @@ from liecap.linalg import (
     Elimination,
     Subspace,
     _prepare,
+    apply_columns,
     kernel_columns,
     kernel_from_rows,
 )
@@ -133,6 +134,17 @@ def exterior_square_reference(m):
             residue = m.image.reduce(_wedge(alg.field, m.ext.base, d2[a], d2[b]))
             brackets[(a, b)] = {pos[t]: c for t, c in residue.items()}
     return LieAlgebra(alg.field, len(m.kept), brackets)
+
+
+def intersection_reference(u, v):
+    """U cap V as a Subspace: the points a U of the coefficient vectors
+    (a, b) in the kernel of the stacked bases [U; V], so a U = -b V.  The
+    reference for dim(U cap V) = dim U + dim V - dim(U + V)."""
+    urows = u.sparse_rows()
+    ker = kernel_columns(u.field, urows + v.sparse_rows())
+    points = [apply_columns(u.field, urows, {i: a for i, a in k.items() if i < len(urows)})
+              for k in ker.sparse_rows()]
+    return Subspace.from_vectors(u.field, u.ambient_dim, points)
 
 
 def two_pass_kernel(field, width, rows):

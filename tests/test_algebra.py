@@ -13,6 +13,7 @@ from liecap.algebra import (
     LieAlgebra,
     NotAnIdeal,
     NotNilpotent,
+    _adjacency,
     center,
     centralizer,
     derived_subalgebra,
@@ -501,7 +502,8 @@ class TestTransform:
 
 
 class TestStructureMemo:
-    """L^2, Z(L) and the lower central series are kept per algebra object."""
+    """L^2, Z(L), the lower central series and the adjacency of the table
+    are kept per algebra object."""
 
     @staticmethod
     def structure(L):
@@ -519,6 +521,29 @@ class TestStructureMemo:
                 for key in catalog.all_keys(6, field):
                     invariant_report(catalog.build(key, field).algebra, str(key))
             run_suites(list(SUITES), QQ, catalog.DEFAULT_EPSILON_SAMPLES)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_adjacency_built_once(self):
+        # every ad image reads the one adjacency, made of the table's own
+        # rows; with it in the memo an algebra is still freed by refcounting
+        from liecap.recognize import fingerprint
+        L = build("L6_19(e=1)")
+        adj = _adjacency(L)
+        assert _adjacency(L) is adj and L._memo["adj"] is adj
+        assert sum(len(nbrs) for nbrs in adj.values()) == 2 * len(L.table)
+        for i, nbrs in adj.items():
+            for j, row, negate in nbrs:
+                assert row is L.table[(j, i) if negate else (i, j)]
+        cols = random_basis_change(random.Random(5), L.dim)
+        gc.collect()
+        gc.disable()
+        try:
+            M = transform(L, cols)
+            fingerprint(M)
+            assert is_ideal(M, center(M)) and "adj" in M._memo
+            del M
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -3,7 +3,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import central_extension, echelon_rref, random_basis_change, two_pass_kernel
+from conftest import (
+    central_extension,
+    echelon_rref,
+    intersection_reference,
+    random_basis_change,
+    two_pass_kernel,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,12 +25,12 @@ from liecap.linalg import (
     NotContained,
     PrimeField,
     Subspace,
+    accumulate,
     apply_columns,
     complement,
     inverse_columns,
     kernel_columns,
     kernel_from_rows,
-    subspace_intersect,
     subspace_sum,
 )
 
@@ -216,32 +222,40 @@ class TestKernel:
 
 
 class TestSubspaceOps:
-    def test_sum_intersect_same(self):
+    def test_sum_same(self):
         u = Subspace.from_vectors(QQ, 3, [[1, 0, 2], [0, 1, 1]])
         assert subspace_sum(u, u) == u
-        assert subspace_intersect(u, u) == u
 
     def test_complementary_planes(self):
         u = Subspace.from_vectors(QQ, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
         v = Subspace.from_vectors(QQ, 4, [[0, 0, 1, 0], [0, 0, 0, 1]])
         assert subspace_sum(u, v).dim == 4
-        assert subspace_intersect(u, v).dim == 0
 
     def test_skew_line_example(self):
         # U = span(e1+e2), V = span(e2): hand computation gives
-        # dim(U+V) = 2 and U cap V = 0
+        # dim(U+V) = 2
         u = Subspace.from_vectors(QQ, 2, [[1, 1]])
         v = Subspace.from_vectors(QQ, 2, [[0, 1]])
         assert subspace_sum(u, v).dim == 2
-        assert subspace_intersect(u, v).dim == 0
 
     def test_grassmann_dimension_formula(self):
+        # dim(U cap V) = dim U + dim V - dim(U + V), the formula fingerprint
+        # reads derived_cap_center by, against U cap V built as a kernel
         u = Subspace.from_vectors(QQ, 4, [[1, 0, 1, 0], [0, 1, 0, 1]])
         v = Subspace.from_vectors(QQ, 4, [[1, 0, 1, 0], [0, 0, 1, 1]])
-        s = subspace_sum(u, v)
-        i = subspace_intersect(u, v)
-        assert s.dim + i.dim == u.dim + v.dim
+        i = intersection_reference(u, v)
+        assert u.dim + v.dim - subspace_sum(u, v).dim == i.dim == 1
         assert i.contains({0: 1, 2: 1})
+        rng = random.Random(43)
+        for field in PEEL_FIELDS:
+            for _ in range(40):
+                n = rng.randint(1, 6)
+                u, v = (Subspace.from_vectors(field, n, [
+                    {k: field.from_int(rng.randint(-1, 1)) for k in range(n)}
+                    for _ in range(rng.randint(0, n))]) for _ in range(2))
+                i = intersection_reference(u, v)
+                assert u.dim + v.dim - subspace_sum(u, v).dim == i.dim
+                assert u.contains_subspace(i) and v.contains_subspace(i)
 
     def test_membership(self):
         u = Subspace.from_vectors(QQ, 3, [[1, 2, 0], [0, 0, 1]])
@@ -713,3 +727,45 @@ class TestLift:
         space = Subspace.from_vectors(QQ, 3, [{0: 1}, {1: 1}])
         with pytest.raises(DimensionMismatch):
             Subspace.full(QQ, 3).lift(space)
+
+
+class TestAccumulate:
+    """accumulate is the one sparse combination out += c * v, and
+    apply_columns is one accumulate per column: both equal dense arithmetic,
+    with no entry left that cancelled."""
+
+    @staticmethod
+    def sparse(field, data, n):
+        raw = data.draw(st.dictionaries(st.integers(0, n - 1), raw_values(field), max_size=n))
+        return {k: c for k, x in raw.items() if (c := field.coerce(x))}
+
+    @given(st.sampled_from(PEEL_FIELDS), st.integers(1, 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_arithmetic(self, field, n, data):
+        out, v = self.sparse(field, data, n), self.sparse(field, data, n)
+        c = field.coerce(data.draw(raw_values(field)))
+        dense = [field.add(out.get(k, 0), field.mul(c, v.get(k, 0))) for k in range(n)]
+        got = dict(out)
+        accumulate(field, got, c, v)
+        assert got == {k: x for k, x in enumerate(dense) if x}
+        assert all(x for x in got.values())
+        # adding -c * v back cancels to out, to {} when out was {}
+        accumulate(field, got, field.neg(c), v)
+        assert got == out
+        cols = [self.sparse(field, data, n) for _ in range(n)]
+        vec = self.sparse(field, data, n)
+        dense = [0] * n
+        for i, a in vec.items():
+            for k in range(n):
+                dense[k] = field.add(dense[k], field.mul(a, cols[i].get(k, 0)))
+        assert apply_columns(field, cols, vec) == {k: x for k, x in enumerate(dense) if x}
+
+    @pytest.mark.parametrize("field", PEEL_FIELDS, ids=repr)
+    def test_cancels_to_empty(self, field):
+        v = {0: field.one, 2: field.from_int(2)}
+        out = {0: field.neg(field.from_int(3)), 2: field.neg(field.from_int(6))}
+        accumulate(field, out, field.from_int(3), v)
+        assert out == {}
+        # the columns e_0 + 2 e_2 and -(e_0 + 2 e_2) cancel in their sum
+        assert apply_columns(field, [v, {k: field.neg(x) for k, x in v.items()}],
+                             {0: field.one, 1: field.one}) == {}

@@ -2,9 +2,21 @@ import random
 
 import pytest
 
-from conftest import central_extension, random_basis_change
+from conftest import (
+    central_extension,
+    generalized_heisenberg,
+    intersection_reference,
+    random_basis_change,
+)
 from liecap import catalog
-from liecap.algebra import LieAlgebra, direct_sum, transform, validate
+from liecap.algebra import (
+    LieAlgebra,
+    center,
+    derived_subalgebra,
+    direct_sum,
+    transform,
+    validate,
+)
 from liecap.covers import free_nilpotent
 from liecap.homology import diagonal_square_dim, schur_multiplier
 from liecap.linalg import QQ, PrimeField
@@ -201,6 +213,30 @@ class TestFingerprint:
     def test_string_form(self):
         s = str(fingerprint(build("L4_3")))
         assert s.startswith("dim=4;") and "m=2" in s
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "GF101"])
+    def test_derived_cap_center_is_the_intersection(self, field):
+        # dim L^2 + dim Z - dim(L^2 + Z) against L^2 cap Z built as a kernel,
+        # on the squares of F(3,3), F(2,5) and F(4,2), on scrambled
+        # generalized Heisenberg algebras and on the scrambled catalog,
+        # where L^2 cap Z is often inside both and equal to neither
+        rng = random.Random(73)
+        cases = [schur_multiplier(free_nilpotent(d, c).algebra_over(field)).exterior_square()
+                 for d, c in ((3, 3), (2, 5), (4, 2))]
+        for v, r in ((4, 2), (5, 3), (6, 4), (6, 1)):
+            L = generalized_heisenberg(rng, v, r, field)
+            cases.append(transform(L, random_basis_change(rng, L.dim, field)))
+        for key in catalog.all_keys(6, field):
+            L = catalog.build(key, field).algebra
+            cases.append(transform(L, random_basis_change(rng, L.dim, field)))
+        proper = 0
+        for L in cases:
+            der, z = derived_subalgebra(L), center(L)
+            cap = fingerprint(L).derived_cap_center
+            assert cap == intersection_reference(der, z).dim, repr(L)
+            proper += 0 < cap < min(der.dim, z.dim)
+        assert [fingerprint(W).derived_cap_center for W in cases[:3]] == [3, 6, 0]
+        assert proper >= 5
 
 
 def derived_tensor_cases():
