@@ -528,7 +528,3 @@ def from_json(obj):
 
 def dumps(algebra, **kw):
     return json.dumps(to_json(algebra), **kw)
-
-
-def loads(text):
-    return from_json(json.loads(text))

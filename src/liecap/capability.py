@@ -25,27 +25,10 @@ from .algebra import (
 )
 from .homology import NotCentral, schur_multiplier
 from .linalg import QQ, LiecapError, Subspace, apply_columns
-from .recognize import recognize
 
 
 class WrongDimension(LiecapError):
     pass
-
-
-@dataclass(frozen=True)
-class CapabilityReport:
-    label: str
-    exterior_center_dim: int
-    capable: bool
-    witness: Subspace  # basis of Z^(L); zero subspace for capable algebras
-
-
-def is_capable(algebra, label=""):
-    zw = schur_multiplier(algebra).exterior_center()
-    return CapabilityReport(label=label or repr(algebra),
-                            exterior_center_dim=zw.dim,
-                            capable=zw.dim == 0,
-                            witness=zw)
 
 
 def dagger_test(algebra, line):
@@ -106,29 +89,6 @@ def noncapable_census(max_dim, field=QQ, epsilon_samples=catalog.DEFAULT_EPSILON
         if homology(entry.algebra).exterior_center().dim > 0:
             out.append(key)
     return out
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    key: object
-    square_label: str
-    square_center_dim: int
-    capable: bool
-
-
-def exterior_square_capability_sweep(dims=(3, 4, 5, 6), field=QQ,
-                                     epsilon_samples=catalog.DEFAULT_EPSILON_SAMPLES):
-    """Z^(L ^ L) for every nonabelian catalog entry of the given dimensions."""
-    rows = []
-    for dim in dims:
-        for key in catalog.expand_keys(dim, field, epsilon_samples):
-            entry = catalog.build(key, field)
-            if entry.algebra.is_abelian():
-                continue
-            w = schur_multiplier(entry.algebra).exterior_square()
-            zw = schur_multiplier(w).exterior_center()
-            rows.append(SweepRow(key, recognize(w).label(), zw.dim, zw.dim == 0))
-    return rows
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .algebra import MAX_DIM, LieAlgebra, direct_sum
-from .linalg import QQ, LiecapError
+from .linalg import MAX_EXPONENT, QQ, LiecapError
 
 
 class CatalogError(LiecapError):
@@ -31,14 +31,6 @@ class EpsilonRequired(CatalogError):
 
 
 class EpsilonForbidden(CatalogError):
-    pass
-
-
-class NotParameterized(CatalogError):
-    pass
-
-
-class ZeroEpsilonComparison(CatalogError):
     pass
 
 
@@ -257,24 +249,6 @@ def all_keys(max_dim=6, field=QQ, epsilon_samples=DEFAULT_EPSILON_SAMPLES):
     return out
 
 
-def epsilon_equivalent(key1, key2, field=QQ):
-    """Whether two members of one epsilon family are isomorphic.
-
-    The criterion: delta / epsilon must be a square in the ground field.  The
-    epsilon = 0 member is its own class and cannot be compared this way.
-    """
-    for key in (key1, key2):
-        if not (key.kind == "L" and key.is_epsilon_family and key.epsilon is not None):
-            raise NotParameterized(f"{key} is not a parameterized catalog key")
-    if (key1.a, key1.b) != (key2.a, key2.b):
-        raise NotParameterized("keys belong to different families")
-    e1 = field.coerce(key1.epsilon)
-    e2 = field.coerce(key2.epsilon)
-    if not e1 or not e2:
-        raise ZeroEpsilonComparison("epsilon = 0 members form their own class")
-    return field.is_square(field.div(e2, e1))
-
-
 _KEY_RE = re.compile(
     r"^(?:A(?P<an>\d+)|H(?P<hm>\d+)|L(?P<dim>\d)_(?P<idx>\d+)"
     r"(?:\(e=(?P<eps>-?\d+(?:/\d+)?)\))?)$")
@@ -298,8 +272,15 @@ def parse_key(text, field=QQ):
     eps = m.group("eps")
     if eps is None:
         return indexed_key(dim, idx)
+    return indexed_key(dim, idx, parse_epsilon(eps, field))
+
+
+def parse_epsilon(text, field):
+    """The scalar of an epsilon written as an integer, p/q or a decimal."""
     try:
-        value = field.parse(eps)
+        return field.parse(text)
     except ZeroDivisionError:
-        raise CatalogError(f"epsilon {eps} has a zero denominator in {field!r}") from None
-    return indexed_key(dim, idx, value)
+        raise CatalogError(f"epsilon {text} has a zero denominator in {field!r}") from None
+    except ValueError:
+        raise CatalogError(f"epsilon {text!r} is not an integer, p/q or decimal with "
+                           f"exponent within +-{MAX_EXPONENT} in {field!r}") from None

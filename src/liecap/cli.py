@@ -33,7 +33,7 @@ def _field_from_arg(text):
 def _epsilon_set(field, text):
     if not text:
         return tuple(field.coerce(e) for e in catalog.DEFAULT_EPSILON_SAMPLES)
-    return tuple(field.parse(part) for part in text.split(","))
+    return tuple(catalog.parse_epsilon(part, field) for part in text.split(","))
 
 
 # -- invariants --------------------------------------------------------------

@@ -315,25 +315,11 @@ class Cover:
     def derived_part(self):
         return derived_subalgebra(self.star)
 
-    def multiplier_is_central(self):
-        star = self.star
-        one = star.field.one
-        for row in self.multiplier_part.sparse_rows():
-            for j in range(star.dim):
-                if star.bracket_sparse(row, {j: one}):
-                    return False
-        return True
-
 
 def exterior_square(cover):
     """L ^ L, realized as the derived subalgebra of the cover."""
     sub, _ = subalgebra_on(cover.star, cover.derived_part)
     return sub
-
-
-def exterior_square_dim(cover):
-    """dim L^L without building the star table: dim M(L) + dim L^2."""
-    return cover.multiplier_dim + derived_subalgebra(cover.algebra).dim
 
 
 def exterior_center(cover):

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 
 class LiecapError(Exception):
@@ -133,12 +133,6 @@ class RationalField:
     def div(self, a, b):
         return self.coerce(Fraction(a, b))
 
-    def is_square(self, a):
-        if a < 0:
-            return False
-        n, d = a.numerator, a.denominator
-        return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
-
     def parse(self, s):
         return self.coerce(_parse_fraction(s))
 
@@ -203,10 +197,6 @@ class PrimeField:
 
     def div(self, a, b):
         return a * self.inv(b) % self.p
-
-    def is_square(self, a):
-        a %= self.p
-        return a != 0 and pow(a, (self.p - 1) // 2, self.p) == 1
 
     def parse(self, s):
         return self.coerce(_parse_fraction(s))

@@ -54,11 +54,6 @@ class Fingerprint:
     centralizer_dims: tuple
     multiplier_dim: int
 
-    def as_tuple(self):
-        return (self.dim, self.lcs_dims, self.ucs_dims, self.derived_dim,
-                self.center_dim, self.derived_cap_center,
-                self.centralizer_dims, self.multiplier_dim)
-
     def plus_abelian(self, d):
         """The fingerprint of W + A(d), for W the algebra of this one.
 

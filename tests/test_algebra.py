@@ -19,8 +19,8 @@ from liecap.algebra import (
     derived_subalgebra,
     direct_sum,
     dumps,
+    from_json,
     is_ideal,
-    loads,
     lower_central_series,
     minimal_generator_count,
     nilpotency_class,
@@ -427,7 +427,7 @@ class TestQuotient:
             q2, _ = quotient(mid, img)
             direct, _ = quotient(L, n_big)
             assert q2.dim == direct.dim, text
-            assert fingerprint(q2).as_tuple() == fingerprint(direct).as_tuple(), text
+            assert fingerprint(q2) == fingerprint(direct), text
 
 
 class TestSubalgebra:
@@ -585,7 +585,7 @@ class TestJson:
     def test_round_trip(self):
         for text in ("A3", "H2", "L5_6", "L6_19(e=2)", "L6_14"):
             L = build(text)
-            again = loads(dumps(L))
+            again = from_json(json.loads(dumps(L)))
             assert again.dim == L.dim
             assert again.table_key() == L.table_key()
             assert again.labels == L.labels
@@ -599,5 +599,5 @@ class TestJson:
     def test_fraction_coefficients(self):
         from fractions import Fraction
         L = LieAlgebra(QQ, 3, {(0, 1): {2: Fraction(1, 2)}})
-        again = loads(dumps(L))
+        again = from_json(json.loads(dumps(L)))
         assert again.bracket_basis(0, 1) == {2: Fraction(1, 2)}

@@ -100,7 +100,7 @@ class TestBuild:
             six = catalog.build(catalog.indexed_key(6, k)).algebra
             five = catalog.build(catalog.indexed_key(5, k)).algebra
             summed = direct_sum(five, catalog.abelian_algebra(1))
-            assert fingerprint(six).as_tuple() == fingerprint(summed).as_tuple()
+            assert fingerprint(six) == fingerprint(summed)
 
     def test_epsilon_guards(self):
         with pytest.raises(catalog.EpsilonRequired):
@@ -115,41 +115,6 @@ class TestBuild:
         L = catalog.build(catalog.indexed_key(6, 14), field=F).algebra
         assert validate(L).ok
         assert L.bracket_basis(2, 3) == {5: 4}  # -1 mod 5
-
-
-class TestEpsilonEquivalence:
-    def test_square_ratio(self):
-        k1 = catalog.indexed_key(6, 19, Fraction(1))
-        k2 = catalog.indexed_key(6, 19, Fraction(4))
-        assert catalog.epsilon_equivalent(k1, k2)
-
-    def test_non_square_ratio(self):
-        k1 = catalog.indexed_key(6, 19, Fraction(1))
-        k2 = catalog.indexed_key(6, 19, Fraction(2))
-        assert not catalog.epsilon_equivalent(k1, k2)
-
-    def test_identity(self):
-        k = catalog.indexed_key(6, 21, Fraction(1))
-        assert catalog.epsilon_equivalent(k, k)
-
-    def test_zero_rejected(self):
-        k0 = catalog.indexed_key(6, 21, Fraction(0))
-        k1 = catalog.indexed_key(6, 21, Fraction(1))
-        with pytest.raises(catalog.ZeroEpsilonComparison):
-            catalog.epsilon_equivalent(k0, k1)
-
-    def test_not_parameterized(self):
-        with pytest.raises(catalog.NotParameterized):
-            catalog.epsilon_equivalent(catalog.indexed_key(6, 18),
-                                       catalog.indexed_key(6, 18))
-
-    def test_prime_field_residues(self):
-        F = PrimeField(7)
-        k1 = catalog.indexed_key(6, 22, 1)
-        k2 = catalog.indexed_key(6, 22, 2)  # 2 = 3^2 mod 7
-        assert catalog.epsilon_equivalent(k1, k2, field=F)
-        k3 = catalog.indexed_key(6, 22, 3)  # 3 is not a residue mod 7
-        assert not catalog.epsilon_equivalent(k1, k3, field=F)
 
 
 class TestKeySyntax:

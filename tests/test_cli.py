@@ -509,11 +509,27 @@ class TestVerifyTables:
         assert "--jobs" in capsys.readouterr().err
 
     def test_epsilon_set(self, capsys):
-        code, out, _ = run(capsys, "verify-tables", "multipliers6",
-                           "--epsilon-set", "1,-1")
-        assert code == 0
-        rows = [l for l in out.splitlines() if l.startswith("PASS")]
-        assert len(rows) == 24 + 4 * 2
+        for text, count in (("1,-1", 2), ("1/2", 1)):
+            code, out, _ = run(capsys, "verify-tables", "multipliers6",
+                               "--epsilon-set", text)
+            assert code == 0
+            rows = [l for l in out.splitlines() if l.startswith("PASS")]
+            assert len(rows) == 24 + 4 * count
+        assert "L6_19(e=1/2)" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--epsilon-set", "1/0"], "error: epsilon 1/0 has a zero denominator in Q\n"),
+        (["--field", "Fp:3", "--epsilon-set", "1/3"],
+         "error: epsilon 1/3 has a zero denominator in GF(3)\n"),
+        (["--epsilon-set", ","],
+         "error: epsilon '' is not an integer, p/q or decimal with exponent "
+         "within +-1000 in Q\n"),
+    ])
+    def test_bad_epsilon_set_exit2(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify-tables", "exterior6", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == message
 
 
 class TestCover:

@@ -76,15 +76,6 @@ class TestFields:
             with pytest.raises(ValueError):
                 PrimeField(p)
 
-    def test_is_square(self):
-        assert QQ.is_square(Fraction(4))
-        assert QQ.is_square(Fraction(9, 4))
-        assert not QQ.is_square(Fraction(2))
-        assert not QQ.is_square(Fraction(-4))
-        F5 = PrimeField(5)
-        assert F5.is_square(4)
-        assert not F5.is_square(2)
-
     def test_parse_round_trip(self):
         for s in ("3", "-1/2", "0"):
             assert QQ.to_str(QQ.parse(s)) == s
