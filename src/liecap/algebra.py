@@ -11,6 +11,13 @@ The adjacency of the table, which every ad image reads, joins them in the
 memo; it holds lists of the table's own rows.  An ideal is a plain
 ``Subspace``; it refers to no algebra, so an algebra holds no reference
 back to itself.
+
+The cost of the invariants follows the table, not the algebra: a bracket
+that is a single term gives unit columns of im d3.  ``adapted_basis``
+picks a basis of brackets adapted to the lower central series, the form
+of the catalog's own tables, and ``transform`` rewrites a table on any
+basis; the report path re-bases on the first when that takes terms off
+the table, since its invariants do not depend on the basis.
 """
 
 from __future__ import annotations
@@ -21,15 +28,17 @@ from dataclasses import dataclass, field as dc_field
 from .linalg import (
     QQ,
     DimensionMismatch,
+    Echelon,
     LiecapError,
     PrimeField,
     Subspace,
     accumulate,
     apply_columns,
-    inverse_columns,
+    basis_coordinates,
     kernel_columns,
     kernel_from_rows,
     _check_same_field,
+    _prepare,
 )
 
 
@@ -289,10 +298,12 @@ def centralizer(algebra, space):
 
 
 def _bracket_span(algebra, space):
-    """Span of [space, L]."""
+    """Span of [space, L].  Over Q each RREF row of space is scaled to
+    integers first, which spans the same; its ad images then take no
+    fraction arithmetic on an integer table."""
     vecs = []
     for row in space.sparse_rows():
-        vecs.extend(_ad_images(algebra, row).values())
+        vecs.extend(_ad_images(algebra, _prepare(algebra.field, row)).values())
     return _span(algebra, vecs)
 
 
@@ -421,18 +432,67 @@ def subalgebra_on(algebra, space):
     return sub, AlgebraMap(sub, algebra, tuple(rows))
 
 
+def adapted_basis(algebra):
+    """Sparse columns of a basis of L built from brackets and adapted to the
+    lower central series gamma_1 > gamma_2 > ... > 0.
+
+    The first d columns, layer 1, are the unit vectors at the coordinates
+    that are not pivots of L^2: they span L modulo L^2, so they generate L.
+    Layer k+1 is picked among the brackets [g, b], for g a generator and b
+    in layer k, which span gamma_{k+1} modulo gamma_{k+2}; those with the
+    fewest terms come first, and a bracket is kept when it is independent
+    modulo gamma_{k+2} and the brackets already kept; brackets with as
+    many terms keep the order of b, then of g.  So layers k and on are a
+    basis of gamma_k.  A table whose brackets are all single terms gives
+    single-term columns: each gamma_k is then a coordinate subspace.
+    """
+    series = lower_central_series(algebra)
+    if series[-1].dim:
+        raise NotNilpotent("an adapted basis needs a nilpotent algebra")
+    f = algebra.field
+    one, neg = f.one, f.neg
+    pivots = set(series[1].pivots) if len(series) > 1 else ()
+    gens = [g for g in range(algebra.dim) if g not in pivots]
+    cols = [{g: one} for g in gens]
+    layer = cols
+    for k in range(1, len(series) - 1):
+        below = series[k + 1]  # gamma_{k+2}
+        # [g, b] = -[b, e_g], read off the ad images of b
+        brackets = []
+        for b in layer:
+            images = _ad_images(algebra, b)
+            brackets += [{t: neg(c) for t, c in images[g].items()} for g in gens if g in images]
+        brackets.sort(key=len)
+        # the residues modulo gamma_{k+2} of the brackets kept so far
+        ech = Echelon(f, algebra.dim)
+        want = series[k].dim - below.dim
+        layer = []
+        for w in brackets:
+            if ech.add(below.reduce(w)):
+                layer.append(w)
+                if len(layer) == want:
+                    break
+        cols += layer
+    return cols
+
+
 def transform(algebra, cols):
     """Rewrite the algebra on the new basis whose a-th vector is the sparse
     column cols[a]; the columns must be a basis.
 
     [b_a, b_b] is the sum of b_b[j] [b_a, e_j] over the ad images of b_a,
     so only the pairs whose columns meet through the table are bracketed.
+    Its new coordinates are read off the echelon of the columns
+    (``basis_coordinates``), with no inverse formed: an image that is a
+    multiple of one column, as most are on an adapted basis, takes one
+    step, and over Q the steps run in integers, with one division per
+    coordinate into its canonical scalar.
     """
     n = algebra.dim
     if len(cols) != n:
         raise DimensionMismatch(f"{len(cols)} basis columns for dim {n}")
     f = algebra.field
-    inv_cols = inverse_columns(f, cols)
+    coords = basis_coordinates(f, cols)
     holders = {}  # j -> [(b, b_b[j])], the later columns with an entry at j
     for b, col in enumerate(cols):
         for j, c in col.items():
@@ -444,10 +504,9 @@ def transform(algebra, cols):
             for b, c in holders.get(j, ()):
                 if b > a:
                     accumulate(f, out.setdefault(b, {}), c, w)
-        # the new coordinates of [b_a, b_b] are its image under the inverse
         for b in sorted(out):
             if out[b]:
-                brackets[(a, b)] = apply_columns(f, inv_cols, out[b])
+                brackets[(a, b)] = coords(out[b])
     return LieAlgebra(f, n, brackets, labels=algebra.labels)
 
 

@@ -14,7 +14,16 @@ import sys
 from dataclasses import dataclass
 
 from . import catalog, tables
-from .algebra import center, derived_subalgebra, direct_sum, from_json, nilpotency_class, validate
+from .algebra import (
+    adapted_basis,
+    center,
+    derived_subalgebra,
+    direct_sum,
+    from_json,
+    nilpotency_class,
+    transform,
+    validate,
+)
 from .capability import noncapable_census, theorem2_bound_check
 from .covers import Cover, exterior_center
 from .homology import diagonal_square_dim, schur_multiplier, sum_exterior_dim
@@ -84,9 +93,36 @@ class InvariantReport:
         }
 
 
+def _terms(algebra):
+    return sum(map(len, algebra.table.values()))
+
+
+def _rebased(algebra):
+    """The nilpotent algebra on its ``adapted_basis`` when that basis gives
+    a table with fewer terms, else the algebra itself.
+
+    A table whose brackets are all single terms is kept as it is, as is one
+    whose adapted basis is monomial: a monomial change of basis only
+    permutes and scales the terms.
+    """
+    if all(len(row) == 1 for row in algebra.table.values()):
+        return algebra
+    cols = adapted_basis(algebra)
+    if all(len(col) == 1 for col in cols):
+        return algebra
+    rebased = transform(algebra, cols)
+    return rebased if _terms(rebased) < _terms(algebra) else algebra
+
+
 def invariant_report(algebra, label):
+    """The invariants of a nilpotent algebra, each a dimension or a
+    basis-free label, so they are computed on ``_rebased(algebra)``: im d3
+    of a table written in a basis adapted to the lower central series is
+    mostly unit columns, whatever basis the algebra came in."""
     cls = nilpotency_class(algebra)  # NotNilpotent before im d3 is built
-    multiplier = schur_multiplier(algebra)
+    derived_dim = derived_subalgebra(algebra).dim
+    work = _rebased(algebra)
+    multiplier = schur_multiplier(work)
     wedge = multiplier.exterior_square()
     wedge_type = recognize(wedge)
     diagonal = multiplier.diagonal_dim
@@ -94,9 +130,9 @@ def invariant_report(algebra, label):
     report = InvariantReport(
         label=label,
         dim=algebra.dim,
-        derived_dim=derived_subalgebra(algebra).dim,
+        derived_dim=derived_dim,
         nilpotency_class=cls,
-        center_dim=center(algebra).dim,
+        center_dim=center(work).dim,
         multiplier_dim=multiplier.dim,
         exterior_dim=wedge.dim,
         exterior_type=wedge_type.label(),

@@ -26,7 +26,9 @@ no vector built.  A kernel takes one elimination and no second: its
 functionals are eliminated in reversed column order, and the kernel's RREF
 is read straight off the rows (``kernel_from_rows``).  Likewise the images
 of an RREF coefficient basis under RREF rows are already in RREF
-(``Subspace.lift``).  The dense ``Matrix`` only stores the boundary
+(``Subspace.lift``).  Coordinates on a basis of F^n are read off the
+echelon of its columns before back-substitution (``basis_coordinates``),
+with no inverse formed.  The dense ``Matrix`` only stores the boundary
 matrices ``ce_d2`` and ``ce_d3``, the reference that the tests compare the
 sparse route against.
 """
@@ -512,10 +514,13 @@ def _reduce(field, by_pivot, v):
 
 def accumulate(field, out, c, v):
     """out += c * v for sparse vectors, in place, dropping the entries that
-    cancel."""
-    add, mul, zero = field.add, field.mul, field.zero
+    cancel.  The field's + and * are written out: over GF(p) one reduction
+    mod p per entry gives the same residue as ``add`` of ``mul``."""
+    get, p = out.get, field.char
     for k, w in v.items():
-        nv = add(out.get(k, zero), mul(c, w))
+        nv = get(k, 0) + c * w
+        if p:
+            nv %= p
         if nv:
             out[k] = nv
         else:
@@ -634,13 +639,11 @@ def kernel_columns(field, cols):
     return kernel_from_rows(field, len(cols), rows.values())
 
 
-def inverse_columns(field, cols):
-    """Sparse columns of B^-1, for the square matrix B with sparse columns cols.
-
-    The rows (b_a | e_a) stack to [B^T | I].  Its RREF is [I | (B^-1)^T]
-    exactly when no pivot falls in the tag block, and the row at pivot i,
-    read in that block, is column i of B^-1.
-    """
+def _tagged_echelon(field, cols):
+    """The rows (b_a | e_a) for the sparse columns b_a of a square matrix B,
+    through one Echelon, not back-substituted.  They stack to [B^T | I],
+    and B is invertible exactly when every pivot falls left of the tag
+    block."""
     n = len(cols)
     ech = Echelon(field, 2 * n)
     for a, col in enumerate(cols):
@@ -651,7 +654,60 @@ def inverse_columns(field, cols):
         ech.add(row)
     if ech.pivots() != tuple(range(n)):
         raise LinalgError("matrix is singular")
-    return [{t - n: v for t, v in row.items() if t >= n} for _, row in ech.rows()]
+    return ech
+
+
+def inverse_columns(field, cols):
+    """Sparse columns of B^-1, for the square matrix B with sparse columns cols.
+
+    The RREF of [B^T | I] is [I | (B^-1)^T], and the row at pivot i, read in
+    the tag block, is column i of B^-1.
+    """
+    n = len(cols)
+    return [{t - n: v for t, v in row.items() if t >= n}
+            for _, row in _tagged_echelon(field, cols).rows()]
+
+
+def basis_coordinates(field, cols):
+    """The map v -> {a: x_a} with v = sum of x_a cols[a], for the sparse
+    columns cols of a basis of F^n, with no inverse formed.
+
+    v is reduced against the rows (b_a | e_a) as their echelon holds them,
+    lead by lead; each step subtracts a combination of the b_a from v and
+    adds the same combination to the tag block, so (0 | -x) is left.  Over
+    Q the reduction runs in integers, as the echelon's own does: v is
+    scaled to integers, a step scales it by the row's lead over their gcd,
+    and each coordinate is divided by the product of the scales once.  A
+    vector that is a multiple of one column stored as it came, as the rows
+    of distinct leads are, takes one step.
+    """
+    n = len(cols)
+    rows = _tagged_echelon(field, cols)._rows
+    if not isinstance(field, RationalField):
+        neg = field.neg
+
+        def coords(v):
+            w = _prepare(field, v)
+            while w and (lead := min(w)) < n:
+                # the rows are stored with a unit lead
+                accumulate(field, w, neg(w[lead]), rows[lead])
+            return {t - n: neg(x) for t, x in w.items()}
+        return coords
+
+    def coords(v):
+        # _prepare scales v by the lcm of its denominators
+        den = lcm(*(c.denominator for c in v.values() if type(c) is not int))
+        w = _prepare(field, v)
+        while w and (lead := min(w)) < n:
+            row = rows[lead]
+            a, b = row[lead], w[lead]
+            g = gcd(a, b)
+            a //= g
+            den *= a
+            w = _int_combine(w, a, row, b // g)
+        return {t - n: -x // den if x % den == 0 else Fraction(-x, den)
+                for t, x in w.items()}
+    return coords
 
 
 # ---------------------------------------------------------------------------

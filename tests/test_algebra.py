@@ -4,16 +4,17 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import central_extension, random_basis_change
+from conftest import central_extension, random_basis_change, solvable_algebra
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecap import catalog, covers
+from liecap import catalog, cli, covers
 from liecap.algebra import (
     LieAlgebra,
     NotAnIdeal,
     NotNilpotent,
     _adjacency,
+    adapted_basis,
     center,
     centralizer,
     derived_subalgebra,
@@ -40,6 +41,7 @@ from liecap.linalg import (
     inverse_columns,
     kernel_columns,
     kernel_from_rows,
+    subspace_sum,
 )
 
 
@@ -499,6 +501,149 @@ class TestTransform:
             assert M.table == want.table and M.labels == want.labels
             assert list(M.table) == sorted(M.table)
             assert validate(M).ok
+
+
+def solve_by_kernel(field, cols, v):
+    """The x with sum of x_a cols[a] = v, read off the kernel of [B | v],
+    whose one basis vector is scaled to -1 at the last column."""
+    (k,) = kernel_columns(field, list(cols) + [v]).sparse_rows()
+    scale = field.neg(field.inv(k[len(cols)]))
+    return {a: field.mul(scale, c) for a, c in k.items() if a < len(cols)}
+
+
+class TestTransformOverQ:
+    """transform over Q against the coordinates read off a kernel, on bases
+    whose inverse holds fractions, with every stored scalar canonical."""
+
+    @staticmethod
+    def det6_basis(rng, n):
+        # a random basis change, determinant +-1, with two columns scaled
+        # by 2 and 3: its determinant is +-6
+        cols = [dict(c) for c in random_basis_change(rng, n)]
+        for a, factor in ((0, 2), (n - 1, 3)):
+            cols[a] = {t: factor * c for t, c in cols[a].items()}
+        return cols
+
+    def test_non_unimodular_basis(self):
+        rng = random.Random(29)
+        algebras = [build("L6_19(e=1)"), build("L5_9"),
+                    covers.FreeNilpotent(2, 4).algebra,
+                    central_extension(build("L6_25"), 2, rng, denominators=(1, 2, 3, 4))]
+        fractions = 0
+        for L in algebras:
+            cols = self.det6_basis(rng, L.dim)
+            M = transform(L, cols)
+            for a in range(L.dim):
+                for b in range(a + 1, L.dim):
+                    v = L.bracket_sparse(cols[a], cols[b])
+                    want = solve_by_kernel(QQ, cols, v) if v else {}
+                    assert M.bracket_basis(a, b) == want, (L, a, b)
+            for row in M.table.values():
+                for c in row.values():
+                    # canonical: an int when integral, else a reduced Fraction
+                    assert type(c) is int or c.denominator > 1
+                    fractions += type(c) is not int
+        assert fractions
+
+
+class TestAdaptedBasis:
+    """``adapted_basis``: the generators are the unit vectors at the
+    non-pivots of L^2, and layer k+1 is a set of brackets [g, b] of a
+    generator g and a vector b of layer k that spans gamma_{k+1} modulo
+    gamma_{k+2}."""
+
+    @staticmethod
+    def assert_adapted(L, cols):
+        f, n = L.field, L.dim
+        series = lower_central_series(L)
+        assert len(cols) == n
+        assert Subspace.from_vectors(f, n, cols).dim == n
+        pivots = set(series[1].pivots) if len(series) > 1 else set()
+        gens = [t for t in range(n) if t not in pivots]
+        assert cols[:len(gens)] == [{g: f.one} for g in gens]
+        start, previous = 0, None
+        for k in range(len(series) - 1):
+            size = series[k].dim - series[k + 1].dim
+            layer = cols[start:start + size]
+            assert all(series[k].contains(w) for w in layer)
+            assert subspace_sum(Subspace.from_vectors(f, n, layer), series[k + 1]) == series[k]
+            if previous is not None:
+                # the greedy pick, fewest terms first, over the brackets
+                # [g, b] in the order of b, then of g
+                brackets = [w for b in previous for g in gens
+                            if (w := L.bracket_sparse({g: f.one}, b))]
+                kept = []
+                for w in sorted(brackets, key=len):
+                    span = Subspace.from_vectors(f, n, kept + [w] + series[k + 1].sparse_rows())
+                    if len(kept) < size and span.dim == len(kept) + 1 + series[k + 1].dim:
+                        kept.append(w)
+                assert layer == kept
+            start, previous = start + size, layer
+        assert start == n
+
+    @staticmethod
+    def single_term_algebras(field):
+        rng = random.Random(13)
+        keys = catalog.all_keys(6, field)
+        out = [catalog.build(key, field).algebra for key in keys]
+        out += [catalog.heisenberg_algebra(m, field) for m in range(1, 6)]
+        out += [catalog.abelian_algebra(n, field) for n in range(1, 5)]
+        for _ in range(12):
+            a, b = rng.choice(keys), rng.choice(keys)
+            out.append(direct_sum(catalog.build(a, field).algebra, catalog.build(b, field).algebra))
+        return out
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(101)], ids=repr)
+    def test_single_term_tables_give_monomial_bases(self, field):
+        # by induction every gamma_k of a single-term table is a coordinate
+        # subspace, and the picked brackets are single terms
+        algebras = self.single_term_algebras(field)
+        assert len(algebras) == 56 + 5 + 4 + 12
+        for L in algebras:
+            assert all(len(row) == 1 for row in L.table.values())
+            cols = adapted_basis(L)
+            self.assert_adapted(L, cols)
+            assert all(len(col) == 1 for col in cols), L
+            for term in lower_central_series(L):
+                assert all(len(row) == 1 for row in term.sparse_rows()), L
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(101)], ids=repr)
+    def test_multi_term_tables(self, field):
+        rng = random.Random(31)
+        denominators = (1, 2, 4) if field == PrimeField(3) else (1, 2, 3, 4)
+        algebras = [covers.free_nilpotent(d, c).algebra_over(field)
+                    for d, c in ((2, 4), (3, 3), (2, 5))]
+        for text in ("L6_14", "L6_19(e=1)", "L6_25", "L6_26"):
+            base = catalog.build(catalog.parse_key(text, field), field).algebra
+            algebras.append(central_extension(base, rng.choice((1, 2, 3)), rng, denominators))
+        algebras += [transform(L, random_basis_change(rng, L.dim, field)) for L in algebras]
+        for L in algebras:
+            self.assert_adapted(L, adapted_basis(L))
+
+    def test_hall_bases(self):
+        # fewest terms first: F(3,3), F(4,2) and F(4,3) come out monomial,
+        # F(2,6) and F(2,7) with more terms than their Hall tables
+        for d, c in ((3, 3), (4, 2), (4, 3)):
+            assert all(len(col) == 1 for col in adapted_basis(covers.FreeNilpotent(d, c).algebra))
+        for (d, c), (before, after) in (((2, 6), (39, 42)), ((2, 7), (87, 96))):
+            F = covers.FreeNilpotent(d, c).algebra
+            M = transform(F, adapted_basis(F))
+            assert (cli._terms(F), cli._terms(M)) == (before, after)
+
+    def test_not_nilpotent(self):
+        with pytest.raises(NotNilpotent):
+            adapted_basis(solvable_algebra())
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=repr)
+    def test_reports_on_catalog_keys_transform_nothing(self, field, monkeypatch):
+        # every catalog table is single-term, so the report computes on it
+        # as it stands, with no adapted basis built
+        calls = []
+        monkeypatch.setattr(cli, "transform", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "adapted_basis", lambda *args: calls.append(args))
+        for key in catalog.all_keys(6, field):
+            cli.invariant_report(catalog.build(key, field).algebra, str(key))
+        assert calls == []
 
 
 class TestStructureMemo:

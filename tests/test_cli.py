@@ -1,15 +1,17 @@
 import contextlib
 import io
 import json
+import random
 import tempfile
 from pathlib import Path
 
 import pytest
+from conftest import central_extension, generalized_heisenberg, random_basis_change
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecap import catalog, covers, homology, linalg
-from liecap.algebra import direct_sum
+from liecap.algebra import direct_sum, transform
 from liecap import cli as cli_module
 from liecap.cli import SUITES, invariant_report, main, run_suites
 from liecap.homology import kunneth_exterior_dim, kunneth_tensor_dim, schur_multiplier
@@ -258,6 +260,68 @@ def test_bad_field_exit2(capsys, argv, field):
     code, out, err = run(capsys, *argv, "--field", field)
     assert code == 2
     assert err.startswith("error: ") and out == ""
+
+
+class TestReportOnScrambledInput:
+    """``invariant_report`` computes on the algebra re-based on its adapted
+    basis when that table has fewer terms.  After a random change of basis
+    the report equals the one computed on the natural basis as it stands,
+    without re-basing."""
+
+    FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(101)], ids=repr)
+
+    @staticmethod
+    def natural_report(monkeypatch, L):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_module, "_rebased", lambda algebra: algebra)
+            return invariant_report(L, "L").as_dict()
+
+    def assert_oracle(self, monkeypatch, field, family, seed):
+        """Each algebra of the family, scrambled twice, reports as in its
+        natural basis; some scrambled input takes the re-based path."""
+        rng = random.Random(seed)
+        rebased = 0
+        for L in family:
+            want = self.natural_report(monkeypatch, L)
+            for _ in range(2):
+                S = transform(L, random_basis_change(rng, L.dim, field))
+                rebased += cli_module._rebased(S) is not S
+                assert invariant_report(S, "L").as_dict() == want, (L, field)
+        assert rebased
+
+    @FIELDS
+    def test_free_nilpotent(self, monkeypatch, field):
+        family = [covers.free_nilpotent(d, c).algebra_over(field) for d, c in ((2, 4), (3, 3), (2, 5))]
+        self.assert_oracle(monkeypatch, field, family, 3)
+
+    @FIELDS
+    def test_heisenberg_sums(self, monkeypatch, field):
+        family = [direct_sum(catalog.heisenberg_algebra(m, field), catalog.abelian_algebra(k, field))
+                  for m, k in ((1, 2), (2, 1), (3, 2))]
+        self.assert_oracle(monkeypatch, field, family, 5)
+
+    @FIELDS
+    def test_generalized_heisenberg(self, monkeypatch, field):
+        rng = random.Random(7)
+        family = [generalized_heisenberg(rng, v, r, field) for v, r in ((8, 4), (7, 5))]
+        assert all(L.dim > 10 for L in family)
+        self.assert_oracle(monkeypatch, field, family, 11)
+
+    @FIELDS
+    def test_fraction_extensions(self, monkeypatch, field):
+        # 3 is no unit of GF(3); over Q the tables hold fractions
+        rng = random.Random(17)
+        denominators = (1, 2, 4) if field == PrimeField(3) else (1, 2, 3, 4)
+        family = [central_extension(catalog.build(catalog.parse_key(text, field), field).algebra,
+                                    kdim, rng, denominators)
+                  for text, kdim in (("L5_6", 2), ("L6_19(e=1)", 3), ("L6_25", 2))]
+        self.assert_oracle(monkeypatch, field, family, 19)
+
+    def test_hall_basis_kept_when_rebasing_adds_terms(self):
+        # the adapted basis of F(2,7) gives 96 terms against the Hall
+        # table's 87, so the report computes on the Hall table
+        F = covers.FreeNilpotent(2, 7).algebra
+        assert cli_module._rebased(F) is F
 
 
 class TestNoFreeAlgebra:

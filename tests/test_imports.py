@@ -99,6 +99,7 @@ NO_CALLER = {
     "homology.induced_map_injective": "capability through the induced multiplier map",
     "algebra.AlgebraMap.is_bracket_preserving": "checks the cover's projection",
     "covers.Cover.multiplier_part": "M(L) as a subspace of the cover",
+    "linalg.inverse_columns": "B^-1 by the RREF, against transform's basis_coordinates",
     "homology.MultiplierResult.tensor_square": "L x L as an algebra, against the cover's",
 }
 

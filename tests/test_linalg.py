@@ -27,6 +27,7 @@ from liecap.linalg import (
     Subspace,
     accumulate,
     apply_columns,
+    basis_coordinates,
     complement,
     inverse_columns,
     kernel_columns,
@@ -404,20 +405,43 @@ def square_matrices(draw, max_dim=5):
     return field, n, rows
 
 
+def invertible_columns(data, field, n, rows):
+    """Unit lower triangular times upper triangular with a unit-free
+    diagonal, as sparse columns."""
+    diag = data.draw(st.lists(st.sampled_from([1, -1, 2, -3, 5]),
+                              min_size=n, max_size=n))
+    lower = [[1 if i == j else (x if j < i else 0) for j, x in enumerate(r)]
+             for i, r in enumerate(rows)]
+    upper = [[diag[i] if i == j else (x if j > i else 0) for j, x in enumerate(r)]
+             for i, r in enumerate(rows)]
+    return product(field, columns(lower, field), columns(upper, field))
+
+
 class TestInverseProperties:
     @given(square_matrices(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_inverse_of_invertible(self, case, data):
         field, n, rows = case
-        # unit lower triangular times upper triangular with a unit-free diagonal
-        diag = data.draw(st.lists(st.sampled_from([1, -1, 2, -3, 5]),
-                                  min_size=n, max_size=n))
-        lower = [[1 if i == j else (x if j < i else 0) for j, x in enumerate(r)]
-                 for i, r in enumerate(rows)]
-        upper = [[diag[i] if i == j else (x if j > i else 0) for j, x in enumerate(r)]
-                 for i, r in enumerate(rows)]
-        b = product(field, columns(lower, field), columns(upper, field))
+        b = invertible_columns(data, field, n, rows)
         assert is_identity(field, product(field, b, inverse_columns(field, b)))
+
+    @given(square_matrices(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_basis_coordinates_apply_the_inverse(self, case, data):
+        # the coordinates read off the unfinished echelon are B^-1 v, in
+        # canonical scalars, and a column's own are a unit
+        field, n, rows = case
+        b = invertible_columns(data, field, n, rows)
+        coords = basis_coordinates(field, b)
+        inv = inverse_columns(field, b)
+        v = {j: c for j, x in enumerate(data.draw(st.lists(small_entries, min_size=n, max_size=n)))
+             if (c := field.coerce(x))}
+        for w in [{t: field.one} for t in range(n)] + [v]:
+            got = coords(w)
+            assert got == apply_columns(field, inv, w)
+            assert all(c and type(c) is type(field.coerce(c)) for c in got.values())
+        for a, col in enumerate(b):
+            assert coords(col) == {a: field.one}
 
     @given(square_matrices())
     @settings(max_examples=60, deadline=None)
@@ -427,6 +451,8 @@ class TestInverseProperties:
         rows[-1] = list(combine(field, rows[-1][:n - 1], rows[:n - 1], n))
         with pytest.raises(LinalgError):
             inverse_columns(field, columns(rows, field))
+        with pytest.raises(LinalgError):
+            basis_coordinates(field, columns(rows, field))
 
     def test_entry_outside_the_square_raises(self):
         with pytest.raises(DimensionMismatch):
