@@ -19,6 +19,7 @@ The span of [R, F] is generated by brackets of an R-basis against the free
 generators alone: [r, [u,v]] = [[r,u],v] - [[r,v],u] and both inner brackets
 stay inside R because R is an ideal, so induction on word degree closes the
 span.  A one-shot closure assertion guards the implementation anyway.
+The star table is ``algebra.quotient`` of F by that span, relabelled.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .algebra import (
     is_nilpotent,
     minimal_generator_count,
     nilpotency_class,
+    quotient,
     subalgebra_on,
     NotNilpotent,
 )
@@ -207,8 +209,9 @@ class Cover:
 
     ``multiplier_part`` is ker(pi) = R/[R,F], central in L*, of the same
     dimension as the homology-route multiplier; ``derived_part`` carries the
-    nonabelian exterior square.  Star construction is lazy so dimension-only
-    sweeps skip the quotient table.
+    nonabelian exterior square.  The star is ``algebra.quotient`` of the free
+    algebra by the [R, F] span, built lazily so dimension-only sweeps skip
+    its table; ``pi`` sends each kept word w to phi(w).
     """
 
     def __init__(self, algebra, lift=None, extra_class=0):
@@ -221,7 +224,6 @@ class Cover:
         self.gen_count = d
         self.cls = c
         self.free = free_nilpotent(d, c + 1 + extra_class)
-        self._ffield = field
         free_alg = self.free.algebra_over(field)
         self._free_alg = free_alg
         if lift is None:
@@ -274,27 +276,16 @@ class Cover:
     def _build_star(self):
         if self._star is not None:
             return
-        field = self._ffield
-        span = self._span
-        pivot_set = set(span.pivots())
-        kept = [i for i in range(self.free.dim) if i not in pivot_set]
-        pos = {c: t for t, c in enumerate(kept)}
         free_alg = self._free_alg
-        # only pairs in the free table can bracket to nonzero; kept ascends,
-        # so (pos[i], pos[j]) stays ordered, and sorted pairs come in the
-        # order of a walk over all pairs of kept words
-        brackets = {}
-        for i, j in sorted(free_alg.table):
-            if i in pos and j in pos:
-                row = {pos[cc]: v for cc, v in span.reduce(free_alg.table[(i, j)]).items()}
-                if row:
-                    brackets[(pos[i], pos[j])] = row
-        star = LieAlgebra(field, len(kept), brackets,
-                          labels=tuple(f"s{t + 1}" for t in range(len(kept))))
-        pi = AlgebraMap(star, self.algebra, tuple(self.phi[col] for col in kept))
+        span = Subspace.from_vectors(free_alg.field, free_alg.dim,
+                                     [row for _, row in self._span.rows()])
+        star, _ = quotient(free_alg, span)
+        star = star.relabel(tuple(f"s{t + 1}" for t in range(star.dim)))
+        pivots = set(span.pivots)
+        kept = [i for i in range(free_alg.dim) if i not in pivots]
         assert star.dim == self.algebra.dim + self.multiplier_dim
         self._star = star
-        self._pi = pi
+        self._pi = AlgebraMap(star, self.algebra, tuple(self.phi[col] for col in kept))
 
     @property
     def star(self):

@@ -10,8 +10,9 @@ exact bit for bit.
 
 Vectors are sparse ``{index: value}`` dicts, and a linear map is a list of
 sparse columns, column i being the image of the i-th basis vector.
-``accumulate`` (out += c * v) is the one sparse combination outside the
-elimination's own inner loops; ``apply_columns`` is one per column.
+``accumulate`` (out += c * v) and the two column-clearing steps of the
+elimination, ``_clear_int`` over Q and ``_clear_mod`` over GF(p), are the
+only sparse combinations; ``apply_columns`` is one ``accumulate`` per column.
 Subspaces are stored in reduced row echelon form, which makes equality
 structural: two equal subspaces have identical basis matrices.  Every
 subspace, every kernel and im d3 come from one elimination,
@@ -224,20 +225,21 @@ class Echelon:
 
     Rows are sparse ``{column: value}`` dicts, held as ``{pivot: row}``.
     Over Q the working rows are integer vectors, denominators cleared on
-    entry.  A row reduced against a held row becomes a*row - b*held, with a
-    and b the two leads over their gcd; its content is stripped only when a
-    is above 1, since a row not scaled gains little.  Each row is made
-    primitive with a positive lead when it is stored, so the held rows are
-    the same whichever combinations skipped the strip: each is the one
+    entry.  Insertion and back-substitution take the same step per field to
+    clear a column against a held row: ``_clear_int`` over Q, which keeps
+    integers, and ``_clear_mod`` over GF(p).  Each row is made primitive
+    with a positive lead when it is stored, so the held rows are the same
+    whichever steps skipped the strip of their content: each is the one
     primitive multiple of the same vector.  Over GF(p) every row is scaled
-    to a unit pivot when stored.  ``finalize`` back-substitutes, with the
-    same rule for the strip, and, over Q, divides each row by its pivot
-    entry, yielding the canonical RREF basis of the row space with
-    canonical Q scalars.
+    to a unit pivot when stored.  ``finalize`` back-substitutes and, over
+    Q, divides each row by its pivot entry, yielding the canonical RREF
+    basis of the row space with canonical Q scalars.
 
     ``Elimination`` hands it, through ``_insert``, only the prepared
-    vectors left after the structural pivots are peeled; ``covers`` and
-    ``inverse_columns`` call ``add``, which prepares a copy of each vector.
+    vectors left after the structural pivots are peeled; ``covers``,
+    ``algebra.adapted_basis`` and the tagged echelon behind
+    ``inverse_columns`` and ``basis_coordinates`` call ``add``, which
+    prepares a copy of each vector.
     """
 
     def __init__(self, field, width):
@@ -261,12 +263,17 @@ class Echelon:
         return self._insert(_prepare(self.field, row))
 
     def _insert(self, row):
-        rational = isinstance(self.field, RationalField)
+        p = self.field.char
+        rows = self._rows
         while row:
             lead = min(row)
-            prow = self._rows.get(lead)
-            if prow is None:
-                if rational:
+            held = rows.get(lead)
+            if held is None:
+                if p:
+                    inv = self.field.inv(row[lead])
+                    if inv != 1:
+                        row = {c: v * inv % p for c, v in row.items()}
+                else:
                     g = 0
                     for v in row.values():
                         g = gcd(g, v)
@@ -274,29 +281,9 @@ class Echelon:
                         g = -g
                     if g not in (0, 1):
                         row = {c: v // g for c, v in row.items()}
-                else:
-                    inv = self.field.inv(row[lead])
-                    if inv != 1:
-                        p = self.field.p
-                        row = {c: v * inv % p for c, v in row.items()}
-                self._rows[lead] = row
+                rows[lead] = row
                 return True
-            if rational:
-                a, b = prow[lead], row[lead]
-                g = gcd(a, b)
-                a //= g
-                b //= g
-                row = _int_combine(row, a, prow, b)
-                # with a = 1 the row was not scaled, and the strip is left
-                # to the store above, which makes it primitive all the same
-                if a != 1:
-                    g = 0
-                    for v in row.values():
-                        g = gcd(g, v)
-                    if g > 1:
-                        row = {c: v // g for c, v in row.items()}
-            else:
-                row = _mod_combine(row, prow, row[lead], self.field.p)
+            row = _clear_mod(row, held, lead, p) if p else _clear_int(row, held, lead)
         return False
 
     def finalize(self):
@@ -305,37 +292,22 @@ class Echelon:
         Rows are cleared from the last pivot up, so each row is combined only
         with rows that are already reduced; those vanish on every other pivot
         column, and only the pivots in the row's own support need a step.
+        Over Q a row keeps its positive lead: the row it is cleared against
+        is zero at that column, so a step only scales the lead by that row's
+        own positive lead over a gcd, and a strip divides it by a positive
+        content.
         """
         if self._final:
             return
         rows = self._rows
         pivots = sorted(rows)
-        rational = isinstance(self.field, RationalField)
+        p = self.field.char
         for p0 in reversed(pivots):
             row = rows[p0]
             for q in [c for c in row if c != p0 and c in rows]:
-                qrow = rows[q]
-                if rational:
-                    a, b = qrow[q], row[q]
-                    g = gcd(a, b)
-                    a //= g
-                    b //= g
-                    row = _int_combine(row, a, qrow, b)
-                    # with a = 1 the row was not scaled, and qrow is zero at
-                    # p0, so the pivot entry is unchanged: the division by
-                    # it below makes the row canonical all the same
-                    if a != 1:
-                        g = 0
-                        for v in row.values():
-                            g = gcd(g, v)
-                        if row[p0] < 0:
-                            g = -g
-                        if g not in (0, 1):
-                            row = {c: v // g for c, v in row.items()}
-                else:
-                    row = _mod_combine(row, qrow, row[q], self.field.p)
+                row = _clear_mod(row, rows[q], q, p) if p else _clear_int(row, rows[q], q)
             rows[p0] = row
-        if rational:
+        if not p:
             for p0 in pivots:
                 row = rows[p0]
                 lead = row[p0]
@@ -500,15 +472,9 @@ def _reduce(field, by_pivot, v):
     every other pivot column, so subtracting it sets no other pivot entry,
     and the order of the steps does not matter.
     """
-    sub, mul, zero = field.sub, field.mul, field.zero
+    neg = field.neg
     for p in [c for c in v if c in by_pivot]:
-        c = v[p]
-        for col, val in by_pivot[p].items():
-            nv = sub(v.get(col, zero), mul(c, val))
-            if nv:
-                v[col] = nv
-            else:
-                v.pop(col, None)
+        accumulate(field, v, neg(v[p]), by_pivot[p])
     return v
 
 
@@ -536,24 +502,36 @@ def apply_columns(field, cols, vec):
     return out
 
 
-def _int_combine(row, a, other, b):
-    """a*row - b*other for integer sparse rows."""
-    out = {}
-    for c, v in row.items():
-        out[c] = a * v
-    for c, v in other.items():
+def _clear_int(row, held, col):
+    """a*row - b*held for integer sparse rows, with a and b the entries of
+    held and row at col over their gcd: a row zero at col.  Its content is
+    stripped only when a is not 1; a row not scaled gains little."""
+    a, b = held[col], row[col]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    out = dict(row) if a == 1 else {c: a * v for c, v in row.items()}
+    for c, v in held.items():
         nv = out.get(c, 0) - b * v
         if nv:
             out[c] = nv
         else:
             out.pop(c, None)
+    if a != 1:
+        g = 0
+        for v in out.values():
+            g = gcd(g, v)
+        if g > 1:
+            out = {c: v // g for c, v in out.items()}
     return out
 
 
-def _mod_combine(row, other, f, p):
-    """row - f*other mod p."""
+def _clear_mod(row, held, col, p):
+    """row - row[col]*held mod p, for held with the entry 1 at col: a row
+    zero at col."""
+    f = row[col]
     out = dict(row)
-    for c, v in other.items():
+    for c, v in held.items():
         nv = (out.get(c, 0) - f * v) % p
         if nv:
             out[c] = nv
@@ -703,8 +681,10 @@ def basis_coordinates(field, cols):
             a, b = row[lead], w[lead]
             g = gcd(a, b)
             a //= g
-            den *= a
-            w = _int_combine(w, a, row, b // g)
+            if a != 1:
+                den *= a
+                w = {c: a * x for c, x in w.items()}
+            accumulate(field, w, -(b // g), row)
         return {t - n: -x // den if x % den == 0 else Fraction(-x, den)
                 for t, x in w.items()}
     return coords

@@ -4,6 +4,7 @@ import json
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from conftest import central_extension, generalized_heisenberg, random_basis_change
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecap import catalog, covers, homology, linalg
-from liecap.algebra import direct_sum, transform
+from liecap.algebra import direct_sum, dumps, transform, validate
 from liecap import cli as cli_module
 from liecap.cli import SUITES, invariant_report, main, run_suites
 from liecap.homology import kunneth_exterior_dim, kunneth_tensor_dim, schur_multiplier
@@ -23,6 +24,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """The dim of the algebra of every triple walk (``validate``) that the
+    command line makes while the test runs."""
+    calls = []
+    walk = cli_module.validate
+
+    def counted(algebra):
+        calls.append(algebra.dim)
+        return walk(algebra)
+    monkeypatch.setattr(cli_module, "validate", counted)
+    return calls
 
 
 class TestList:
@@ -140,7 +155,7 @@ class TestInvariants:
         assert code == 2 and out == ""
         assert "dim" in err
 
-    def test_jacobi_violation_exit3(self, tmp_path, capsys):
+    def test_jacobi_violation_exit3(self, tmp_path, capsys, validate_calls):
         doc = {"dim": 3, "field": "Q",
                "brackets": [{"i": 1, "j": 2, "out": [{"k": 3, "c": "1"}]},
                             {"i": 1, "j": 3, "out": [{"k": 1, "c": "1"}]}]}
@@ -157,6 +172,16 @@ class TestInvariants:
         code, out, err = run(capsys, "invariants", "--file", str(path))
         assert (code, out) == (3, "")
         assert err == "error: Jacobi violation at (1,2,3): 1/2*b + -1*c\n"
+        # the triple walk ran once per document, after the report failed
+        assert validate_calls == [3, 4]
+
+    def test_valid_file_walks_no_triple(self, tmp_path, capsys, validate_calls):
+        # d2 . d3 = 0 inside the report is the Jacobi check of a valid document
+        path = tmp_path / "l5_9.json"
+        path.write_text(dumps(catalog.build(catalog.parse_key("L5_9", QQ), QQ).algebra))
+        code, _, _ = run(capsys, "invariants", "--file", str(path))
+        assert code == 0
+        assert validate_calls == []
 
     def test_beyond_the_word_cap(self, capsys):
         # a cover of H(20) would need F(40, 3), far over the Hall-word cap
@@ -485,6 +510,43 @@ def test_fuzzed_file_input_never_raises(doc):
         assert err.startswith("error: ") and out == ""
 
 
+# well-formed tables of dim 3..5 with up to four brackets, most of which
+# violate the Jacobi identity
+_TABLE_DOCUMENT = st.integers(3, 5).flatmap(lambda n: st.fixed_dictionaries({
+    "dim": st.just(n),
+    "field": st.sampled_from(["Q", {"p": 3}, {"p": 101}]),
+    "brackets": st.dictionaries(
+        st.tuples(st.integers(1, n - 1), st.integers(2, n)).filter(lambda ij: ij[0] < ij[1]),
+        st.dictionaries(st.integers(1, n), st.sampled_from(["1", "-1", "2", "1/2"]),
+                        min_size=1, max_size=2),
+        max_size=4).map(lambda table: [
+            {"i": i, "j": j, "out": [{"k": k, "c": c} for k, c in out.items()]}
+            for (i, j), out in table.items()])}))
+
+
+def _walk_first_report(algebra, label):
+    """``invariant_report`` behind the triple walk, the reference for the
+    report-first order: a failed walk raises before the report runs, and
+    the command line's own walk then names the triple."""
+    if not validate(algebra).ok:
+        raise linalg.LiecapError("Jacobi violation")
+    return invariant_report(algebra, label)
+
+
+@given(st.one_of(_DOCUMENT, _TABLE_DOCUMENT))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_file_input_as_with_the_walk_first(doc):
+    # the report runs first and the walk only after it fails, with the
+    # same exit code and the same output as the walk first
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "algebra.json"
+        path.write_text(json.dumps(doc))
+        argv = ["invariants", "--format", "json", "--file", str(path)]
+        got = _main_output(argv)
+        with mock.patch.object(cli_module, "invariant_report", _walk_first_report):
+            assert got == _main_output(argv)
+
+
 _FIELDS = {"Q": linalg.QQ, "Fp:3": linalg.PrimeField(3), "Fp:101": linalg.PrimeField(101)}
 
 
@@ -609,3 +671,28 @@ class TestCover:
         assert code == 0
         d = json.loads(out)
         assert d["star"]["dim"] == 5  # H(1) has a 2-dim multiplier
+
+    @staticmethod
+    def star_document(key, gens, free_class, free_dim, multiplier, derived, star_dim, brackets):
+        """The ``cover --dump-star`` document, for a star whose brackets
+        (i, j, k, c) are single terms [s_i, s_j] = c s_k."""
+        labels = [f"s{t}" for t in range(1, star_dim + 1)]
+        star = {"dim": star_dim, "labels": labels, "field": "Q",
+                "brackets": [{"i": i, "j": j, "out": [{"k": k, "c": c}]}
+                             for i, j, k, c in brackets]}
+        return {"key": key, "free_generators": gens, "free_class": free_class,
+                "free_dim": free_dim, "star_dim": star_dim, "multiplier_dim": multiplier,
+                "derived_dim": derived, "exterior_center_dim": 0, "star": star}
+
+    @pytest.mark.parametrize("key, want", [
+        ("H1", (2, 3, 5, 2, 3, 5, [(1, 2, 3, "-1"), (1, 3, 4, "-1"), (2, 3, 5, "-1")])),
+        ("L5_6", (2, 5, 14, 3, 6, 8, [
+            (1, 2, 3, "-1"), (1, 3, 4, "-1"), (1, 4, 6, "-1"), (1, 5, 7, "1"),
+            (1, 6, 7, "-1"), (2, 3, 5, "-1"), (2, 4, 7, "1"), (2, 5, 8, "-1"),
+            (2, 6, 8, "1"), (3, 4, 8, "-1")])),
+    ])
+    def test_dump_star_bytes(self, capsys, key, want):
+        # the star table of the cover, word for word as the command prints it
+        code, out, _ = run(capsys, "cover", key, "--dump-star")
+        assert code == 0
+        assert out == json.dumps(self.star_document(key, *want), indent=2) + "\n"

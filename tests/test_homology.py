@@ -23,6 +23,7 @@ from liecap.algebra import (
     center,
     derived_subalgebra,
     direct_sum,
+    subalgebra_on,
     transform,
     validate,
 )
@@ -50,6 +51,7 @@ from liecap.linalg import (
     kernel,
     subspace_sum,
 )
+from liecap.recognize import recognize
 
 
 def build(text):
@@ -276,6 +278,35 @@ class TestClosedForms:
         h_mult = 2 if m == 1 else 2 * m * m - m - 1
         L = direct_sum(catalog.heisenberg_algebra(m, field), catalog.abelian_algebra(k, field))
         assert schur_multiplier(L).dim == h_mult + k * (k - 1) // 2 + 2 * m * k
+
+
+class TestEllisExteriorSquare:
+    """Ellis's L ^ L = F'/[R, F] for L = F/R, with F free nilpotent of class
+    c+1: for L = F(d, c), R is the degree-(c+1) part and [R, F] is zero in
+    F(d, c+1), so L ^ L is the derived subalgebra of F(d, c+1).  That side
+    shares no code with the im d3 route but ``derived_subalgebra`` and
+    ``subalgebra_on``, and it checks the bracket of L ^ L beyond dim 6."""
+
+    @staticmethod
+    def assert_matches(L, d, c):
+        big = covers.free_nilpotent(d, c + 1).algebra_over(L.field)
+        derived, _ = subalgebra_on(big, derived_subalgebra(big))
+        assert recognize(schur_multiplier(L).exterior_square()).label() == recognize(derived).label()
+
+    @FIELDS3
+    @pytest.mark.parametrize("d, c", [(2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 5), (4, 3)])
+    def test_hall_basis(self, field, d, c):
+        self.assert_matches(covers.free_nilpotent(d, c).algebra_over(field), d, c)
+
+    @pytest.mark.parametrize("field, d, c", [
+        (QQ, 2, 4), (PrimeField(3), 2, 4), (PrimeField(101), 2, 4),
+        (QQ, 3, 3), (PrimeField(3), 3, 3), (PrimeField(101), 3, 3)], ids=repr)
+    def test_scrambled(self, field, d, c):
+        # no re-basing on this path: im d3 is dense, and the square reads its
+        # back-substituted RREF
+        F = covers.free_nilpotent(d, c).algebra_over(field)
+        self.assert_matches(transform(F, random_basis_change(random.Random(7), F.dim, field)),
+                            d, c)
 
 
 def test_report_scalars_are_canonical(monkeypatch):

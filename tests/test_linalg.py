@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from conftest import (
@@ -10,10 +11,10 @@ from conftest import (
     random_basis_change,
     two_pass_kernel,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from liecap import covers
+from liecap import covers, linalg
 from liecap.algebra import transform
 from liecap.homology import schur_multiplier
 from liecap.linalg import (
@@ -33,6 +34,8 @@ from liecap.linalg import (
     kernel_columns,
     kernel_from_rows,
     subspace_sum,
+    _clear_int,
+    _clear_mod,
 )
 
 
@@ -345,6 +348,92 @@ class TestProperties:
         inv = inverse_columns(QQ, b)
         assert is_identity(QQ, product(QQ, b, inv))
         assert is_identity(QQ, product(QQ, inv, b))
+
+
+@st.composite
+def clearing_steps(draw):
+    """(row, held, col): integer sparse rows over 0..n-1, both nonzero at
+    col, and held zero before col, as a held row is zero left of its pivot."""
+    n = draw(st.integers(1, 6))
+    col = draw(st.integers(0, n - 1))
+    entries = st.lists(st.integers(-12, 12), min_size=n, max_size=n)
+    nonzero = st.integers(-12, 12).filter(bool)
+    row = {c: x for c, x in enumerate(draw(entries)) if x}
+    held = {c: x for c, x in enumerate(draw(entries)) if x and c > col}
+    row[col], held[col] = draw(nonzero), draw(nonzero)
+    return n, row, held, col
+
+
+def multiple_of(out, ref):
+    """The scalar s with out = s * ref for the dense reference ref, or None."""
+    k = next((k for k, x in enumerate(ref) if x), None)
+    s = Fraction(out.get(k, 0), ref[k]) if k is not None else Fraction(1)
+    return s if all(out.get(c, 0) == s * x for c, x in enumerate(ref)) else None
+
+
+class TestClearingSteps:
+    """``_clear_int`` and ``_clear_mod``, the one step per field by which
+    ``Echelon`` inserts and back-substitutes, against Fraction arithmetic."""
+
+    @given(clearing_steps())
+    @settings(max_examples=200, deadline=None)
+    def test_clear_int(self, case):
+        n, row, held, col = case
+        factor = Fraction(row[col], held[col])
+        ref = [row.get(c, 0) - factor * held.get(c, 0) for c in range(n)]
+        out = _clear_int(dict(row), held, col)
+        assert col not in out and all(type(x) is int and x for x in out.values())
+        s = multiple_of(out, ref)
+        assert s is not None and bool(out) == any(ref)
+        # a positive multiple when the held row leads positive, as a stored row does
+        assert s * held[col] > 0 or not out
+        a = held[col] // gcd(held[col], row[col])
+        if a == 1:
+            assert s == 1
+        elif out:
+            assert gcd(*out.values()) == 1
+
+    @pytest.mark.parametrize("p", [3, 101])
+    @given(case=clearing_steps())
+    @settings(max_examples=100, deadline=None)
+    def test_clear_mod(self, p, case):
+        n, row, held, col = case
+        row = {c: y for c, x in row.items() if (y := x % p)}
+        held = {c: y for c, x in held.items() if (y := x % p)}
+        assume(col in row and col in held)
+        inv = pow(held[col], p - 2, p)
+        held = {c: x * inv % p for c, x in held.items()}  # stored with the lead 1
+        out = _clear_mod(row, held, col, p)
+        want = {c: y for c in range(n)
+                if (y := (row.get(c, 0) - row[col] * held.get(c, 0)) % p)}
+        assert out == want and col not in out
+
+    @staticmethod
+    def back_substitution_leads(rows, n):
+        """The pivot entry of the row after each back-substitution step over Q."""
+        ech = Echelon(QQ, n)
+        for r in rows:
+            ech.add({j: x for j, x in enumerate(r) if x})
+        leads = []
+        clear = linalg._clear_int
+
+        def step(row, held, col):
+            out = clear(row, held, col)
+            leads.append(out[min(out)])
+            return out
+        with mock.patch.object(linalg, "_clear_int", step):
+            ech.finalize()
+        return leads
+
+    def test_back_substitution_scales_the_pivot(self):
+        # 2*(x1 + x2) - (2x2 + x3) = 2x1 - x3: a = 2 scales the pivot entry
+        assert self.back_substitution_leads([[1, 1, 0], [0, 2, 1]], 3) == [2]
+
+    @given(small_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_back_substitution_keeps_positive_pivots(self, rows):
+        # held rows lead positive, so no step needs a sign flip
+        assert all(x > 0 for x in self.back_substitution_leads(rows, len(rows[0])))
 
 
 FIELDS = [QQ, PrimeField(101)]
