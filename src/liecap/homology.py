@@ -19,18 +19,33 @@ phase loops once over the entries and collects:
 - the unit columns: when r is a single term x e_m, the column of each
   such c is the unit coordinate of the pair {m, c}, or zero when m = c,
   and all of them join a set in one update, with no vector built;
-- the entries whose r has two or more terms, each with its set of c;
+- the entries whose r has two or more terms, each with its set of c
+  less the central coordinates;
 - the triples with two or more bracketed pairs, the k other than i and j
   in nb[i] | nb[j], each taken once, from the first of its bracketed
   pairs in the order (a, b) < (a, c) < (b, c).
 
+A central coordinate c, one with no bracket (nb[c] empty), lies in every
+entry's set, and d3(e_i ^ e_j ^ e_c) = [e_i, e_j] ^ e_c, so the columns at
+c span L^2 ^ e_c.  When some entry has two or more terms, the columns at
+each central c are taken from L^2 instead, one per RREF row u of L^2 (the
+rows ``MultiplierResult.dim`` reads), not one per entry: u ^ e_c is a unit
+column when u is a unit row e_m (given already when an entry is x e_m),
+and a vector otherwise.  On a central extension whose entries all have
+several terms, the kernel coordinates are central and L^2 is often a
+coordinate span, so those columns are units and the peel goes on from
+them.  A table of single-term entries is walked without L^2, as its
+columns at c are units already.
+
 The second phase builds the other columns as fresh sparse vectors: r ^ e_c
-for each multi-term entry and each of its c, and for each shared triple the
-sum of its three terms.  No entry is written at a unit column, and a vector
-that comes out empty is dropped.  Each unit is itself a d3 column, so
-striking it from the others changes neither the span nor the pivots.
-Every column is read straight off ``algebra.table`` with plain + and - on
-the canonical scalars (reduced mod p over GF(p)).
+for each multi-term entry and each of its c, u ^ e_c for each row u of L^2
+that is not a unit and each central c, and for each shared triple the sum
+of its three terms.  No entry is written at a unit column, and a vector
+that comes out empty is dropped.  Each unit is itself a d3 column, or
+lies in the span of those at its central c, so striking it from the
+others changes neither the span nor the pivots.  Every column is read
+straight off ``algebra.table``, or off the rows of L^2 scaled to integers
+over Q, with plain + and - on the scalars (reduced mod p over GF(p)).
 
 The pair a < b sits at the coordinate base[a] + b, with ``base`` from
 ``ExteriorBasis``; that is the one coordinate rule on Lambda^2, and no pair
@@ -48,7 +63,9 @@ im d3, as the RREF rows are; d2 is linear, so it kills every d3 column
 exactly when it kills a basis of their span.  This holds too when the
 elimination stops at full width, where units and rows span all of
 Lambda^2.  A unit e_t is killed exactly when pair t has no bracket, so the
-units cost one lookup per table entry.
+units cost one lookup per table entry.  The columns taken from L^2 span
+exactly the columns they replace, so the check sees the same span; d2
+sends each of them, r ^ e_c or u ^ e_c for a central c, to [., e_c] = 0.
 
 ``MultiplierResult`` keeps that elimination as it stands.  Its pivots give
 ``dim`` and ``kept``; the back-substitution to the canonical RREF
@@ -95,6 +112,7 @@ from .linalg import (
     Matrix,
     NotContained,
     Subspace,
+    _prepare,
     accumulate,
     apply_columns,
     kernel_columns,
@@ -364,7 +382,10 @@ def _im_d3(algebra, ext):
     """im d3 of algebra, eliminated but not back-substituted, with
     d2 . d3 = 0 checked on its basis; the module docstring says how the
     columns are built, why no vector carries a unit column and why that
-    check suffices."""
+    check suffices.  When an entry has two or more terms, the columns at a
+    central coordinate c are u ^ e_c for the RREF rows u of L^2, which
+    span the same L^2 ^ e_c as the columns [e_i, e_j] ^ e_c of the
+    entries."""
     n = algebra.dim
     field = algebra.field
     table = algebra.table
@@ -378,7 +399,9 @@ def _im_d3(algebra, ext):
     everything = set(range(n))
     # first every unit column, so no vector below is written at one
     units = set()
-    multi = []  # (r, lone) of the entries whose bracket r has two or more terms
+    # (r, lone) of the entries whose bracket r has two or more terms, and
+    # below (u, central) of the rows u of L^2 that are not units
+    multi = []
     shared = []
     for (i, j), r in table.items():
         ni, nj = nb[i], nb[j]
@@ -391,7 +414,7 @@ def _im_d3(algebra, ext):
             lone.discard(m)
             bm = base[m]
             units.update([bm + c if m < c else base[c] + m for c in lone])
-        elif lone:
+        else:
             multi.append((r.items(), lone))
         # the other triples have two or more bracketed pairs, and each is
         # taken from the first of them in the order (a, b) < (a, c) < (b, c):
@@ -401,6 +424,25 @@ def _im_d3(algebra, ext):
                 shared.append((i, j, k))
             elif i < k < j and k not in ni:
                 shared.append((i, k, j))
+    central = [c for c in range(n) if not nb[c]] if multi else ()
+    if central:
+        # the columns at a central c are r ^ e_c for every entry r, so they
+        # span L^2 ^ e_c, whose basis is u ^ e_c for the RREF rows u of L^2:
+        # a unit column for each pair {m, c} when u = e_m, as for a
+        # single-term entry, and otherwise a vector, with u over Q scaled to
+        # integers once for every c; the multi-term entries drop c
+        for _, lone in multi:
+            lone.difference_update(central)
+        # a single-term entry x e_m has put e_m ^ e_c among the units already
+        singles = {m for r in table.values() if len(r) == 1 for m in r}
+        for u in derived_subalgebra(algebra).sparse_rows():
+            if len(u) == 1:
+                (m,) = u
+                if m not in singles:
+                    bm = base[m]
+                    units.update([bm + c if m < c else base[c] + m for c in central if c != m])
+            else:
+                multi.append((_prepare(field, u).items(), central))
     vectors = []
     for terms, lone in multi:
         for c in lone:

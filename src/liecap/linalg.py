@@ -447,12 +447,14 @@ def _peel(units, vecs):
     """Strike the unit columns from vecs in place, growing units to its
     fixed point.  A vector with exactly one nonzero entry left spans the
     unit row at that column, which is struck from every other vector in
-    turn, until no new singleton appears."""
+    turn, until no new singleton appears.  Only the unit columns that
+    some vector holds are queued; the units im d3 hands over are held by
+    none."""
     holders = defaultdict(list)  # column -> the vectors with an entry there
     for a, row in enumerate(vecs):
         for c in row:
             holders[c].append(a)
-    queue = list(units)
+    queue = [t for t in units if t in holders]
     while queue:
         t = queue.pop()
         for a in holders.pop(t, ()):

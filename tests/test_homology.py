@@ -17,7 +17,7 @@ from test_capability import class_two_cases
 from test_covers import witt_dim
 from test_linalg import is_canonical
 
-from liecap import catalog, covers, homology, tables
+from liecap import catalog, covers, homology, linalg, tables
 from liecap.algebra import (
     LieAlgebra,
     center,
@@ -208,9 +208,11 @@ class TestSupportWalk:
     @FIELDS3
     def test_one_vector_per_column(self, field, monkeypatch):
         # a lone single-term bracket gives a unit coordinate and no vector;
-        # every other nonzero d3 column is built once, struck of the unit
-        # columns, and handed over unless that leaves it empty, counted
-        # against the dense ce_d3
+        # when some bracket has two or more terms, the columns at a central
+        # coordinate c come from L^2, one unit or vector u ^ e_c per RREF row
+        # u of L^2; every other nonzero d3 column is built once, struck of
+        # the unit columns, and handed over unless that leaves it empty,
+        # counted against the dense ce_d3
         handed = []
         elimination = homology.Elimination
 
@@ -220,28 +222,52 @@ class TestSupportWalk:
         monkeypatch.setattr(homology, "Elimination", counted)
         rng = random.Random(61)
         algebras = [catalog.build(k, field).algebra for k in catalog.all_keys(6, field)]
-        algebras += [covers.free_nilpotent(d, c).algebra_over(field) for d, c in [(2, 4), (3, 3)]]
+        free = [covers.free_nilpotent(d, c).algebra_over(field) for d, c in [(2, 4), (3, 3)]]
+        algebras += free
         algebras += [transform(L, random_basis_change(rng, L.dim, field)) for L in algebras[-12:]]
+        # the extended brackets have several terms, and the kernel is central
+        algebras += [central_extension(free[0], 4, rng), central_extension(free[1], 2, rng),
+                     central_extension(catalog.build(catalog.parse_key("L6_19(e=1)", field),
+                                                     field).algebra, 1, rng)]
+        spread = 0
         for L in algebras:
             handed.clear()
             schur_multiplier(L)
             base = ExteriorBasis(L.dim).base
-            units, lone_units = set(), set()
+            central = {c for c in range(L.dim) if not any(c in ij for ij in L.table)}
+            if not any(len(r) > 1 for r in L.table.values()):
+                central = set()
+            spread += bool(central)
+            units, walked = set(), set()
             for t, triple in enumerate(combinations(range(L.dim), 3)):
                 pairs = [ab for ab in combinations(triple, 2) if ab in L.table]
-                if len(pairs) == 1 and len(L.table[pairs[0]]) == 1:
-                    (m,) = L.table[pairs[0]]
+                if len(pairs) == 1:
                     (c,) = set(triple) - set(pairs[0])
-                    if m != c:
-                        units.add(base[min(m, c)] + max(m, c))
-                        lone_units.add(t)
+                    r = L.table[pairs[0]]
+                    if len(r) == 1:
+                        (m,) = r
+                        if m != c:
+                            units.add(base[min(m, c)] + max(m, c))
+                        walked.add(t)
+                    elif c in central:
+                        walked.add(t)
+            wedges = []
+            for u in derived_subalgebra(L).sparse_rows():
+                for c in central:
+                    w = set(homology._wedge(field, base, u, {c: field.one}))
+                    if len(u) == 1:
+                        units |= w
+                    elif w:
+                        wedges.append(w)
             supports = [{i for i, x in enumerate(col) if x} for col in columns(ce_d3(L))]
             want = sum(1 for t, s in enumerate(supports)
-                       if s and t not in lone_units and not s <= units)
+                       if s and t not in walked and not s <= units)
+            want += sum(1 for w in wedges if not w <= units)
             ((vectors, given),) = handed
             assert given == units, L
             assert len(vectors) == want, L
             assert all(v and not units.intersection(v) for v in vectors), L
+        assert spread >= 3
 
     @FIELDS
     @pytest.mark.parametrize("d, c", [(3, 5), (4, 4)])
@@ -395,6 +421,98 @@ class TestSparseBoundaries:
             for _ in range(3):
                 B = transform(L, random_basis_change(rng, L.dim, field))
                 self.assert_matches_dense(B, f"{text} over {field!r}")
+
+
+def dense_result(L):
+    """The MultiplierResult of L on im d3 eliminated from every column of
+    the dense ce_d3: the reference for the table walk of ``_im_d3``."""
+    ext = ExteriorBasis(L.dim)
+    cols = [_prepare(L.field, c) for c in sparse_columns(ce_d3(L))]
+    return homology.MultiplierResult(Elimination(L.field, ext.width, cols), L, ext)
+
+
+class TestCentralColumns:
+    """When a bracket has two or more terms, im d3 takes its columns at a
+    central coordinate c, d3(e_i ^ e_j ^ e_c) = [e_i, e_j] ^ e_c, as
+    u ^ e_c on the RREF rows u of L^2, one per row and not one per table
+    entry.  They span the same L^2 ^ e_c, so every invariant equals its
+    reference from the dense ce_d3, and an extension whose brackets all
+    have several terms peels to a few clearing steps."""
+
+    @staticmethod
+    def extensions(field):
+        """(name, central extension) pairs: by A(k) of F(2,4), F(3,3), H(m)
+        and dim-6 entries, some with fractions over Q, and those of F(2,4)
+        with every bracket of two or more terms."""
+        rng = random.Random(71)
+
+        def entry(text):
+            return catalog.build(catalog.parse_key(text, field), field).algebra
+        bases = [("F(2,4)", covers.free_nilpotent(2, 4).algebra_over(field), 4, None),
+                 ("F(2,4)", covers.free_nilpotent(2, 4).algebra_over(field), 4, (1, 2, 4, 5)),
+                 ("F(3,3)", covers.free_nilpotent(3, 3).algebra_over(field), 2, None),
+                 ("H(2)", catalog.heisenberg_algebra(2, field), 2, None),
+                 ("H(3)", catalog.heisenberg_algebra(3, field), 1, (2, 5)),
+                 ("L6_14", entry("L6_14"), 2, None),
+                 ("L6_19(e=1)", entry("L6_19(e=1)"), 1, (1, 2)),
+                 ("L6_25", entry("L6_25"), 3, None)]
+        for name, base, kdim, denominators in bases:
+            E = central_extension(base, kdim, rng, denominators=denominators)
+            yield f"{name} by A({kdim}) over {field!r}", E
+
+    @FIELDS3
+    def test_matches_dense(self, field):
+        fractions = multi = 0
+        for name, L in self.extensions(field):
+            m, ref = schur_multiplier(L), dense_result(L)
+            assert m.span.rank == ref.span.rank, name
+            assert m.kept == ref.kept, name
+            assert m.image == ref.image, name
+            assert m.exterior_square().table_key() == ref.exterior_square().table_key(), name
+            assert m.exterior_center() == ref.exterior_center(), name
+            fractions += any(type(x) is not int for r in L.table.values() for x in r.values())
+            multi += all(len(r) > 1 for r in L.table.values())
+        assert multi
+        assert fractions if field == QQ else not fractions
+
+    def test_central_columns_carry_rank(self, monkeypatch):
+        # with no rows of L^2, the walk misses the columns at the central
+        # coordinates, and where every bracket has several terms, no unit
+        # of a single-term bracket makes up for them: im d3 falls short of
+        # the dense reference, which test_matches_dense would see
+        monkeypatch.setattr(homology, "derived_subalgebra",
+                            lambda L: Subspace.zero(L.field, L.dim))
+        short = [schur_multiplier(L).span.rank < dense_result(L).span.rank
+                 for _, L in self.extensions(QQ)
+                 if all(len(r) > 1 for r in L.table.values())]
+        assert short and all(short)
+
+    @FIELDS3
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_stalled_extension_work(self, field, seed, monkeypatch):
+        # the 15 brackets of these extensions of F(2,4) by A(4) all have
+        # several terms; built per entry, their columns peel to one unit and
+        # leave about 400 clearing steps; from L^2, z1..z4 ^ L^2 are units
+        E = central_extension(covers.free_nilpotent(2, 4).algebra_over(field), 4,
+                              random.Random(seed))
+        assert all(len(r) > 1 for r in E.table.values())
+        derived_subalgebra(E)  # L^2 is eliminated before the count starts
+        steps = []
+        clear_int, clear_mod = linalg._clear_int, linalg._clear_mod
+
+        def counted_int(*args):
+            steps.append(args)
+            return clear_int(*args)
+
+        def counted_mod(*args):
+            steps.append(args)
+            return clear_mod(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_clear_int", counted_int)
+            patch.setattr(linalg, "_clear_mod", counted_mod)
+            m = schur_multiplier(E)
+        assert len(steps) <= 20
+        assert m.dim == covers.Cover(E).multiplier_dim
 
 
 class TestMultiplierCoords:
@@ -692,6 +810,29 @@ class TestJacobiRefusal:
         finalized.clear()
         with pytest.raises(NotContained):
             schur_multiplier(L)
+        assert finalized == []
+
+    @FIELDS
+    def test_violation_with_central_coordinates(self, field, finalized):
+        # an extension of F(2,4) by A(4) whose 15 brackets all have several
+        # terms, with z1 added to [x3, x4]: z1..z4 stay central, so im d3
+        # takes their columns from L^2, and Jacobi fails at (x1, x2, x4)
+        E = central_extension(covers.free_nilpotent(2, 4).algebra_over(field), 4,
+                              random.Random(7))
+        table = dict(E.table)
+        table[(2, 3)] = {**table[(2, 3)], 8: field.add(table[(2, 3)].get(8, 0), 1)}
+        planted = LieAlgebra(field, E.dim, table)
+        assert all(len(r) > 1 for r in planted.table.values())
+        assert not any(c in ij for ij in planted.table for c in range(8, 12))
+        assert self.unkilled_columns(E) == []
+        assert self.unkilled_columns(planted)
+        assert validate(planted).first_failure()[:3] == (0, 1, 3)
+        # the walk reads the RREF of L^2, built here so that only an RREF
+        # of im d3 would be counted
+        derived_subalgebra(planted)
+        finalized.clear()
+        with pytest.raises(NotContained):
+            schur_multiplier(planted)
         assert finalized == []
 
 
