@@ -41,7 +41,7 @@ from .algebra import (
 )
 from .catalog import abelian_algebra
 from .homology import diagonal_square_dim
-from .linalg import QQ, Echelon, LiecapError, Subspace, complement, kernel_columns
+from .linalg import QQ, Echelon, LiecapError, Subspace, kernel_columns
 
 
 class ResourceLimit(LiecapError):
@@ -201,7 +201,8 @@ def free_nilpotent(d, c):
 
 def default_generator_lift(algebra):
     """Coordinate lifts of the non-pivot complement of L^2, in label order."""
-    return complement(derived_subalgebra(algebra), Subspace.full(algebra.field, algebra.dim))
+    pivots, one = set(derived_subalgebra(algebra).pivots), algebra.field.one
+    return [{i: one} for i in range(algebra.dim) if i not in pivots]
 
 
 class Cover:
@@ -277,8 +278,10 @@ class Cover:
         if self._star is not None:
             return
         free_alg = self._free_alg
-        span = Subspace.from_vectors(free_alg.field, free_alg.dim,
-                                     [row for _, row in self._span.rows()])
+        # the finalized echelon rows are already the canonical RREF
+        rref = self._span.rows()
+        span = Subspace(free_alg.field, free_alg.dim, tuple(row for _, row in rref),
+                        tuple(p for p, _ in rref), _internal=True)
         star, _ = quotient(free_alg, span)
         star = star.relabel(tuple(f"s{t + 1}" for t in range(star.dim)))
         pivots = set(span.pivots)

@@ -88,7 +88,7 @@ class RationalField:
     """The field Q.
 
     The canonical scalar is an ``int`` when integral and a ``Fraction`` with
-    denominator above 1 otherwise.  ``add``/``sub``/``mul``/``neg`` may return
+    denominator above 1 otherwise.  ``add``/``mul``/``neg`` may return
     a ``Fraction`` with denominator 1, which is the same value; ``coerce``
     and ``Echelon.finalize`` restore the canonical form where values are
     stored, in every algebra table and every ``Subspace``.
@@ -119,9 +119,6 @@ class RationalField:
 
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -183,9 +180,6 @@ class PrimeField:
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return a * b % self.p
@@ -703,7 +697,7 @@ class Subspace:
 
     def __init__(self, field, ambient_dim, rows, pivots, _internal=False):
         if not _internal:
-            raise RuntimeError("use Subspace.from_vectors / zero / full")
+            raise RuntimeError("use Subspace.from_vectors / full")
         self.field = field
         self.ambient_dim = ambient_dim
         self._rows = rows            # tuple of sparse row dicts, pivot order
@@ -727,10 +721,6 @@ class Subspace:
                     raise DimensionMismatch(f"vector length {len(v)} in ambient {n}")
                 sparse.append({j: field.coerce(x) for j, x in enumerate(v) if x})
         return cls._from_sparse(field, n, sparse)
-
-    @classmethod
-    def zero(cls, field, n):
-        return cls(field, n, (), (), _internal=True)
 
     @classmethod
     def full(cls, field, n):

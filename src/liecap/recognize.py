@@ -5,6 +5,13 @@ squares in dimensions up to six: A(k), H(m) + A(k), and L5_8 + A(k).
 Recognition is constructive: a basis change is found that transforms the
 input table into the model table exactly, and only then is the label
 returned.  Everything else gets a canonical invariant fingerprint.
+
+Both split shapes have class 2, and they are split in one place.  In class
+2, L^2 lies in Z(L).  Let W be spanned by the unit vectors at the
+non-pivots of Z(L), so that L = W + Z(L).  The core is W + L^2, and A(k)
+is the complement of L^2 in Z(L), with k = dim Z(L) - dim L^2.  The core
+is H(m) when dim L^2 = 1, with 2m = dim W, and L5_8 when dim L^2 = 2 and
+dim W = 3.
 """
 
 from __future__ import annotations
@@ -23,17 +30,12 @@ from .algebra import (
 from .catalog import abelian_algebra, heisenberg_algebra, indexed_key, build
 from .homology import multiplier_dim
 from .linalg import (
-    LiecapError,
     Subspace,
     apply_columns,
     complement,
     kernel_columns,
     subspace_sum,
 )
-
-
-class NotApplicable(LiecapError):
-    """The decomposition's hypothesis (class 2, dim L^2 = 1) fails."""
 
 
 @dataclass(frozen=True)
@@ -158,41 +160,26 @@ def l58_sum_model(k, field):
     return alg
 
 
-def heisenberg_decomposition(algebra):
-    """Split L with dim L^2 = 1 and class 2 as H(m) + A(k), constructively.
+def _symplectic_core(algebra, w_rows, der):
+    """u_1, v_1, ..., u_m, v_m, z for dim L^2 = 1: a symplectic basis of W
+    for the form beta with [u, v] = beta(u, v) z, z the RREF row of L^2.
 
-    The bracket factors through an alternating form beta on L with radical
-    Z(L); a symplectic-style basis of a complement of the radical gives the
-    H(m) part, and a complement of L^2 inside Z(L) the abelian part.  The
-    returned ``IsoType`` basis transforms the table into the model table
-    exactly.
+    The form's radical is Z(L), and W meets Z(L) in zero, so beta is
+    nondegenerate on W.
     """
     f = algebra.field
-    series = lower_central_series(algebra)
-    der = derived_subalgebra(algebra)
-    zspace = center(algebra)
-    if der.dim != 1:
-        raise NotApplicable("needs dim L^2 = 1")
-    if not (len(series) >= 2 and series[-1].dim == 0 and len(series) - 1 == 2):
-        raise NotApplicable("needs class exactly 2")
     z_vec = der.sparse_rows()[0]
     z_pivot = der.pivots[0]
 
     def beta(u, v):
-        w = algebra.bracket_sparse(u, v)
-        if not w:
-            return f.zero
-        return f.div(w[z_pivot], z_vec[z_pivot])
+        # z_vec is an RREF row, so its entry at z_pivot is 1
+        return algebra.bracket_sparse(u, v).get(z_pivot, f.zero)
 
-    rem = complement(zspace, Subspace.full(f, algebra.dim))
-    pairs = []
+    rem = list(w_rows)
+    core = []
     while rem:
         u = rem.pop(0)
-        partner = None
-        for idx, v in enumerate(rem):
-            if beta(u, v):
-                partner = idx
-                break
+        partner = next((idx for idx, v in enumerate(rem) if beta(u, v)), None)
         assert partner is not None, "radical vector escaped the center"
         v = rem.pop(partner)
         c = beta(u, v)
@@ -200,40 +187,24 @@ def heisenberg_decomposition(algebra):
         # w - beta(u,w) v + beta(v,w) u
         rem = [apply_columns(f, (w, v, u), {0: f.one, 1: f.neg(beta(u, w)), 2: beta(v, w)})
                for w in rem]
-        pairs.append((u, v))
-    m = len(pairs)
-    k = zspace.dim - 1
-    abelian_part = complement(der, zspace)
-    basis = tuple(x for pair in pairs for x in pair) + (z_vec, *abelian_part)
-    model = heisenberg_sum_model(m, k, f)
-    got = transform(algebra, basis)
-    assert got.table_key() == model.table_key(), "symplectic split failed"
-    return IsoType("heisenberg_sum", m=m, k=k, basis=basis)
+        core += (u, v)
+    return (*core, z_vec)
 
 
-def _l58_sum_split(algebra):
-    """Basis change to L5_8 + A(k) for class-2 algebras with dim L^2 = 2.
+def _l58_core(algebra, w_rows, der):
+    """v1, v2, v3, z4, z5 for dim L^2 = 2 and dim W = 3, with the relations
+    of L5_8: [v1,v2] = z4, [v1,v3] = z5, [v2,v3] = 0.
 
-    Valid when the non-split core is five dimensional.  The core's bracket
-    is a surjection from the 3-dim second exterior power of a transversal V
-    onto L^2 with a one dimensional kernel; that kernel is spanned by a
-    decomposable bivector a ^ b (its alternating matrix has rank two and its
-    column space is span(a, b)), so (v1, a, b) with v1 outside span(a, b)
-    realizes the model relations [v1,v2]=z4, [v1,v3]=z5, [v2,v3]=0.
+    The bracket maps the 3-dim second exterior power of W onto L^2, so its
+    kernel is a line; that line is spanned by a decomposable bivector
+    a ^ b (its alternating matrix has rank two and its column space is
+    span(a, b)), so (v1, a, b) with v1 outside span(a, b) realizes the
+    relations.
     """
     f = algebra.field
-    der = derived_subalgebra(algebra)
-    zspace = center(algebra)
-    if der.dim != 2 or not zspace.contains_subspace(der):
-        return None
-    w_rows = complement(zspace, Subspace.full(f, algebra.dim))
-    if len(w_rows) != 3:
-        return None  # core dimension is not five
-    # kernel line of Lambda^2(V) -> L^2, in the coordinates of L^2
+    # kernel line of Lambda^2(W) -> L^2, in the coordinates of L^2
     ker = kernel_columns(f, [der.coords(algebra.bracket_sparse(w_rows[i], w_rows[j]))
                              for i, j in ((0, 1), (0, 2), (1, 2))])
-    if ker.dim != 1:
-        return None
     kappa = ker.sparse_rows()[0]
     k12 = kappa.get(0, f.zero)
     k13 = kappa.get(1, f.zero)
@@ -242,21 +213,36 @@ def _l58_sum_split(algebra):
     col_space = Subspace.from_vectors(f, 3, [{1: f.neg(k12), 2: f.neg(k13)},
                                              {0: k12, 2: f.neg(k23)},
                                              {0: k13, 1: k23}])
-    if col_space.dim != 2:
-        return None
-    # col_space is a plane, so some unit vector of V lies outside it
+    # col_space is a plane, so some unit vector of W lies outside it
     v1 = next(w_rows[i] for i in range(3) if not col_space.contains({i: f.one}))
     v2, v3 = (apply_columns(f, w_rows, c) for c in col_space.sparse_rows())
-    z4 = algebra.bracket_sparse(v1, v2)
-    z5 = algebra.bracket_sparse(v1, v3)
-    abelian_part = complement(der, zspace)
-    basis = (v1, v2, v3, z4, z5, *abelian_part)
-    k = zspace.dim - 2
-    model = l58_sum_model(k, f)
-    got = transform(algebra, basis)
-    if got.table_key() != model.table_key():
+    return (v1, v2, v3, algebra.bracket_sparse(v1, v2), algebra.bracket_sparse(v1, v3))
+
+
+def _class_two_split(algebra):
+    """The class-2 split of the module docstring as an ``IsoType`` with its
+    basis, once ``transform`` takes the algebra to the model table; None
+    when the core is neither H(m) nor L5_8."""
+    f = algebra.field
+    der = derived_subalgebra(algebra)
+    zspace = center(algebra)
+    z_pivots = set(zspace.pivots)
+    w_rows = [{i: f.one} for i in range(algebra.dim) if i not in z_pivots]
+    k = zspace.dim - der.dim
+    if der.dim == 1:
+        kind, m = "heisenberg_sum", len(w_rows) // 2
+        core = _symplectic_core(algebra, w_rows, der)
+        model = heisenberg_sum_model(m, k, f)
+    elif der.dim == 2 and len(w_rows) == 3:
+        kind, m = "l58_sum", 0
+        core = _l58_core(algebra, w_rows, der)
+        model = l58_sum_model(k, f)
+    else:
         return None
-    return IsoType("l58_sum", k=k, basis=basis)
+    basis = (*core, *complement(der, zspace))
+    if transform(algebra, basis).table != model.table:
+        return None
+    return IsoType(kind, m=m, k=k, basis=basis)
 
 
 def recognize(algebra):
@@ -269,11 +255,7 @@ def recognize(algebra):
         return IsoType("abelian", k=algebra.dim)
     lcs = lower_central_series(algebra)
     if lcs[-1].dim == 0 and len(lcs) - 1 == 2:
-        der = derived_subalgebra(algebra)
-        if der.dim == 1:
-            return heisenberg_decomposition(algebra)
-        if der.dim == 2:
-            hit = _l58_sum_split(algebra)
-            if hit is not None:
-                return hit
+        hit = _class_two_split(algebra)
+        if hit is not None:
+            return hit
     return IsoType("unrecognized", fp=fingerprint(algebra))

@@ -278,7 +278,7 @@ def all_pairs_lcs(L):
 def all_pairs_ucs(L):
     """Z_{i+1} = {v : [v, e_j] in Z_i for all j}, one functional per residue
     coordinate of [e_i, e_j] over all ordered pairs."""
-    out = [Subspace.zero(L.field, L.dim)]
+    out = [Subspace.from_vectors(L.field, L.dim, [])]
     while True:
         rows = {}
         for i in range(L.dim):

@@ -481,7 +481,7 @@ class TestCentralColumns:
         # of a single-term bracket makes up for them: im d3 falls short of
         # the dense reference, which test_matches_dense would see
         monkeypatch.setattr(homology, "derived_subalgebra",
-                            lambda L: Subspace.zero(L.field, L.dim))
+                            lambda L: Subspace.from_vectors(L.field, L.dim, []))
         short = [schur_multiplier(L).span.rank < dense_result(L).span.rank
                  for _, L in self.extensions(QQ)
                  if all(len(r) > 1 for r in L.table.values())]
@@ -553,7 +553,7 @@ class TestMultiplierCoords:
 class TestInducedMap:
     def test_zero_ideal_injective(self):
         L = build("L4_3")
-        zero = Subspace.zero(QQ, 4)
+        zero = Subspace.from_vectors(QQ, 4, [])
         cols = induced_multiplier_map(L, zero)
         assert Subspace.from_vectors(QQ, len(cols), cols).dim == schur_multiplier(L).dim
 
@@ -630,7 +630,7 @@ class TestL614ExteriorSquare:
         # u ^ v in Lambda^2 coordinates, for dense vectors u and v
         out = {}
         for t, (i, j) in enumerate(ext.pairs):
-            c = field.sub(field.mul(u[i], v[j]), field.mul(u[j], v[i]))
+            c = field.add(field.mul(u[i], v[j]), field.neg(field.mul(u[j], v[i])))
             if c:
                 out[t] = c
         return out

@@ -56,29 +56,32 @@ def test_checker_finds_a_stale_import():
 
 def unreferenced_definitions(sources):
     """The top-level functions and classes, and the public methods, of the
-    modules in ``sources`` (module name -> source) whose name no ``Name`` or
-    ``Attribute`` node reads outside their own definition, as
-    ``module.name`` or ``module.Class.method``.  A docstring that mentions
-    a name is no caller of it, and neither is a recursive call."""
+    modules in ``sources`` (module name -> source) that nothing reads
+    outside their own definition, as ``module.name`` or
+    ``module.Class.method``.  A function or class is read by a ``Name`` or
+    an ``Attribute`` node of its name; a method only by an ``Attribute``
+    node, since a local variable of the same name is no caller of it.  A
+    docstring that mentions a name is no caller of it, and neither is a
+    recursive call."""
     defs = []
-    reads = {}
+    names, attrs = {}, {}
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.append((f"{module}.{node.name}", node.name, module, node))
+                defs.append((f"{module}.{node.name}", node.name, module, node, False))
             if isinstance(node, ast.ClassDef):
-                defs.extend((f"{module}.{node.name}.{sub.name}", sub.name, module, sub)
+                defs.extend((f"{module}.{node.name}.{sub.name}", sub.name, module, sub, True)
                             for sub in node.body
                             if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                reads.setdefault(node.id, []).append((module, node.lineno))
+                names.setdefault(node.id, []).append((module, node.lineno))
             elif isinstance(node, ast.Attribute):
-                reads.setdefault(node.attr, []).append((module, node.lineno))
-    return sorted(qual for qual, name, module, node in defs
+                attrs.setdefault(node.attr, []).append((module, node.lineno))
+    return sorted(qual for qual, name, module, node, method in defs
                   if all(m == module and node.lineno <= line <= node.end_lineno
-                         for m, line in reads.get(name, ())))
+                         for m, line in attrs.get(name, []) + ([] if method else names.get(name, []))))
 
 
 # names with no caller in liecap that stay, each for a reason outside it
@@ -115,9 +118,11 @@ def test_checker_finds_a_dead_definition():
               "def dead(n):\n    return dead(n - 1) if n else used()\n"
               "class K:\n    def m(self):\n        return K()\n"
               "    def _private(self):\n        pass\n"
-              "    def live(self):\n        pass\n"),
+              "    def live(self):\n        pass\n"
+              "    def sub(self):\n        pass\n"),
         "b": ("\"\"\"dead is mentioned here only.\"\"\"\n"
               "from .a import K\n"
-              "def caller():\n    K().live()\n"),
+              "def caller():\n    sub = K()\n    sub.live()\n"),
     }
-    assert unreferenced_definitions(sources) == ["a.K.m", "a.dead", "b.caller"]
+    # sub is read in b only as a local variable, which calls no method
+    assert unreferenced_definitions(sources) == ["a.K.m", "a.K.sub", "a.dead", "b.caller"]

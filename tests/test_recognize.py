@@ -14,6 +14,7 @@ from liecap.algebra import (
     center,
     derived_subalgebra,
     direct_sum,
+    lower_central_series,
     transform,
     validate,
 )
@@ -21,9 +22,7 @@ from liecap.covers import free_nilpotent
 from liecap.homology import diagonal_square_dim, schur_multiplier
 from liecap.linalg import QQ, PrimeField
 from liecap.recognize import (
-    NotApplicable,
     fingerprint,
-    heisenberg_decomposition,
     heisenberg_sum_model,
     l58_sum_model,
     recognize,
@@ -61,42 +60,47 @@ class TestLabels:
         assert iso.label().startswith("UNRECOGNIZED[")
 
 
+def split_model(kind, m, k, field):
+    """The model algebra of a split label."""
+    if kind == "heisenberg_sum":
+        return heisenberg_sum_model(m, k, field)
+    return l58_sum_model(k, field)
+
+
+def assert_split(algebra, kind, m, k):
+    """recognize splits algebra as kind with these m and k, and its basis
+    takes algebra to the model table exactly."""
+    iso = recognize(algebra)
+    assert (iso.kind, iso.m, iso.k) == (kind, m, k)
+    assert transform(algebra, iso.basis).table == split_model(kind, m, k, algebra.field).table
+
+
 class TestHeisenbergDecomposition:
+    """dim L^2 = 1 in class 2: the H(m)+A(k) branch of the class-2 split."""
+
     def test_h2(self):
-        split = heisenberg_decomposition(build("H2"))
-        assert (split.m, split.k) == (2, 0)
+        assert_split(build("H2"), "heisenberg_sum", 2, 0)
 
     def test_l42(self):
-        split = heisenberg_decomposition(build("L4_2"))
-        assert (split.m, split.k) == (1, 1)
-
-    def test_l58_not_applicable(self):
-        with pytest.raises(NotApplicable):
-            heisenberg_decomposition(build("L5_8"))
+        assert_split(build("L4_2"), "heisenberg_sum", 1, 1)
 
     def test_basis_transforms_to_model(self):
-        L = build("L6_4")  # H(2) + A(1)
-        split = heisenberg_decomposition(L)
-        model = heisenberg_sum_model(split.m, split.k, QQ)
-        assert transform(L, split.basis).table_key() == model.table_key()
+        assert_split(build("L6_4"), "heisenberg_sum", 2, 1)  # H(2) + A(1)
 
     def test_scrambled_heisenberg(self):
         rng = random.Random(17)
         for m, k in ((1, 0), (1, 2), (2, 1), (3, 0)):
             model = heisenberg_sum_model(m, k, QQ)
             T = random_basis_change(rng, model.dim)
-            scrambled = transform(model, T)
-            split = heisenberg_decomposition(scrambled)
-            assert (split.m, split.k) == (m, k)
+            assert_split(transform(model, T), "heisenberg_sum", m, k)
 
     def test_scrambled_heisenberg_prime_field(self):
-        F = PrimeField(7)
         rng = random.Random(19)
-        for m, k in ((1, 1), (2, 0)):
-            model = heisenberg_sum_model(m, k, F)
-            scrambled = transform(model, random_basis_change(rng, model.dim, field=F))
-            split = heisenberg_decomposition(scrambled)
-            assert (split.m, split.k) == (m, k)
+        for F in (PrimeField(3), PrimeField(7), PrimeField(101)):
+            for m, k in ((1, 0), (1, 1), (2, 0), (2, 1), (3, 0)):
+                model = heisenberg_sum_model(m, k, F)
+                scrambled = transform(model, random_basis_change(rng, model.dim, field=F))
+                assert_split(scrambled, "heisenberg_sum", m, k)
 
 
 class TestRoundTrips:
@@ -115,12 +119,29 @@ class TestRoundTrips:
 
     def test_scrambled_l58_sums(self):
         rng = random.Random(23)
-        for k in (0, 1, 3):
-            model = l58_sum_model(k, QQ)
-            for _ in range(5):
-                scrambled = transform(model, random_basis_change(rng, model.dim))
+        for field in (QQ, PrimeField(3), PrimeField(101)):
+            for k in (0, 1, 3):
+                model = l58_sum_model(k, field)
+                for _ in range(5):
+                    scrambled = transform(model, random_basis_change(rng, model.dim, field))
+                    assert_split(scrambled, "l58_sum", 0, k)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(101)],
+                             ids=["Q", "GF3", "GF101"])
+    def test_class_two_outside_both_shapes(self, field):
+        # L6_22(e=1): dim L^2 = 2 with dim W = 4; F(3,2): dim L^2 = 3
+        rng = random.Random(37)
+        cases = [(catalog.build(catalog.parse_key("L6_22(e=1)"), field).algebra, 2, 4),
+                 (free_nilpotent(3, 2).algebra_over(field), 3, 3)]
+        for L, der_dim, w_dim in cases:
+            for _ in range(3):
+                scrambled = transform(L, random_basis_change(rng, L.dim, field))
+                assert len(lower_central_series(scrambled)) - 1 == 2
+                der = derived_subalgebra(scrambled)
+                assert (der.dim, L.dim - center(scrambled).dim) == (der_dim, w_dim)
                 iso = recognize(scrambled)
-                assert (iso.kind, iso.k) == ("l58_sum", k), k
+                assert (iso.kind, iso.basis) == ("unrecognized", None)
+                assert iso.fp == fingerprint(L)
 
     def test_soundness_reconstruction(self):
         # whenever a label comes back, the labeled model has the same fingerprint
@@ -265,9 +286,7 @@ def assert_derived_label(derived, algebra, name):
     if derived.basis is None:
         assert derived == direct, name
     else:
-        model = (heisenberg_sum_model(derived.m, derived.k, algebra.field)
-                 if derived.kind == "heisenberg_sum"
-                 else l58_sum_model(derived.k, algebra.field))
+        model = split_model(derived.kind, derived.m, derived.k, algebra.field)
         assert transform(algebra, derived.basis).table_key() == model.table_key(), name
 
 
