@@ -16,8 +16,9 @@ The cost of the invariants follows the table, not the algebra: a bracket
 that is a single term gives unit columns of im d3.  ``adapted_basis``
 picks a basis of brackets adapted to the lower central series, the form
 of the catalog's own tables, and ``transform`` rewrites a table on any
-basis; the report path re-bases on the first when that takes terms off
-the table, since its invariants do not depend on the basis.
+basis.  The report path, whose invariants do not depend on the basis,
+keeps a table whose series is a chain of coordinate spans and re-bases
+any other on the first when that takes terms off the table.
 """
 
 from __future__ import annotations
@@ -378,11 +379,20 @@ class AlgebraMap:
         return apply_columns(self.target.field, self.columns, vec)
 
     def is_bracket_preserving(self):
-        cols = self.columns
-        for i in range(self.source.dim):
-            for j in range(i + 1, self.source.dim):
-                lhs = self.apply(self.source.bracket_basis(i, j))
-                if lhs != self.target.bracket_sparse(cols[i], cols[j]):
+        """[f(e_a), f(e_b)] = f([e_a, e_b]) on every pair a < b of source
+        coordinates; only the pairs where either side is nonzero are
+        compared, since both sides vanish on the rest.  The columns are
+        bracketed as ``transform`` brackets them, each once through the
+        target's table, and no inverse is formed, so a map with zero or
+        repeated columns, such as a projection, is checked as a basis
+        change is."""
+        source = self.source
+        later = {}  # a -> the b > a with [e_a, e_b] in the source table
+        for a, b in source.table:
+            later.setdefault(a, []).append(b)
+        for a, out in enumerate(_column_brackets(self.target, self.columns)):
+            for b in out.keys() | later.get(a, ()):
+                if self.apply(source.bracket_basis(a, b)) != out.get(b, {}):
                     return False
         return True
 
@@ -476,13 +486,34 @@ def adapted_basis(algebra):
     return cols
 
 
+def _column_brackets(algebra, cols):
+    """For each a in turn, {b: [b_a, b_b]} over the later columns b > a,
+    b_a being the sparse vector cols[a]; a bracket may be the empty dict.
+
+    [b_a, b_b] is the sum of b_b[j] [b_a, e_j] over the ad images of b_a,
+    so each column goes once through the table, and only the pairs whose
+    columns meet through it are bracketed.
+    """
+    f = algebra.field
+    holders = {}  # j -> [(b, b_b[j])], the columns with an entry at j
+    for b, col in enumerate(cols):
+        for j, c in col.items():
+            holders.setdefault(j, []).append((b, c))
+    for a, col in enumerate(cols):
+        out = {}
+        for j, w in _ad_images(algebra, col).items():
+            for b, c in holders.get(j, ()):
+                if b > a:
+                    accumulate(f, out.setdefault(b, {}), c, w)
+        yield out
+
+
 def transform(algebra, cols):
     """Rewrite the algebra on the new basis whose a-th vector is the sparse
     column cols[a]; the columns must be a basis.
 
-    [b_a, b_b] is the sum of b_b[j] [b_a, e_j] over the ad images of b_a,
-    so only the pairs whose columns meet through the table are bracketed.
-    Its new coordinates are read off the echelon of the columns
+    The brackets of the columns are those of ``_column_brackets``.  Their
+    new coordinates are read off the echelon of the columns
     (``basis_coordinates``), with no inverse formed: an image that is a
     multiple of one column, as most are on an adapted basis, takes one
     step, and over Q the steps run in integers, with one division per
@@ -491,23 +522,13 @@ def transform(algebra, cols):
     n = algebra.dim
     if len(cols) != n:
         raise DimensionMismatch(f"{len(cols)} basis columns for dim {n}")
-    f = algebra.field
-    coords = basis_coordinates(f, cols)
-    holders = {}  # j -> [(b, b_b[j])], the later columns with an entry at j
-    for b, col in enumerate(cols):
-        for j, c in col.items():
-            holders.setdefault(j, []).append((b, c))
+    coords = basis_coordinates(algebra.field, cols)
     brackets = {}
-    for a, col in enumerate(cols):
-        out = {}  # b -> [b_a, b_b]
-        for j, w in _ad_images(algebra, col).items():
-            for b, c in holders.get(j, ()):
-                if b > a:
-                    accumulate(f, out.setdefault(b, {}), c, w)
+    for a, out in enumerate(_column_brackets(algebra, cols)):
         for b in sorted(out):
             if out[b]:
                 brackets[(a, b)] = coords(out[b])
-    return LieAlgebra(f, n, brackets, labels=algebra.labels)
+    return LieAlgebra(algebra.field, n, brackets, labels=algebra.labels)
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -232,8 +232,8 @@ class Echelon:
     ``Elimination`` hands it, through ``_insert``, only the prepared
     vectors left after the structural pivots are peeled; ``covers``,
     ``algebra.adapted_basis`` and the tagged echelon behind
-    ``inverse_columns`` and ``basis_coordinates`` call ``add``, which
-    prepares a copy of each vector.
+    ``basis_coordinates`` call ``add``, which prepares a copy of each
+    vector.
     """
 
     def __init__(self, field, width):
@@ -629,17 +629,6 @@ def _tagged_echelon(field, cols):
     if ech.pivots() != tuple(range(n)):
         raise LinalgError("matrix is singular")
     return ech
-
-
-def inverse_columns(field, cols):
-    """Sparse columns of B^-1, for the square matrix B with sparse columns cols.
-
-    The RREF of [B^T | I] is [I | (B^-1)^T], and the row at pivot i, read in
-    the tag block, is column i of B^-1.
-    """
-    n = len(cols)
-    return [{t - n: v for t, v in row.items() if t >= n}
-            for _, row in _tagged_echelon(field, cols).rows()]
 
 
 def basis_coordinates(field, cols):

@@ -2,9 +2,10 @@
 
 Recognition targets the three families that occur as exterior or tensor
 squares in dimensions up to six: A(k), H(m) + A(k), and L5_8 + A(k).
-Recognition is constructive: a basis change is found that transforms the
-input table into the model table exactly, and only then is the label
-returned.  Everything else gets a canonical invariant fingerprint.
+Recognition is constructive: a basis of the input is built, and the label
+is returned only once the map from the model onto that basis is certified
+an isomorphism, bijective (its columns have full rank) and bracket
+preserving.  Everything else gets a canonical invariant fingerprint.
 
 Both split shapes have class 2, and they are split in one place.  In class
 2, L^2 lies in Z(L).  Let W be spanned by the unit vectors at the
@@ -19,18 +20,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
+    AlgebraMap,
     center,
     centralizer,
     derived_subalgebra,
     direct_sum,
     lower_central_series,
-    transform,
     upper_central_series,
 )
 from .catalog import abelian_algebra, heisenberg_algebra, indexed_key, build
 from .homology import multiplier_dim
 from .linalg import (
+    Elimination,
     Subspace,
+    _prepare,
     apply_columns,
     complement,
     kernel_columns,
@@ -108,8 +111,9 @@ def fingerprint(algebra):
 class IsoType:
     """Recognized label: A(k), H(m)+A(k), L5_8+A(k), or a fingerprint.
 
-    For a split sum, ``basis`` is the sparse columns of the basis change
-    that ``transform`` takes to the model table exactly.
+    For a split sum, ``basis`` is the sparse columns of an isomorphism
+    from the model onto the algebra, so ``transform`` takes the algebra on
+    them to the model table exactly.
     """
 
     kind: str                   # "abelian" | "heisenberg_sum" | "l58_sum" | "unrecognized"
@@ -219,10 +223,23 @@ def _l58_core(algebra, w_rows, der):
     return (v1, v2, v3, algebra.bracket_sparse(v1, v2), algebra.bracket_sparse(v1, v3))
 
 
+def _is_isomorphism(model, algebra, basis):
+    """Whether the map from the model onto the algebra with the sparse
+    columns basis is an isomorphism: the columns have rank n, checked by
+    one elimination, and the map preserves brackets.  No inverse and no
+    table on the new basis is formed."""
+    f, n = algebra.field, algebra.dim
+    if not len(basis) == model.dim == n:
+        return False
+    if Elimination(f, n, (_prepare(f, b) for b in basis)).rank != n:
+        return False
+    return AlgebraMap(model, algebra, basis).is_bracket_preserving()
+
+
 def _class_two_split(algebra):
     """The class-2 split of the module docstring as an ``IsoType`` with its
-    basis, once ``transform`` takes the algebra to the model table; None
-    when the core is neither H(m) nor L5_8."""
+    basis, once the map from the model onto that basis is an isomorphism;
+    None when the core is neither H(m) nor L5_8."""
     f = algebra.field
     der = derived_subalgebra(algebra)
     zspace = center(algebra)
@@ -240,7 +257,7 @@ def _class_two_split(algebra):
     else:
         return None
     basis = (*core, *complement(der, zspace))
-    if transform(algebra, basis).table != model.table:
+    if not _is_isomorphism(model, algebra, basis):
         return None
     return IsoType(kind, m=m, k=k, basis=basis)
 

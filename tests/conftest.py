@@ -16,6 +16,7 @@ from liecap.linalg import (
     Elimination,
     Subspace,
     _prepare,
+    _tagged_echelon,
     apply_columns,
     kernel_columns,
     kernel_from_rows,
@@ -51,6 +52,19 @@ def echelon_rref(field, n, vectors):
     for v in vectors:
         ech.add(dict(v))
     return ech.pivots(), tuple(row for _, row in ech.rows())
+
+
+def inverse_columns(field, cols):
+    """Sparse columns of B^-1, for the square matrix B with sparse columns
+    cols: the reference for the coordinates ``transform`` reads off the
+    echelon of the columns with no inverse formed.
+
+    The RREF of [B^T | I] is [I | (B^-1)^T], and the row at pivot i, read in
+    the tag block, is column i of B^-1.
+    """
+    n = len(cols)
+    return [{t - n: v for t, v in row.items() if t >= n}
+            for _, row in _tagged_echelon(field, cols).rows()]
 
 
 def central_extension(algebra, kdim, rng, denominators=None):

@@ -4,12 +4,13 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import central_extension, random_basis_change, solvable_algebra
+from conftest import central_extension, inverse_columns, random_basis_change, solvable_algebra
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecap import catalog, cli, covers
 from liecap.algebra import (
+    AlgebraMap,
     LieAlgebra,
     NotAnIdeal,
     NotNilpotent,
@@ -38,7 +39,6 @@ from liecap.linalg import (
     PrimeField,
     Subspace,
     apply_columns,
-    inverse_columns,
     kernel_columns,
     kernel_from_rows,
     subspace_sum,
@@ -430,6 +430,43 @@ class TestQuotient:
             direct, _ = quotient(L, n_big)
             assert q2.dim == direct.dim, text
             assert fingerprint(q2) == fingerprint(direct), text
+
+
+class TestBracketPreserving:
+    """``AlgebraMap.is_bracket_preserving`` brackets each column once
+    through the target's table; it agrees with the check of every pair of
+    source coordinates, on projections, embeddings and basis changes, and
+    on maps that break one bracket."""
+
+    @staticmethod
+    def all_pairs(f):
+        src, cols = f.source, f.columns
+        return all(f.apply(src.bracket_basis(i, j)) == f.target.bracket_sparse(cols[i], cols[j])
+                   for i in range(src.dim) for j in range(i + 1, src.dim))
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+    def test_matches_all_pairs_reference(self, field):
+        rng = random.Random(47)
+        two = field.from_int(2)
+        maps = []
+        for L in seeded_algebras(field, 53, 6):
+            for ideal in (derived_subalgebra(L), center(L)):
+                maps.append(quotient(L, ideal)[1])
+                maps.append(subalgebra_on(L, ideal)[1])
+            cols = random_basis_change(rng, L.dim, field)
+            maps.append(AlgebraMap(transform(L, cols), L, cols))
+        # each map with one column doubled, and with one column dropped
+        for f in list(maps):
+            for t in range(len(f.columns)):
+                if f.columns[t]:
+                    doubled = {i: field.mul(two, c) for i, c in f.columns[t].items()}
+                    for col in (doubled, {}):
+                        maps.append(AlgebraMap(f.source, f.target,
+                                               (*f.columns[:t], col, *f.columns[t + 1:])))
+                    break
+        verdicts = [f.is_bracket_preserving() for f in maps]
+        assert verdicts == [self.all_pairs(f) for f in maps]
+        assert 0 < sum(verdicts) < len(verdicts)
 
 
 class TestSubalgebra:

@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecap import catalog, covers, homology, linalg
-from liecap.algebra import direct_sum, dumps, transform, validate
+from liecap.algebra import (
+    adapted_basis,
+    direct_sum,
+    dumps,
+    lower_central_series,
+    transform,
+    validate,
+)
 from liecap import cli as cli_module
 from liecap.cli import SUITES, invariant_report, main, run_suites
 from liecap.homology import kunneth_exterior_dim, kunneth_tensor_dim, schur_multiplier
@@ -287,11 +294,18 @@ def test_bad_field_exit2(capsys, argv, field):
     assert err.startswith("error: ") and out == ""
 
 
+def coordinate_terms(L):
+    """Whether each term of the lower central series of L is a coordinate
+    span, one flag per term."""
+    return [all(len(row) == 1 for row in term.sparse_rows()) for term in lower_central_series(L)]
+
+
 class TestReportOnScrambledInput:
-    """``invariant_report`` computes on the algebra re-based on its adapted
-    basis when that table has fewer terms.  After a random change of basis
-    the report equals the one computed on the natural basis as it stands,
-    without re-basing."""
+    """``invariant_report`` keeps an algebra whose lower central series is
+    a chain of coordinate spans, and computes on any other re-based on its
+    adapted basis when that table has fewer terms.  After a random change
+    of basis the report equals the one computed on the natural basis as it
+    stands, without re-basing."""
 
     FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(101)], ids=repr)
 
@@ -342,11 +356,50 @@ class TestReportOnScrambledInput:
                   for text, kdim in (("L5_6", 2), ("L6_19(e=1)", 3), ("L6_25", 2))]
         self.assert_oracle(monkeypatch, field, family, 19)
 
-    def test_hall_basis_kept_when_rebasing_adds_terms(self):
-        # the adapted basis of F(2,7) gives 96 terms against the Hall
-        # table's 87, so the report computes on the Hall table
+    @staticmethod
+    def forbid_adapted_basis(monkeypatch):
+        def refuse(algebra):
+            raise AssertionError("a kept table was re-based")
+        monkeypatch.setattr(cli_module, "adapted_basis", refuse)
+
+    def test_coordinate_series_kept(self, monkeypatch):
+        # the central extension's 15 brackets all have two or more terms,
+        # but each term of its series is a coordinate span
+        E = central_extension(covers.free_nilpotent(2, 4).algebra, 4, random.Random(7))
+        assert all(len(row) > 1 for row in E.table.values()) and all(coordinate_terms(E))
+        want = invariant_report(transform(E, adapted_basis(E)), "E").as_dict()
+        with monkeypatch.context() as patch:
+            self.forbid_adapted_basis(patch)
+            assert cli_module._rebased(E) is E
+            assert invariant_report(E, "E").as_dict() == want
+
+    def test_mixed_inside_derived_rebased(self):
+        # F(3,3) with its basis mixed inside the L^2 block, across layers 2
+        # and 3: L^2 stays a coordinate span and gamma_3 does not, so the
+        # rule does not keep it
+        F = covers.FreeNilpotent(3, 3).algebra
+        mix = random_basis_change(random.Random(7), F.dim - 3)
+        cols = [{i: 1} for i in range(3)] + [{3 + j: c for j, c in col.items()} for col in mix]
+        S = transform(F, cols)
+        assert coordinate_terms(S)[:3] == [True, True, False]
+        assert cli_module._rebased(S) is not S
+
+    def test_hall_basis_kept(self, monkeypatch):
+        # the Hall table of F(2,7) is kept by the rule, with no adapted basis
         F = covers.FreeNilpotent(2, 7).algebra
+        self.forbid_adapted_basis(monkeypatch)
         assert cli_module._rebased(F) is F
+
+    def test_kept_when_rebasing_adds_terms(self):
+        # F(2,7) with e5 + e3 for e5: gamma_4 is no coordinate span, and the
+        # adapted table has 96 terms against this table's 95
+        F = covers.FreeNilpotent(2, 7).algebra
+        cols = [{i: 1} for i in range(F.dim)]
+        cols[5] = {5: 1, 3: 1}
+        S = transform(F, cols)
+        assert not all(coordinate_terms(S))
+        assert (cli_module._terms(S), cli_module._terms(transform(S, adapted_basis(S)))) == (95, 96)
+        assert cli_module._rebased(S) is S
 
 
 class TestNoFreeAlgebra:

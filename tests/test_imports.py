@@ -100,9 +100,7 @@ NO_CALLER = {
     "capability.dagger_test": "capability through multiplier dimensions",
     "capability.central_test_lines": "the lines dagger_test is checked on",
     "homology.induced_map_injective": "capability through the induced multiplier map",
-    "algebra.AlgebraMap.is_bracket_preserving": "checks the cover's projection",
     "covers.Cover.multiplier_part": "M(L) as a subspace of the cover",
-    "linalg.inverse_columns": "B^-1 by the RREF, against transform's basis_coordinates",
     "homology.MultiplierResult.tensor_square": "L x L as an algebra, against the cover's",
 }
 

@@ -8,6 +8,7 @@ from conftest import (
     central_extension,
     echelon_rref,
     intersection_reference,
+    inverse_columns,
     random_basis_change,
     two_pass_kernel,
 )
@@ -30,7 +31,6 @@ from liecap.linalg import (
     apply_columns,
     basis_coordinates,
     complement,
-    inverse_columns,
     kernel_columns,
     kernel_from_rows,
     subspace_sum,

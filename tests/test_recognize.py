@@ -10,6 +10,7 @@ from conftest import (
 )
 from liecap import catalog
 from liecap.algebra import (
+    AlgebraMap,
     LieAlgebra,
     center,
     derived_subalgebra,
@@ -20,8 +21,9 @@ from liecap.algebra import (
 )
 from liecap.covers import free_nilpotent
 from liecap.homology import diagonal_square_dim, schur_multiplier
-from liecap.linalg import QQ, PrimeField
+from liecap.linalg import QQ, LinalgError, PrimeField
 from liecap.recognize import (
+    _is_isomorphism,
     fingerprint,
     heisenberg_sum_model,
     l58_sum_model,
@@ -68,11 +70,14 @@ def split_model(kind, m, k, field):
 
 
 def assert_split(algebra, kind, m, k):
-    """recognize splits algebra as kind with these m and k, and its basis
-    takes algebra to the model table exactly."""
+    """recognize splits algebra as kind with these m and k, its basis takes
+    algebra to the model table exactly, and the certificate of the split,
+    the isomorphism from the model onto that basis, agrees."""
     iso = recognize(algebra)
     assert (iso.kind, iso.m, iso.k) == (kind, m, k)
-    assert transform(algebra, iso.basis).table == split_model(kind, m, k, algebra.field).table
+    model = split_model(kind, m, k, algebra.field)
+    assert transform(algebra, iso.basis).table == model.table
+    assert _is_isomorphism(model, algebra, iso.basis)
 
 
 class TestHeisenbergDecomposition:
@@ -103,19 +108,71 @@ class TestHeisenbergDecomposition:
                 assert_split(scrambled, "heisenberg_sum", m, k)
 
 
+class TestSplitCertificate:
+    """The class-2 split is certified by the map from the model onto its
+    basis: its columns have full rank and it preserves brackets, which
+    holds exactly when ``transform`` takes the algebra on that basis to the
+    model table, the reference kept here."""
+
+    FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(101)], ids=repr)
+
+    @staticmethod
+    def splits(field):
+        """(algebra, model, basis) for both split shapes, each with and
+        without A(k), as given and scrambled."""
+        rng = random.Random(29)
+        out = []
+        for model in (heisenberg_sum_model(1, 0, field), heisenberg_sum_model(2, 2, field),
+                      l58_sum_model(0, field), l58_sum_model(2, field)):
+            for L in (model, transform(model, random_basis_change(rng, model.dim, field))):
+                iso = recognize(L)
+                assert iso.basis is not None
+                out.append((L, model, iso.basis))
+        return out
+
+    @FIELDS
+    def test_split_bases_certified(self, field):
+        for L, model, basis in self.splits(field):
+            assert transform(L, basis).table == model.table
+            assert _is_isomorphism(model, L, basis)
+
+    @FIELDS
+    def test_scaled_core_vector_rejected(self, field):
+        two = field.from_int(2)
+        for L, model, basis in self.splits(field):
+            scaled = ({i: field.mul(two, c) for i, c in basis[0].items()}, *basis[1:])
+            assert transform(L, scaled).table != model.table
+            assert not _is_isomorphism(model, L, scaled)
+
+    @FIELDS
+    def test_repeated_column_rejected(self, field):
+        for L, model, basis in self.splits(field):
+            for a, b in ((0, 1), (len(basis) - 2, len(basis) - 1)):
+                repeated = tuple(basis[a] if t == b else col for t, col in enumerate(basis))
+                with pytest.raises(LinalgError):
+                    transform(L, repeated)
+                assert not _is_isomorphism(model, L, repeated)
+
+    def test_rank_is_checked_apart_from_brackets(self):
+        # the last A(2) column repeated: the map still preserves brackets,
+        # since A(2) brackets to zero, but it is no bijection
+        model = heisenberg_sum_model(2, 2, QQ)
+        L = transform(model, random_basis_change(random.Random(31), model.dim))
+        basis = recognize(L).basis
+        repeated = (*basis[:-1], basis[-2])
+        assert AlgebraMap(model, L, repeated).is_bracket_preserving()
+        assert not _is_isomorphism(model, L, repeated)
+
+
 class TestRoundTrips:
     def test_heisenberg_sums(self):
         for m in (1, 2, 3):
             for k in range(5):
-                alg = heisenberg_sum_model(m, k, QQ)
-                iso = recognize(alg)
-                assert (iso.kind, iso.m, iso.k) == ("heisenberg_sum", m, k)
+                assert_split(heisenberg_sum_model(m, k, QQ), "heisenberg_sum", m, k)
 
     def test_l58_sums(self):
         for k in range(4):
-            alg = l58_sum_model(k, QQ)
-            iso = recognize(alg)
-            assert (iso.kind, iso.k) == ("l58_sum", k)
+            assert_split(l58_sum_model(k, QQ), "l58_sum", 0, k)
 
     def test_scrambled_l58_sums(self):
         rng = random.Random(23)
@@ -194,8 +251,7 @@ class TestRandomClassTwoOracle:
             L = self._random_instance(rng, QQ)
             assert validate(L).ok
             scrambled = transform(L, random_basis_change(rng, 5))
-            iso = recognize(scrambled)
-            assert (iso.kind, iso.k) == ("l58_sum", 0)
+            assert_split(scrambled, "l58_sum", 0, 0)
 
     def test_prime_field_instances(self):
         F = PrimeField(5)
@@ -204,8 +260,7 @@ class TestRandomClassTwoOracle:
             L = self._random_instance(rng, F)
             if not L.table:
                 continue
-            iso = recognize(L)
-            assert (iso.kind, iso.k) == ("l58_sum", 0)
+            assert_split(L, "l58_sum", 0, 0)
 
 
 class TestFingerprint:
@@ -288,6 +343,7 @@ def assert_derived_label(derived, algebra, name):
     else:
         model = split_model(derived.kind, derived.m, derived.k, algebra.field)
         assert transform(algebra, derived.basis).table_key() == model.table_key(), name
+        assert _is_isomorphism(model, algebra, derived.basis), name
 
 
 class TestDerivedTensorLabel:
