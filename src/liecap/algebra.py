@@ -589,22 +589,32 @@ def from_json(obj):
     dim = _json_int(obj, "dim")
     if not 0 <= dim <= MAX_DIM:
         raise AlgebraError(f"dim must be in 0..{MAX_DIM}, got {dim}")
+    # indices are checked here, so that every message names the document's
+    # own 1-based numbers; [x_j, x_i] is the bracket [x_i, x_j] given again
     brackets = {}
     for item in _json_list(obj.get("brackets", []), "brackets", dict):
-        i, j = _json_int(item, "i") - 1, _json_int(item, "j") - 1
-        if (i, j) in brackets:
-            raise AlgebraError(f"bracket ({i + 1},{j + 1}) given twice")
-        row = brackets[(i, j)] = {}
+        i, j = _json_int(item, "i"), _json_int(item, "j")
+        if not (1 <= i <= dim and 1 <= j <= dim):
+            raise AlgebraError(f"bracket index ({i},{j}) outside 1..{dim}")
+        if i == j:
+            raise AlgebraError(f"diagonal bracket ({i},{i}) may not be given")
+        if (i - 1, j - 1) in brackets:
+            raise AlgebraError(f"bracket ({i},{j}) given twice")
+        if (j - 1, i - 1) in brackets:
+            raise AlgebraError(f"bracket ({i},{j}) given twice, once as ({j},{i})")
+        row = brackets[(i - 1, j - 1)] = {}
         for o in _json_list(item.get("out"), "out", dict):
-            k = _json_int(o, "k") - 1
-            if k in row:
-                raise AlgebraError(f"bracket ({i + 1},{j + 1}) gives x{k + 1} twice")
-            row[k] = _json_coefficient(f, o.get("c"))
+            k = _json_int(o, "k")
+            if not 1 <= k <= dim:
+                raise AlgebraError(f"bracket ({i},{j}) has output index {k} outside 1..{dim}")
+            if k - 1 in row:
+                raise AlgebraError(f"bracket ({i},{j}) gives x{k} twice")
+            row[k - 1] = _json_coefficient(f, o.get("c"))
     labels = obj.get("labels")
     if labels is not None:
         _json_list(labels, "labels", str)
     return LieAlgebra(f, dim, brackets, labels=labels)
 
 
-def dumps(algebra, **kw):
-    return json.dumps(to_json(algebra), **kw)
+def dumps(algebra):
+    return json.dumps(to_json(algebra))

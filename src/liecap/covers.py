@@ -24,8 +24,6 @@ The star table is ``algebra.quotient`` of F by that span, relabelled.
 
 from __future__ import annotations
 
-import os
-
 from .algebra import (
     AlgebraMap,
     LieAlgebra,
@@ -45,23 +43,10 @@ from .linalg import QQ, Echelon, LiecapError, Subspace, kernel_columns
 
 
 class ResourceLimit(LiecapError):
-    """A free algebra would exceed the configured basis-word cap."""
+    """A free algebra would exceed the basis-word cap ``WORD_LIMIT``."""
 
 
-DEFAULT_WORD_LIMIT = 5000
-
-
-def _word_limit():
-    env = os.environ.get("LIECAP_RESOURCE_LIMIT")
-    if not env:
-        return DEFAULT_WORD_LIMIT
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"LIECAP_RESOURCE_LIMIT must be a positive integer, not {env!r}")
-    return cap
+WORD_LIMIT = 5000
 
 
 class HallWord:
@@ -90,7 +75,6 @@ def hall_basis(d, c):
     """The Hall words on d generators through degree c, in canonical order."""
     if d < 0 or c < 1:
         raise ValueError("need d >= 0 and c >= 1")
-    cap = _word_limit()
     by_degree = [[]]
     words = []
 
@@ -98,9 +82,9 @@ def hall_basis(d, c):
         w.rank = len(words)
         words.append(w)
         by_degree[w.degree].append(w)
-        if len(words) > cap:
+        if len(words) > WORD_LIMIT:
             raise ResourceLimit(
-                f"Hall basis for d={d}, c={c} exceeds {cap} words")
+                f"Hall basis for d={d}, c={c} exceeds {WORD_LIMIT} words")
 
     by_degree.append([])
     for g in range(d):
@@ -194,8 +178,6 @@ def free_nilpotent(d, c):
     if hit is None:
         hit = FreeNilpotent(d, c)
         _FREE_CACHE[key] = hit
-    elif _word_limit() < hit.dim:
-        raise ResourceLimit(f"F({d},{c}) has {hit.dim} words, over the cap")
     return hit
 
 

@@ -10,11 +10,14 @@ exact bit for bit.
 
 Vectors are sparse ``{index: value}`` dicts, and a linear map is a list of
 sparse columns, column i being the image of the i-th basis vector.
-``accumulate`` (out += c * v) and the two column-clearing steps of the
-elimination, ``_clear_int`` over Q and ``_clear_mod`` over GF(p), are the
-only sparse combinations; ``apply_columns`` is one ``accumulate`` per column.
-Subspaces are stored in reduced row echelon form, which makes equality
-structural: two equal subspaces have identical basis matrices.  Every
+``accumulate`` (out += c * v) and the two column-clearing steps,
+``_clear_int`` over Q and ``_clear_mod`` over GF(p), are the only sparse
+combinations.  ``apply_columns`` is one ``accumulate`` per column, and so
+is a residue modulo finished RREF rows.  Every column cleared against the
+working rows of an echelon, whether in its insertion, in its
+back-substitution or in ``basis_coordinates``, is cleared by one of the
+two steps.  Subspaces are stored in reduced row echelon form, which makes
+equality structural: two equal subspaces have identical basis matrices.  Every
 subspace, every kernel and im d3 come from one elimination,
 ``Elimination``: it peels the structural pivots (a vector with a single
 nonzero entry spans a unit row, whose column is struck from the others,
@@ -29,9 +32,10 @@ is read straight off the rows (``kernel_from_rows``).  Likewise the images
 of an RREF coefficient basis under RREF rows are already in RREF
 (``Subspace.lift``).  Coordinates on a basis of F^n are read off the
 echelon of its columns before back-substitution (``basis_coordinates``),
-with no inverse formed.  The dense ``Matrix`` only stores the boundary
-matrices ``ce_d2`` and ``ce_d3``, the reference that the tests compare the
-sparse route against.
+by clearing a scaled row against it with the same steps, with no inverse
+formed.  The dense ``Matrix`` only stores the boundary matrices ``ce_d2``
+and ``ce_d3``, the reference that the tests compare the sparse route
+against.
 """
 
 from __future__ import annotations
@@ -219,13 +223,14 @@ class Echelon:
 
     Rows are sparse ``{column: value}`` dicts, held as ``{pivot: row}``.
     Over Q the working rows are integer vectors, denominators cleared on
-    entry.  Insertion and back-substitution take the same step per field to
-    clear a column against a held row: ``_clear_int`` over Q, which keeps
-    integers, and ``_clear_mod`` over GF(p).  Each row is made primitive
-    with a positive lead when it is stored, so the held rows are the same
-    whichever steps skipped the strip of their content: each is the one
-    primitive multiple of the same vector.  Over GF(p) every row is scaled
-    to a unit pivot when stored.  ``finalize`` back-substitutes and, over
+    entry.  Insertion, back-substitution and ``basis_coordinates`` clear a
+    column against a held working row by the same step per field, and no
+    other code does: ``_clear_int`` over Q, which keeps integers, and
+    ``_clear_mod`` over GF(p).  Each row is made primitive with a positive
+    lead when it is stored, so the held rows are the same whichever steps
+    skipped the strip of their content: each is the one primitive multiple
+    of the same vector.  Over GF(p) every row is scaled to a unit pivot
+    when stored.  ``finalize`` back-substitutes and, over
     Q, divides each row by its pivot entry, yielding the canonical RREF
     basis of the row space with canonical Q scalars.
 
@@ -635,43 +640,28 @@ def basis_coordinates(field, cols):
     """The map v -> {a: x_a} with v = sum of x_a cols[a], for the sparse
     columns cols of a basis of F^n, with no inverse formed.
 
-    v is reduced against the rows (b_a | e_a) as their echelon holds them,
-    lead by lead; each step subtracts a combination of the b_a from v and
-    adds the same combination to the tag block, so (0 | -x) is left.  Over
-    Q the reduction runs in integers, as the echelon's own does: v is
-    scaled to integers, a step scales it by the row's lead over their gcd,
-    and each coordinate is divided by the product of the scales once.  A
-    vector that is a multiple of one column stored as it came, as the rows
-    of distinct leads are, takes one step.
+    The row (v | 0 | 1), its scale at column 2n, is cleared against the rows
+    (b_a | e_a) as their echelon holds them, lead by lead, with the
+    echelon's own step: ``_clear_int`` over Q, ``_clear_mod`` over GF(p).
+    No row has an entry at column 2n, so each step subtracts a combination
+    of the b_a and adds the same combination to the tag block, and
+    (0 | -s x | s) is left.  Over Q the row is integer throughout: v comes
+    scaled by the lcm of its denominators, which starts the scale s, and a
+    step scales and strips the scale with the rest of the row.  Over GF(p)
+    every held row has a unit lead, so s stays 1.
     """
     n = len(cols)
     rows = _tagged_echelon(field, cols)._rows
-    if not isinstance(field, RationalField):
-        neg = field.neg
-
-        def coords(v):
-            w = _prepare(field, v)
-            while w and (lead := min(w)) < n:
-                # the rows are stored with a unit lead
-                accumulate(field, w, neg(w[lead]), rows[lead])
-            return {t - n: neg(x) for t, x in w.items()}
-        return coords
+    p, scale = field.char, 2 * n
 
     def coords(v):
-        # _prepare scales v by the lcm of its denominators
-        den = lcm(*(c.denominator for c in v.values() if type(c) is not int))
-        w = _prepare(field, v)
-        while w and (lead := min(w)) < n:
-            row = rows[lead]
-            a, b = row[lead], w[lead]
-            g = gcd(a, b)
-            a //= g
-            if a != 1:
-                den *= a
-                w = {c: a * x for c, x in w.items()}
-            accumulate(field, w, -(b // g), row)
-        return {t - n: -x // den if x % den == 0 else Fraction(-x, den)
-                for t, x in w.items()}
+        w = _prepare(field, {**v, scale: 1})
+        while (lead := min(w)) < n:
+            w = _clear_mod(w, rows[lead], lead, p) if p else _clear_int(w, rows[lead], lead)
+        s = w.pop(scale)
+        if p:
+            return {t - n: -x % p for t, x in w.items()}
+        return {t - n: -x // s if x % s == 0 else Fraction(-x, s) for t, x in w.items()}
     return coords
 
 

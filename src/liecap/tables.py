@@ -60,7 +60,6 @@ def exterior_6_label(index, epsilon):
 
 # the noncapable census through dimension 6; epsilon families cover all samples
 NONCAPABLE = ("A1", "L5_4", "L6_4", "L6_10", "L6_14", "L6_16", "L6_19", "L6_20")
-NONCAPABLE_DIM6_INDICES = (4, 10, 14, 16, 19, 20)
 
 # closed forms checked by the kunneth suite
 ABELIAN_MULTIPLIER_RANGE = 8      # dim M(A(n)) = n(n-1)/2 for n <= this

@@ -279,6 +279,26 @@ def test_malformed_input_exit2(tmp_path, capsys, argv, doc):
     assert _KEY_RANGES.get(argv[1], "") in err
 
 
+@pytest.mark.parametrize("brackets, message", [
+    ([_bracket(0, 1, 3)], "bracket index (0,1) outside 1..3"),
+    ([_bracket(1, 4, 3)], "bracket index (1,4) outside 1..3"),
+    ([_bracket(2, 1, 3), _bracket(1, 2, 3)], "bracket (1,2) given twice, once as (2,1)"),
+    ([_bracket(1, 2, 3), _bracket(2, 1, 3, "0")], "bracket (2,1) given twice, once as (1,2)"),
+    ([_bracket(2, 1, 3), _bracket(2, 1, 3)], "bracket (2,1) given twice"),
+    ([_bracket(1, 1, 3)], "diagonal bracket (1,1) may not be given"),
+    ([_bracket(1, 1, 3, "0")], "diagonal bracket (1,1) may not be given"),
+    ([_bracket(1, 2, 4)], "bracket (1,2) has output index 4 outside 1..3"),
+    ([_bracket(1, 2, 0)], "bracket (1,2) has output index 0 outside 1..3"),
+], ids=["i-zero", "j-above-dim", "both-orders", "both-orders-zero", "reversed-twice",
+        "diagonal", "diagonal-zero", "k-above-dim", "k-zero"])
+def test_bad_document_names_its_own_indices(tmp_path, capsys, brackets, message):
+    # refused while reading, in the document's 1-based numbers
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"dim": 3, "brackets": brackets}))
+    code, out, err = run(capsys, "invariants", "--file", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 _KEY_RANGES = {"L3_3": "L3_3: dimension 3 has indices 1..2",
                "L6_29": "L6_29: dimension 6 has indices 1..28",
                "H0": "H(0): m must be at least 1"}

@@ -73,25 +73,17 @@ class TestHallBasis:
                 if w.left.gen is None:
                     assert w.left.right.rank <= w.right.rank
 
-    def test_resource_limit(self, monkeypatch):
-        monkeypatch.setenv("LIECAP_RESOURCE_LIMIT", "1000")
-        with pytest.raises(ResourceLimit):
+    def test_resource_limit(self):
+        # F(6, 6) has 6+15+70+315+1554+7735 words, over the fixed cap
+        with pytest.raises(ResourceLimit, match="exceeds 5000 words"):
             hall_basis(6, 6)
 
-    def test_resource_limit_env_override(self, monkeypatch, capsys):
-        monkeypatch.setenv("LIECAP_RESOURCE_LIMIT", "4")
-        with pytest.raises(ResourceLimit):
-            hall_basis(2, 3)
-        monkeypatch.setenv("LIECAP_RESOURCE_LIMIT", "50")
-        assert len(hall_basis(2, 3)) == 5
-        # a cap that is not a positive integer is refused, naming the variable
-        for value in ("abc", "0", "-3", "2.5"):
-            monkeypatch.setenv("LIECAP_RESOURCE_LIMIT", value)
-            with pytest.raises(ValueError, match="LIECAP_RESOURCE_LIMIT"):
-                hall_basis(2, 3)
-            assert main(["cover", "L4_3"]) == 2
-            out, err = capsys.readouterr()
-            assert out == "" and err.startswith("error: LIECAP_RESOURCE_LIMIT"), value
+    def test_resource_limit_on_the_command_line(self, capsys):
+        # the cover of A(100) is F(100, 2): 100 + 4950 = 5050 words
+        assert main(["cover", "A100"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: Hall basis for d=100, c=2 exceeds 5000 words\n"
 
 
 class TestFreeNilpotent:

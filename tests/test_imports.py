@@ -1,10 +1,12 @@
 """Every name a liecap module imports from a sibling module is used there,
-and every function, class and public method has a caller in liecap.
+and every function, class, public method and module constant has a caller
+in liecap.
 
 A deletion or a move can leave an import behind that nothing reads, which
 keeps the old name alive and hides that it has no caller.  A wrapper that
-only tests call is library surface nothing uses.  The checks read the source
-with ``ast`` alone, so they import nothing and run anywhere.
+only tests call is library surface nothing uses, and so is a module
+constant that nothing reads.  The checks read the source with ``ast``
+alone, so they import nothing and run anywhere.
 """
 
 import ast
@@ -55,14 +57,14 @@ def test_checker_finds_a_stale_import():
 
 
 def unreferenced_definitions(sources):
-    """The top-level functions and classes, and the public methods, of the
-    modules in ``sources`` (module name -> source) that nothing reads
-    outside their own definition, as ``module.name`` or
-    ``module.Class.method``.  A function or class is read by a ``Name`` or
-    an ``Attribute`` node of its name; a method only by an ``Attribute``
-    node, since a local variable of the same name is no caller of it.  A
-    docstring that mentions a name is no caller of it, and neither is a
-    recursive call."""
+    """The top-level functions, classes and UPPER_CASE constants, and the
+    public methods, of the modules in ``sources`` (module name -> source)
+    that nothing reads outside their own definition, as ``module.name`` or
+    ``module.Class.method``.  A function, class or constant is read by a
+    ``Name`` or an ``Attribute`` node of its name; a method only by an
+    ``Attribute`` node, since a local variable of the same name is no
+    caller of it.  A docstring that mentions a name is no caller of it, and
+    neither is a recursive call."""
     defs = []
     names, attrs = {}, {}
     for module, source in sources.items():
@@ -70,12 +72,16 @@ def unreferenced_definitions(sources):
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.append((f"{module}.{node.name}", node.name, module, node, False))
+            if isinstance(node, ast.Assign):
+                defs.extend((f"{module}.{t.id}", t.id, module, node, False) for t in node.targets
+                            if isinstance(t, ast.Name) and t.id.isupper()
+                            and not t.id.startswith("_"))
             if isinstance(node, ast.ClassDef):
                 defs.extend((f"{module}.{node.name}.{sub.name}", sub.name, module, sub, True)
                             for sub in node.body
                             if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.setdefault(node.id, []).append((module, node.lineno))
             elif isinstance(node, ast.Attribute):
                 attrs.setdefault(node.attr, []).append((module, node.lineno))
@@ -102,6 +108,12 @@ NO_CALLER = {
     "homology.induced_map_injective": "capability through the induced multiplier map",
     "covers.Cover.multiplier_part": "M(L) as a subspace of the cover",
     "homology.MultiplierResult.tensor_square": "L x L as an algebra, against the cover's",
+    # published values the acceptance tests check (the DIM4_* are bench oracles too)
+    "tables.DIM4_MULTIPLIER": "test_acceptance.py checks the dim-4 table",
+    "tables.DIM4_EXTERIOR": "test_acceptance.py checks the dim-4 table",
+    "tables.DIM4_TENSOR": "test_acceptance.py checks the dim-4 table",
+    "tables.DIM4_DIAGONAL": "test_acceptance.py checks the dim-4 table",
+    "tables.EXTERIOR_6_ERRATA": "test_acceptance.py and TestL614ExteriorSquare check the erratum",
 }
 
 
@@ -112,7 +124,8 @@ def test_every_definition_has_a_caller():
 
 def test_checker_finds_a_dead_definition():
     sources = {
-        "a": ("def used():\n    return 1\n"
+        "a": ("LIVE = 1\nDEAD_CONSTANT = 2\n_PRIVATE = 3\n"
+              "def used():\n    return LIVE\n"
               "def dead(n):\n    return dead(n - 1) if n else used()\n"
               "class K:\n    def m(self):\n        return K()\n"
               "    def _private(self):\n        pass\n"
@@ -120,7 +133,9 @@ def test_checker_finds_a_dead_definition():
               "    def sub(self):\n        pass\n"),
         "b": ("\"\"\"dead is mentioned here only.\"\"\"\n"
               "from .a import K\n"
-              "def caller():\n    sub = K()\n    sub.live()\n"),
+              "def caller():\n    DEAD_CONSTANT = sub = K()\n    sub.live()\n"),
     }
-    # sub is read in b only as a local variable, which calls no method
-    assert unreferenced_definitions(sources) == ["a.K.m", "a.K.sub", "a.dead", "b.caller"]
+    # sub is read in b only as a local variable, which calls no method, and
+    # DEAD_CONSTANT is only assigned there, which reads nothing
+    assert unreferenced_definitions(sources) == [
+        "a.DEAD_CONSTANT", "a.K.m", "a.K.sub", "a.dead", "b.caller"]

@@ -486,8 +486,8 @@ class TestQuotientProperties:
 
 
 @st.composite
-def square_matrices(draw, max_dim=5):
-    field = draw(st.sampled_from(FIELDS))
+def square_matrices(draw, max_dim=5, fields=FIELDS):
+    field = draw(st.sampled_from(fields))
     n = draw(st.integers(1, max_dim))
     rows = draw(st.lists(st.lists(small_entries, min_size=n, max_size=n),
                          min_size=n, max_size=n))
@@ -496,8 +496,8 @@ def square_matrices(draw, max_dim=5):
 
 def invertible_columns(data, field, n, rows):
     """Unit lower triangular times upper triangular with a unit-free
-    diagonal, as sparse columns."""
-    diag = data.draw(st.lists(st.sampled_from([1, -1, 2, -3, 5]),
+    diagonal, nonzero in the field, as sparse columns."""
+    diag = data.draw(st.lists(st.sampled_from([d for d in (1, -1, 2, -3, 5) if field.coerce(d)]),
                               min_size=n, max_size=n))
     lower = [[1 if i == j else (x if j < i else 0) for j, x in enumerate(r)]
              for i, r in enumerate(rows)]
@@ -514,18 +514,22 @@ class TestInverseProperties:
         b = invertible_columns(data, field, n, rows)
         assert is_identity(field, product(field, b, inverse_columns(field, b)))
 
-    @given(square_matrices(), st.data())
-    @settings(max_examples=60, deadline=None)
+    @given(square_matrices(fields=FIELDS + [PrimeField(3)]), st.data())
+    @settings(max_examples=90, deadline=None)
     def test_basis_coordinates_apply_the_inverse(self, case, data):
         # the coordinates read off the unfinished echelon are B^-1 v, in
-        # canonical scalars, and a column's own are a unit
+        # canonical scalars, and a column's own are a unit; a v with
+        # rational entries starts the scale column above 1 over Q
         field, n, rows = case
         b = invertible_columns(data, field, n, rows)
         coords = basis_coordinates(field, b)
         inv = inverse_columns(field, b)
-        v = {j: c for j, x in enumerate(data.draw(st.lists(small_entries, min_size=n, max_size=n)))
-             if (c := field.coerce(x))}
-        for w in [{t: field.one} for t in range(n)] + [v]:
+        entries = st.one_of(small_entries, st.builds(Fraction, small_entries, st.integers(2, 7)))
+        if field.char:
+            entries = entries.filter(lambda x: x.denominator % field.char)
+        vs = [{j: c for j, x in enumerate(data.draw(st.lists(entries, min_size=n, max_size=n)))
+               if (c := field.coerce(x))} for _ in range(2)]
+        for w in [{t: field.one} for t in range(n)] + vs:
             got = coords(w)
             assert got == apply_columns(field, inv, w)
             assert all(c and type(c) is type(field.coerce(c)) for c in got.values())
