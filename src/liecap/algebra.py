@@ -56,14 +56,13 @@ class NotAnIdeal(AlgebraError):
 
 
 class LieAlgebra:
-    """Finite-dimensional Lie algebra given by structure constants."""
+    """Finite-dimensional Lie algebra given by structure constants; like the
+    memo, the default labels x1..xn are formed on first read and kept."""
 
-    __slots__ = ("field", "dim", "labels", "table", "_memo")
+    __slots__ = ("field", "dim", "_labels", "table", "_memo")
 
     def __init__(self, field, dim, brackets, labels=None):
-        if labels is None:
-            labels = tuple(f"x{i + 1}" for i in range(dim))
-        else:
+        if labels is not None:
             labels = tuple(labels)
             if len(labels) != dim:
                 raise DimensionMismatch("label count != dim")
@@ -91,9 +90,15 @@ class LieAlgebra:
             table[(i, j)] = row
         self.field = field
         self.dim = dim
-        self.labels = labels
+        self._labels = labels  # None until the default names are read
         self.table = table
         self._memo = {}  # L^2, Z(L), the lower central series and the adjacency
+
+    @property
+    def labels(self):
+        if self._labels is None:
+            self._labels = tuple(f"x{i + 1}" for i in range(self.dim))
+        return self._labels
 
     # -- basic bracket machinery ------------------------------------------
 
@@ -528,7 +533,7 @@ def transform(algebra, cols):
         for b in sorted(out):
             if out[b]:
                 brackets[(a, b)] = coords(out[b])
-    return LieAlgebra(algebra.field, n, brackets, labels=algebra.labels)
+    return LieAlgebra(algebra.field, n, brackets, labels=algebra._labels)
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -79,9 +79,9 @@ def central_test_lines(algebra):
 def noncapable_census(max_dim, field=QQ, epsilon_samples=catalog.DEFAULT_EPSILON_SAMPLES,
                       *, homology=None):
     """Keys of the noncapable catalog entries through max_dim; homology
-    stands in for ``schur_multiplier``, as in ``theorem2_bound_check``."""
-    if max_dim > 6:
-        raise catalog.UnsupportedDimension("catalog stops at dimension 6")
+    stands in for ``schur_multiplier``, as in ``theorem2_bound_check``.
+    A max_dim above 6 raises ``UnsupportedDimension`` from the catalog's
+    key list, before any entry is built."""
     homology = homology or schur_multiplier
     out = []
     for key in catalog.all_keys(max_dim, field, epsilon_samples):
@@ -97,10 +97,10 @@ class BoundCheck:
 
     status is "checked" when the hypothesis (nonabelian, dim >= 3, and
     L^2/Z^(L) capable) holds and the inequality was evaluated; a failed
-    hypothesis yields status "skipped", never a failure.
+    hypothesis yields status "skipped", never a failure.  It names no
+    algebra: a caller that keeps several labels them itself.
     """
 
-    label: str
     status: str          # "checked" | "skipped"
     reason: str = ""
     lhs: int = -1        # dim Z^(L ^ L)
@@ -108,7 +108,7 @@ class BoundCheck:
     holds: bool = False
 
 
-def theorem2_bound_check(algebra, label="", *, homology=None):
+def theorem2_bound_check(algebra, *, homology=None):
     """dim Z^(L^L) <= dim M(L/Z^(L)) whenever L^2/Z^(L) is capable.
 
     homology is called in place of ``schur_multiplier`` on every algebra
@@ -118,11 +118,11 @@ def theorem2_bound_check(algebra, label="", *, homology=None):
     Z^(L) = 0.
     """
     if algebra.is_abelian():
-        return BoundCheck(label, "skipped", reason="abelian")
+        return BoundCheck("skipped", reason="abelian")
     if algebra.dim < 3:
-        return BoundCheck(label, "skipped", reason="dimension below 3")
+        return BoundCheck("skipped", reason="dimension below 3")
     if not is_nilpotent(algebra):
-        return BoundCheck(label, "skipped", reason="not nilpotent")
+        return BoundCheck("skipped", reason="not nilpotent")
     homology = homology or schur_multiplier
     multiplier = homology(algebra)
     zw = multiplier.exterior_center()
@@ -130,7 +130,7 @@ def theorem2_bound_check(algebra, label="", *, homology=None):
     lbar = quotient(algebra, zw)[0] if zw.dim else algebra
     dq, _ = subalgebra_on(lbar, derived_subalgebra(lbar))
     if dq.dim > 0 and homology(dq).exterior_center().dim > 0:
-        return BoundCheck(label, "skipped", reason="L^2/Z^(L) not capable")
+        return BoundCheck("skipped", reason="L^2/Z^(L) not capable")
     lhs = homology(multiplier.exterior_square()).exterior_center().dim
     rhs = (homology(lbar) if zw.dim else multiplier).dim
-    return BoundCheck(label, "checked", lhs=lhs, rhs=rhs, holds=lhs <= rhs)
+    return BoundCheck("checked", lhs=lhs, rhs=rhs, holds=lhs <= rhs)

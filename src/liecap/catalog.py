@@ -3,7 +3,8 @@
 Keys name either an abelian algebra A(n), a Heisenberg algebra H(m), or an
 indexed entry L<dim>_<k> of the dimension <= 6 classification, four of the
 dim-6 entries carrying a scalar parameter written ``L6_19(e=2)``.  Relation
-lists are transcribed verbatim.  ``build`` does not re-check the Jacobi
+lists are transcribed verbatim; L6_k = L5_k + A(1) for k <= 9 is L5_k's
+list read at dimension 6, x6 central.  ``build`` does not re-check the Jacobi
 identity: ``tests/test_catalog.py`` validates every entry once, and each
 epsilon family at four values of epsilon, which proves it for every epsilon
 over every field, so a transcription slip cannot survive silently.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .algebra import MAX_DIM, LieAlgebra, direct_sum
+from .algebra import MAX_DIM, LieAlgebra
 from .linalg import MAX_EXPONENT, QQ, LiecapError
 
 
@@ -183,12 +184,9 @@ def _build_indexed(dim, index, epsilon, field):
         raise EpsilonRequired(f"L{dim}_{index} needs an epsilon value")
     if not family and epsilon is not None:
         raise EpsilonForbidden(f"L{dim}_{index} takes no epsilon")
-    if dim == 6 and index <= 9:
-        base = _build_indexed(5, index, None, field)
-        alg = direct_sum(base, abelian_algebra(1, field))
-        return alg.relabel(tuple(f"x{i + 1}" for i in range(6)))
+    relations = _RELATIONS[(5, index) if dim == 6 and index <= 9 else (dim, index)]
     brackets = {}
-    for (i, j), row in _RELATIONS[(dim, index)].items():
+    for (i, j), row in relations.items():
         brackets[(i - 1, j - 1)] = {k - 1: field.from_int(c) for k, c in row.items()}
     if family:
         (i, j), k = _EPSILON_BRACKET[(dim, index)]

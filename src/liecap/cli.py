@@ -11,7 +11,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import catalog, tables
 from .algebra import (
@@ -35,9 +35,13 @@ from .recognize import recognize
 def _field_from_arg(text):
     if text in (None, "Q"):
         return QQ
-    if text.startswith("Fp:"):
-        return PrimeField(int(text[3:]))
-    raise ValueError(f"unknown field {text!r} (use Q or Fp:<p>)")
+    try:
+        p = int(text[3:]) if text.startswith("Fp:") else None
+    except ValueError:  # Fp:abc or Fp:
+        p = None
+    if p is None:
+        raise ValueError(f"unknown field {text!r} (use Q or Fp:<p>)")
+    return PrimeField(p)
 
 
 def _epsilon_set(field, text):
@@ -77,21 +81,9 @@ class InvariantReport:
         assert self.exterior_dim == self.multiplier_dim + self.derived_dim
 
     def as_dict(self):
-        return {
-            "label": self.label,
-            "dim": self.dim,
-            "derived_dim": self.derived_dim,
-            "class": self.nilpotency_class,
-            "center_dim": self.center_dim,
-            "multiplier_dim": self.multiplier_dim,
-            "exterior_dim": self.exterior_dim,
-            "exterior_type": self.exterior_type,
-            "diagonal_dim": self.diagonal_dim,
-            "tensor_dim": self.tensor_dim,
-            "tensor_type": self.tensor_type,
-            "exterior_center_dim": self.exterior_center_dim,
-            "capable": self.capable,
-        }
+        # the field order is the output order; nilpotency_class prints as "class"
+        return {"class" if f.name == "nilpotency_class" else f.name: getattr(self, f.name)
+                for f in fields(self)}
 
 
 def _terms(algebra):
@@ -286,7 +278,7 @@ def _suite_theorem2(field, eps, *, homology=None):
     for dim in range(3, 7):
         for key in catalog.expand_keys(dim, field, eps):
             alg = catalog.build(key, field).algebra
-            check = theorem2_bound_check(alg, label=str(key), homology=homology)
+            check = theorem2_bound_check(alg, homology=homology)
             if check.status == "skipped":
                 computed = f"skipped({check.reason})"
                 expected = computed  # a skip is not a failure
@@ -354,7 +346,11 @@ def cmd_invariants(args):
         raise ValueError("--field applies to a key; a --file names its own field")
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
-            algebra, label = from_json(json.load(fh)), args.file
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{args.file}: JSON nested too deeply") from None
+        algebra, label = from_json(doc), args.file
     else:
         field = _field_from_arg(args.field)
         key = catalog.parse_key(args.key, field)

@@ -135,7 +135,9 @@ class FreeNilpotent:
             labels=self.algebra.labels)
 
     def product(self, i, j):
-        """[w_i, w_j] expanded over the Hall basis (integer coefficients)."""
+        """[w_i, w_j] expanded over the Hall basis (integer coefficients),
+        for two words whose degrees sum to at most c; the rewriting keeps
+        that sum."""
         if i == j:
             return {}
         if i > j:
@@ -144,26 +146,22 @@ class FreeNilpotent:
         hit = self._products.get(key)
         if hit is not None:
             return hit
-        # orient as [u, v] with u the larger word
+        # orient as [u, v] with u = w_j the larger word and v = w_i
         u = self.words[j]
-        v = self.words[i]
-        if u.degree + v.degree > self.c:
-            out = {}
+        w = self._word_rank.get((j, i))
+        if w is not None:
+            out = {w: -1}  # [w_i, w_j] = -[u, v] = -w
         else:
-            w = self._word_rank.get((j, i))
-            if w is not None:
-                out = {w: -1}  # [w_i, w_j] = -[u, v] = -w
-            else:
-                # u = [a, b] with b > v; [u,v] = [[a,v],b] + [a,[b,v]]
-                a, b = u.left.rank, u.right.rank
-                acc = {}
-                for t, ct in self.product(i, a).items():   # [v, a] = -[a, v]
-                    for s, cs in self.product(t, b).items():
-                        acc[s] = acc.get(s, 0) - ct * cs    # -[..] since flipped
-                for t, ct in self.product(i, b).items():   # [v, b] = -[b, v]
-                    for s, cs in self.product(a, t).items():
-                        acc[s] = acc.get(s, 0) - ct * cs
-                out = {k: -v2 for k, v2 in acc.items() if v2}
+            # u = [a, b] with b > v; [u,v] = [[a,v],b] + [a,[b,v]]
+            a, b = u.left.rank, u.right.rank
+            acc = {}
+            for t, ct in self.product(i, a).items():   # [v, a] = -[a, v]
+                for s, cs in self.product(t, b).items():
+                    acc[s] = acc.get(s, 0) - ct * cs    # -[..] since flipped
+            for t, ct in self.product(i, b).items():   # [v, b] = -[b, v]
+                for s, cs in self.product(a, t).items():
+                    acc[s] = acc.get(s, 0) - ct * cs
+            out = {k: -v2 for k, v2 in acc.items() if v2}
         self._products[key] = out
         return out
 

@@ -269,47 +269,50 @@ class MultiplierResult:
         of L^2: d2(a) = sum of alpha_a[s] u_s, with alpha_a[s] the entry of
         d2(a) at the s-th pivot, so [a, b] = sum of alpha_a[s] alpha_b[t]
         phi(s, t) for the alternating form phi(s, t) = u_s ^ u_t mod im d3.
-        phi takes d(d-1)/2 residues for d = dim L^2; when it is zero, as in
-        class 2, no kept pair is read.  Otherwise psi_a[t] = sum of
+        phi takes d(d-1)/2 residues for d = dim L^2, on Lambda^2
+        coordinates.  When it is zero, as in class 2, the square is abelian
+        of dim width - rank im d3, and no kept pair is read.  Otherwise the
+        residues are moved to kept indices once, psi_a[t] = sum of
         alpha_a[s] phi(s, t) is formed once per live a, and [a, b] = sum of
         alpha_b[t] psi_a[t]."""
         alg = self.algebra
         f = alg.field
         base = self.ext.base
-        kept = self.kept
         der = derived_subalgebra(alg)
         rows = der.sparse_rows()
-        d = len(rows)
+        residues = [(s, t, self.image.reduce(_wedge(f, base, rows[s], rows[t])))
+                    for s, t in combinations(range(len(rows)), 2)]
+        if not any(r for _, _, r in residues):
+            return LieAlgebra(f, self.ext.width - self.span.rank, {})
+        kept = self.kept
         pos = {t: a for a, t in enumerate(kept)}
-        phi = [[] for _ in range(d)]  # phi[s]: (t, phi(s, t)) for every t with phi(s, t) != 0
-        for s, t in combinations(range(d), 2):
-            residue = self.image.reduce(_wedge(f, base, rows[s], rows[t]))
+        phi = [[] for _ in rows]  # phi[s]: (t, phi(s, t)) for every t with phi(s, t) != 0
+        for s, t, residue in residues:
             if residue:
                 w = {pos[r]: c for r, c in residue.items()}
                 phi[s].append((t, w))
                 phi[t].append((s, {r: f.neg(c) for r, c in w.items()}))
+        pivot = {p: s for s, p in enumerate(der.pivots)}
+        alpha = []  # (a, alpha_a) of the live kept pairs, in pair order
+        d2_of = self._d2
+        for a, t in enumerate(kept):
+            d2 = d2_of.get(t)
+            if d2:
+                alpha.append((a, {pivot[c]: v for c, v in d2.items() if c in pivot}))
         brackets = {}
-        if any(phi):
-            pivot = {p: s for s, p in enumerate(der.pivots)}
-            alpha = []  # (a, alpha_a) of the live kept pairs, in pair order
-            d2_of = self._d2
-            for a, t in enumerate(kept):
-                d2 = d2_of.get(t)
-                if d2:
-                    alpha.append((a, {pivot[c]: v for c, v in d2.items() if c in pivot}))
-            for x, (a, coeffs) in enumerate(alpha):
-                psi = {}
-                for s, c in coeffs.items():
-                    for t, w in phi[s]:
-                        accumulate(f, psi.setdefault(t, {}), c, w)
-                psi = {t: v for t, v in psi.items() if v}
-                if psi:
-                    for b, other in alpha[x + 1:]:
-                        out = {}
-                        for t, c in other.items():
-                            if t in psi:
-                                accumulate(f, out, c, psi[t])
-                        brackets[(a, b)] = out
+        for x, (a, coeffs) in enumerate(alpha):
+            psi = {}
+            for s, c in coeffs.items():
+                for t, w in phi[s]:
+                    accumulate(f, psi.setdefault(t, {}), c, w)
+            psi = {t: v for t, v in psi.items() if v}
+            if psi:
+                for b, other in alpha[x + 1:]:
+                    out = {}
+                    for t, c in other.items():
+                        if t in psi:
+                            accumulate(f, out, c, psi[t])
+                    brackets[(a, b)] = out
         return LieAlgebra(f, len(kept), brackets)
 
     def exterior_square(self):
@@ -513,10 +516,6 @@ def schur_multiplier(algebra):
     return MultiplierResult(_im_d3(algebra, ext), algebra, ext)
 
 
-def multiplier_dim(algebra):
-    return schur_multiplier(algebra).dim
-
-
 def diagonal_square_dim(algebra):
     """dim of the diagonal ideal: (n - m)(n - m + 1)/2 for m = dim L^2."""
     n = algebra.dim
@@ -571,6 +570,6 @@ def kunneth_tensor_dim(h, k):
     """Four-term analogue: summand tensor squares plus both cross terms."""
     dh = derived_subalgebra(h).dim
     dk = derived_subalgebra(k).dim
-    tensor_h = multiplier_dim(h) + dh + (h.dim - dh) * (h.dim - dh + 1) // 2
-    tensor_k = multiplier_dim(k) + dk + (k.dim - dk) * (k.dim - dk + 1) // 2
+    tensor_h = schur_multiplier(h).dim + dh + diagonal_square_dim(h)
+    tensor_k = schur_multiplier(k).dim + dk + diagonal_square_dim(k)
     return tensor_h + tensor_k + 2 * (h.dim - dh) * (k.dim - dk)

@@ -29,7 +29,7 @@ from .algebra import (
     upper_central_series,
 )
 from .catalog import abelian_algebra, heisenberg_algebra, indexed_key, build
-from .homology import multiplier_dim
+from .homology import schur_multiplier
 from .linalg import (
     Elimination,
     Subspace,
@@ -103,7 +103,7 @@ def fingerprint(algebra):
         center_dim=z.dim,
         derived_cap_center=der.dim + z.dim - subspace_sum(der, z).dim,
         centralizer_dims=cents,
-        multiplier_dim=multiplier_dim(algebra),
+        multiplier_dim=schur_multiplier(algebra).dim,
     )
 
 

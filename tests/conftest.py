@@ -175,18 +175,18 @@ def two_pass_kernel(field, width, rows):
     return Subspace._from_sparse(field, width, basis.values())
 
 
-def theorem2_reference(algebra, label=""):
+def theorem2_reference(algebra):
     """``theorem2_bound_check`` as first formulated: L^2/Z^(L) built as the
     quotient of the subalgebra L^2 by the coordinates of Z^(L) in it, and
     L/Z^(L) always built as a quotient, with every multiplier computed
     afresh.  The reference for the shared formulation."""
     if algebra.is_abelian():
-        return BoundCheck(label, "skipped", reason="abelian")
+        return BoundCheck("skipped", reason="abelian")
     if algebra.dim < 3:
-        return BoundCheck(label, "skipped", reason="dimension below 3")
+        return BoundCheck("skipped", reason="dimension below 3")
     der = derived_subalgebra(algebra)
     if lower_central_series(algebra)[-1].dim != 0:
-        return BoundCheck(label, "skipped", reason="not nilpotent")
+        return BoundCheck("skipped", reason="not nilpotent")
     multiplier = schur_multiplier(algebra)
     zw = multiplier.exterior_center()
     dsub, _ = subalgebra_on(algebra, der)
@@ -195,11 +195,11 @@ def theorem2_reference(algebra, label=""):
         [der.coords(v) for v in zw.sparse_rows()])
     dq, _ = quotient(dsub, inner)
     if dq.dim > 0 and schur_multiplier(dq).exterior_center().dim > 0:
-        return BoundCheck(label, "skipped", reason="L^2/Z^(L) not capable")
+        return BoundCheck("skipped", reason="L^2/Z^(L) not capable")
     lhs = schur_multiplier(multiplier.exterior_square()).exterior_center().dim
     lbar, _ = quotient(algebra, zw)
     rhs = schur_multiplier(lbar).dim
-    return BoundCheck(label, "checked", lhs=lhs, rhs=rhs, holds=lhs <= rhs)
+    return BoundCheck("checked", lhs=lhs, rhs=rhs, holds=lhs <= rhs)
 
 
 def generalized_heisenberg(rng, v, r, field=QQ):

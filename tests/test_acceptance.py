@@ -264,7 +264,7 @@ def test_criterion_12_bound_shadow(entries):
     for key, L in entries.items():
         if L.dim < 3:
             continue
-        res = theorem2_bound_check(L, label=str(key))
+        res = theorem2_bound_check(L)
         if res.status == "skipped":
             skipped += 1
             continue

@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import random
 from itertools import combinations
@@ -29,6 +31,7 @@ from liecap.algebra import (
     quotient,
     subalgebra_on,
     support_triples,
+    to_json,
     transform,
     upper_central_series,
     validate,
@@ -257,6 +260,46 @@ class TestSeries:
         L = build("L4_3")
         ucs = upper_central_series(L)
         assert [s.dim for s in ucs] == [1, 2, 4]
+
+    def test_upper_central_series_stalls_below_l(self):
+        # Z(L) = 0 on [x1, x2] = x2, [x1, x3] = x3, and Z_2 = Z(L)
+        L = solvable_algebra()
+        assert upper_central_series(L) == [center(L)]
+        assert center(L).dim == 0
+
+
+class TestDefaultLabels:
+    """An algebra built without labels holds none until ``labels`` is read,
+    which forms x1..xn once; every reader sees those names."""
+
+    def test_formed_on_first_read(self):
+        L = LieAlgebra(QQ, 3, {(0, 1): {2: 1}})
+        assert L._labels is None
+        assert L.labels == ("x1", "x2", "x3")
+        assert L.labels is L.labels
+
+    def test_readers_see_the_default_names(self, tmp_path):
+        L = build("L4_2")  # [x1, x2] = x3, x4 central
+        cols = [{0: 1}, {0: 1, 1: 1}, {2: 1}, {2: 1, 3: 1}]
+        moved = transform(L, cols)
+        assert L._labels is None and moved._labels is None
+        assert moved.labels == ("x1", "x2", "x3", "x4")
+        assert to_json(L)["labels"] == ["x1", "x2", "x3", "x4"]
+        q, _ = quotient(L, derived_subalgebra(L))
+        assert q.labels == ("x1", "x2", "x4")
+        assert direct_sum(L, build("A1")).labels == ("a.x1", "a.x2", "a.x3", "a.x4", "b.x1")
+        named = L.relabel("abcz")
+        assert transform(named, cols).labels == ("a", "b", "c", "z")
+        # the Jacobi message of a document without labels names x1..xn
+        doc = {"dim": 4, "field": "Q",
+               "brackets": [{"i": 2, "j": 3, "out": [{"k": 4, "c": "1"}]},
+                            {"i": 1, "j": 4, "out": [{"k": 3, "c": "-1"}, {"k": 2, "c": "1/2"}]}]}
+        path = tmp_path / "jacobi.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(["invariants", "--file", str(path)]) == 3
+        assert err.getvalue() == "error: Jacobi violation at (1,2,3): 1/2*x2 + -1*x3\n"
 
 
 def all_pairs_bracket_span(L, space):

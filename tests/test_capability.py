@@ -9,7 +9,7 @@ from conftest import (
 )
 
 from liecap import catalog, covers
-from liecap.algebra import center, derived_subalgebra, direct_sum, quotient, transform
+from liecap.algebra import LieAlgebra, center, derived_subalgebra, direct_sum, quotient, transform
 from liecap.capability import (
     WrongDimension,
     central_test_lines,
@@ -89,6 +89,10 @@ class TestCensus:
         got = [str(k) for k in noncapable_census(5)]
         assert got == ["A1", "L5_4"]
 
+    def test_above_dim6_refused(self):
+        with pytest.raises(catalog.UnsupportedDimension):
+            noncapable_census(7)
+
     def test_dim6(self):
         got = noncapable_census(6)
         names = []
@@ -159,8 +163,10 @@ class TestBoundCheck:
         assert check.reason == "abelian"
 
     def test_small_dim_skipped(self):
-        check = theorem2_bound_check(build("A2"))
-        assert check.status == "skipped"
+        # [x1, x2] = x2: nonabelian, so the dimension check is the one that
+        # refuses it
+        check = theorem2_bound_check(LieAlgebra(QQ, 2, {(0, 1): {1: 1}}))
+        assert (check.status, check.reason) == ("skipped", "dimension below 3")
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "GF101"])
     def test_not_nilpotent_skipped_before_im_d3(self, field, d3_calls):
@@ -185,8 +191,8 @@ class TestBoundCheckReference:
         statuses = set()
         for key in catalog.all_keys(6, field):
             L = catalog.build(key, field).algebra
-            check = theorem2_bound_check(L, label=str(key))
-            assert check == theorem2_reference(L, label=str(key)), str(key)
+            check = theorem2_bound_check(L)
+            assert check == theorem2_reference(L), str(key)
             statuses.add((check.status, check.reason))
         # checked rows and both skips a nilpotent catalog entry can meet
         assert statuses == {("checked", ""), ("skipped", "abelian"),

@@ -4,7 +4,7 @@ import pytest
 
 from liecap import catalog
 from liecap.algebra import derived_subalgebra, direct_sum, validate
-from liecap.linalg import PrimeField
+from liecap.linalg import QQ, PrimeField
 
 
 class TestListing:
@@ -101,6 +101,18 @@ class TestBuild:
             five = catalog.build(catalog.indexed_key(5, k)).algebra
             summed = direct_sum(five, catalog.abelian_algebra(1))
             assert fingerprint(six) == fingerprint(summed)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+    def test_l6k_table_is_l5k_plus_line(self, field):
+        # read off the dim-5 relations, the same table, in the same order,
+        # and the same names as the relabelled direct sum
+        names = tuple(f"x{i + 1}" for i in range(6))
+        for k in range(1, 10):
+            six = catalog.build(catalog.indexed_key(6, k), field).algebra
+            five = catalog.build(catalog.indexed_key(5, k), field).algebra
+            summed = direct_sum(five, catalog.abelian_algebra(1, field)).relabel(names)
+            assert list(six.table.items()) == list(summed.table.items()), k
+            assert six.labels == summed.labels == names
 
     def test_epsilon_guards(self):
         with pytest.raises(catalog.EpsilonRequired):

@@ -255,6 +255,8 @@ def _bracket(i, j, k, c="1"):
     (("invariants", "H0"), None),
     (("invariants", "L5_4"), {"dim": 3, "brackets": [_bracket(1, 2, 3)]}),
     (("invariants", "--field", "Fp:3"), {"dim": 3, "brackets": [_bracket(1, 2, 3)]}),
+    # nested past the JSON reader's recursion limit, written as text
+    (("invariants",), "[" * 200_000 + "]" * 200_000),
 ], ids=["eps-zero-den", "cover-eps-zero-den", "eps-zero-den-fp", "json-list",
         "bracket-both-orders", "bracket-twice", "diagonal-bracket", "index-ij",
         "label-count", "index-k", "brackets-int", "bracket-int", "out-int",
@@ -266,11 +268,11 @@ def _bracket(i, j, k, c="1"):
         "coefficient-exponent-huge-fp", "key-abelian-above-bound",
         "key-heisenberg-above-bound", "cover-key-huge", "key-index-above-range",
         "key-index-above-range-dim6", "key-heisenberg-zero", "key-and-file",
-        "field-and-file"])
+        "field-and-file", "nested-too-deep"])
 def test_malformed_input_exit2(tmp_path, capsys, argv, doc):
     if doc is not None:
         path = tmp_path / "algebra.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         argv += ("--file", str(path))
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -312,6 +314,22 @@ def test_bad_field_exit2(capsys, argv, field):
     code, out, err = run(capsys, *argv, "--field", field)
     assert code == 2
     assert err.startswith("error: ") and out == ""
+
+
+@pytest.mark.parametrize("field", ["Fp:abc", "Fp:"])
+@pytest.mark.parametrize("argv", [("invariants", "L5_4"), ("verify-tables", "multipliers5")])
+def test_field_without_a_prime_is_unknown(capsys, argv, field):
+    code, out, err = run(capsys, *argv, "--field", field)
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown field {field!r} (use Q or Fp:<p>)\n"
+
+
+def test_deeply_nested_document_names_its_file(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, "invariants", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: JSON nested too deeply\n"
 
 
 def coordinate_terms(L):

@@ -335,6 +335,26 @@ class TestEllisExteriorSquare:
                             d, c)
 
 
+class TestZeroBracketSquare:
+    """When phi is zero, as in class 2, the square is abelian of dim
+    width - rank im d3: neither the kept pairs nor the default labels of
+    the square are formed."""
+
+    @FIELDS3
+    @pytest.mark.parametrize("text", ["A1", "A9", "H1", "H6", "L5_8", "L6_26"])
+    def test_reads_no_kept_pair(self, field, text):
+        m = schur_multiplier(catalog.build(catalog.parse_key(text), field).algebra)
+        w = m.exterior_square()
+        assert "kept" not in m.__dict__
+        assert w.is_abelian() and w._labels is None
+        assert w.dim == len(m.kept) == m.dim + derived_subalgebra(m.algebra).dim
+
+    def test_nonzero_form_reads_kept_pairs(self):
+        m = schur_multiplier(build("L5_6"))
+        assert not m.exterior_square().is_abelian()
+        assert "kept" in m.__dict__
+
+
 def test_report_scalars_are_canonical(monkeypatch):
     """Every Subspace and algebra table that invariant_report builds over Q,
     through schur_multiplier, exterior_center, kernel_columns and the
