@@ -336,6 +336,11 @@ def lower_central_series(algebra):
 
 
 def is_nilpotent(algebra):
+    """True when the table is triangular, every [e_i, e_j] (i < j) on
+    coordinates above j: span{e_k : k >= m} is then a central series.
+    Other tables are decided by ``lower_central_series``."""
+    if all(k > j for (_, j), row in algebra.table.items() for k in row):
+        return True
     return lower_central_series(algebra)[-1].dim == 0
 
 
@@ -559,18 +564,34 @@ def to_json(algebra):
             "field": field_obj, "brackets": brackets}
 
 
+# the longest value an error message repeats; a longer one is named by its
+# type and length, so a malformed document never prints itself back
+SHOWN_CHARS = 40
+
+
+def _shown(v):
+    text = repr(v)
+    if len(text) <= SHOWN_CHARS:
+        return text
+    kind = type(v).__name__
+    article = "an" if kind[0] in "aeiou" else "a"
+    if isinstance(v, (str, list, dict)):
+        return f"{article} {kind} of length {len(v)}"
+    return f"{article} {kind} of {len(text)} characters"
+
+
 def _json_int(obj, name):
     v = obj.get(name)
     # bool is an int subclass, but true is not an index
     if isinstance(v, bool) or not isinstance(v, int):
-        raise AlgebraError(f"{name!r} must be an integer, not {v!r}")
+        raise AlgebraError(f"{name!r} must be an integer, not {_shown(v)}")
     return v
 
 
 def _json_list(v, name, item_type):
     if not isinstance(v, list) or not all(isinstance(x, item_type) for x in v):
         items = "objects" if item_type is dict else "strings"
-        raise AlgebraError(f"{name!r} must be an array of {items}, not {v!r}")
+        raise AlgebraError(f"{name!r} must be an array of {items}, not {_shown(v)}")
     return v
 
 
@@ -578,7 +599,10 @@ def _json_coefficient(f, c):
     try:
         return f.parse(str(c))
     except (ValueError, ZeroDivisionError) as exc:
-        raise AlgebraError(f"coefficient {c!r} is not an element of {f!r}: {exc}") from None
+        shown = _shown(c)
+        # the parser's own message repeats the value, so only a short one keeps it
+        reason = f": {exc}" if shown == repr(c) else ""
+        raise AlgebraError(f"coefficient {shown} is not an element of {f!r}{reason}") from None
 
 
 def from_json(obj):
@@ -590,10 +614,10 @@ def from_json(obj):
     elif isinstance(fobj, dict):
         f = PrimeField(_json_int(fobj, "p"))
     else:
-        raise AlgebraError(f"unknown field spec {fobj!r}")
+        raise AlgebraError(f"unknown field spec {_shown(fobj)}")
     dim = _json_int(obj, "dim")
     if not 0 <= dim <= MAX_DIM:
-        raise AlgebraError(f"dim must be in 0..{MAX_DIM}, got {dim}")
+        raise AlgebraError(f"dim must be in 0..{MAX_DIM}, got {_shown(dim)}")
     # indices are checked here, so that every message names the document's
     # own 1-based numbers; [x_j, x_i] is the bracket [x_i, x_j] given again
     brackets = {}

@@ -299,14 +299,20 @@ SUITES.update(census=_suite_census, kunneth=_suite_kunneth, theorem2=_suite_theo
 def run_suites(names, field, eps):
     """The rows of the named suites.  im d3 is computed once per distinct
     bracket table over the field for the whole call: the suites share one
-    ``schur_multiplier`` result per table, and forget them on return."""
-    results = {}
+    ``schur_multiplier`` result per table, and forget them on return.  The
+    results are bucketed by (field, dim, entry count), and a table is
+    matched within its bucket by dict equality, with no sorted key built."""
+    buckets = {}
 
     def homology(algebra):
-        key = (algebra.field, algebra.dim, algebra.table_key())
-        if key not in results:
-            results[key] = schur_multiplier(algebra)
-        return results[key]
+        table = algebra.table
+        bucket = buckets.setdefault((algebra.field, algebra.dim, len(table)), [])
+        for other, result in bucket:
+            if other == table:
+                return result
+        result = schur_multiplier(algebra)
+        bucket.append((table, result))
+        return result
 
     rows = []
     for name in names:

@@ -79,10 +79,13 @@ algebras", Glasgow Math. J., 1991).  Its basis is the pairs that are not
 pivots of im d3.  d2 maps it onto L^2, and the multiplier M(L) is the kernel
 of d2 on those pairs, so dim M(L) = dim L ^ L - dim L^2 needs no kernel at
 all.  As d2(a) lies in L^2, the bracket is a form on L^2: on the RREF rows
-u_s of L^2 it is phi(s, t) = u_s ^ u_t mod im d3, d(d-1)/2 residues for
-d = dim L^2, and [a, b] expands d2(a) and d2(b) on the u_s.  When phi is
-zero, as in class 2, where L^2 ^ L^2 lies in im d3, L ^ L is abelian and
-no kept pair is read.  The exterior center Z^(L) and the tensor square
+u_s of L^2 it is phi(s, t) = u_s ^ u_t mod im d3, and [a, b] expands d2(a)
+and d2(b) on the u_s.  A central row forms no residue: d3(a ^ b ^ z) =
+[a, b] ^ z for a central z, so L^2 ^ z lies in im d3 and phi(s, t) = 0
+when u_s or u_t is central.  So phi takes l(l-1)/2 residues for the l live
+rows, those with a nonzero ad image, and none when dim L^2 < 2.  When phi
+is zero, as in class 2, where L^2 ^ L^2 lies in im d3, L ^ L is abelian
+and no kept pair is read.  The exterior center Z^(L) and the tensor square
 L x L = (L ^ L) + A(diagonal) follow from the same image without a free
 algebra.
 
@@ -100,6 +103,7 @@ from itertools import combinations
 
 from .algebra import (
     LieAlgebra,
+    _ad_images,
     center,
     derived_subalgebra,
     direct_sum,
@@ -216,8 +220,9 @@ class MultiplierResult:
     the exterior center are read, is built on first read.  L^2 and Z(L)
     are read from the algebra, which computes each once.  The bracket of
     L ^ L is the alternating form phi(s, t) = u_s ^ u_t mod im d3 on the
-    RREF rows u_s of L^2, so it takes d(d-1)/2 residues for d = dim L^2;
-    L ^ L is abelian, with no kept pair read, exactly when phi is zero.
+    RREF rows u_s of L^2; phi vanishes at a central row, so it takes
+    l(l-1)/2 residues for the l rows of L^2 outside Z(L).  L ^ L is
+    abelian, with no kept pair read, exactly when phi is zero.
     """
 
     span: Elimination  # im d3, eliminated but not back-substituted
@@ -269,19 +274,23 @@ class MultiplierResult:
         of L^2: d2(a) = sum of alpha_a[s] u_s, with alpha_a[s] the entry of
         d2(a) at the s-th pivot, so [a, b] = sum of alpha_a[s] alpha_b[t]
         phi(s, t) for the alternating form phi(s, t) = u_s ^ u_t mod im d3.
-        phi takes d(d-1)/2 residues for d = dim L^2, on Lambda^2
-        coordinates.  When it is zero, as in class 2, the square is abelian
+        phi(s, t) = 0 when u_s or u_t is central, as L^2 ^ z lies in im d3
+        for a central z; so only the live rows, those with a nonzero
+        ``_ad_images``, are wedged, l(l-1)/2 residues for l of them on
+        Lambda^2 coordinates, and none when dim L^2 < 2.  When phi is zero,
+        as in class 2, where every row is central, the square is abelian
         of dim width - rank im d3, and no kept pair is read.  Otherwise the
         residues are moved to kept indices once, psi_a[t] = sum of
-        alpha_a[s] phi(s, t) is formed once per live a, and [a, b] = sum of
-        alpha_b[t] psi_a[t]."""
+        alpha_a[s] phi(s, t) is formed once per kept a with d2(a) != 0,
+        and [a, b] = sum of alpha_b[t] psi_a[t]."""
         alg = self.algebra
         f = alg.field
         base = self.ext.base
         der = derived_subalgebra(alg)
         rows = der.sparse_rows()
+        live = [s for s, u in enumerate(rows) if _ad_images(alg, u)] if len(rows) > 1 else ()
         residues = [(s, t, self.image.reduce(_wedge(f, base, rows[s], rows[t])))
-                    for s, t in combinations(range(len(rows)), 2)]
+                    for s, t in combinations(live, 2)]
         if not any(r for _, _, r in residues):
             return LieAlgebra(f, self.ext.width - self.span.rank, {})
         kept = self.kept

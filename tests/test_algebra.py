@@ -25,6 +25,7 @@ from liecap.algebra import (
     dumps,
     from_json,
     is_ideal,
+    is_nilpotent,
     lower_central_series,
     minimal_generator_count,
     nilpotency_class,
@@ -77,6 +78,59 @@ class TestValidate:
 
 
 FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "GF101"])
+
+
+def series_nilpotent(L):
+    """Nilpotency by the lower central series alone, on a fresh copy of the
+    table, so no certificate and no memo is read."""
+    return lower_central_series(LieAlgebra(L.field, L.dim, L.table))[-1].dim == 0
+
+
+THREE_FIELDS = [QQ, PrimeField(3), PrimeField(101)]
+
+
+class TestNilpotencyCertificate:
+    """is_nilpotent accepts a triangular table, every [e_i, e_j] (i < j) on
+    coordinates above j, without building the lower central series, and
+    asks the series on every other table; both routes agree."""
+
+    @pytest.mark.parametrize("field", THREE_FIELDS, ids=["Q", "GF3", "GF101"])
+    def test_catalog_is_triangular(self, field):
+        for key in catalog.all_keys(6, field):
+            L = catalog.build(key, field).algebra
+            assert is_nilpotent(L) and series_nilpotent(L), str(key)
+            assert "lcs" not in L._memo, str(key)
+
+    def test_not_nilpotent(self):
+        # [x1,x2]=x2 is solvable, not nilpotent, and not triangular
+        assert not is_nilpotent(LieAlgebra(QQ, 2, {(0, 1): {1: 1}}))
+        assert not is_nilpotent(solvable_algebra())
+
+    def test_nilpotent_off_the_triangle(self):
+        # [x2,x3]=x1 is H(1) written below the diagonal: the series decides
+        L = LieAlgebra(QQ, 3, {(1, 2): {0: 1}})
+        assert is_nilpotent(L) and "lcs" in L._memo
+
+    @given(st.sampled_from(THREE_FIELDS), st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]),
+           st.integers(0, 2), st.booleans(), st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_the_series(self, field, dc, extend, scramble, solvable, rng):
+        # a Hall basis, summed with a catalog entry or the solvable
+        # [x1,x2]=x2, [x1,x3]=x3, then centrally extended and scrambled
+        F = covers.free_nilpotent(*dc).algebra_over(field)
+        keys = catalog.all_keys(5, field)
+        other = solvable_algebra(field) if solvable else \
+            catalog.build(keys[rng.randrange(len(keys))], field).algebra
+        L = direct_sum(F, other)
+        assert is_nilpotent(F) and "lcs" not in F._memo
+        if extend and not solvable:
+            L = central_extension(L, extend, rng)
+        triangular = is_nilpotent(L) and "lcs" not in L._memo
+        assert is_nilpotent(L) == series_nilpotent(L) == (not solvable)
+        assert triangular or solvable
+        if scramble:
+            B = transform(L, random_basis_change(rng, L.dim, field))
+            assert is_nilpotent(B) == series_nilpotent(B) == (not solvable)
 
 
 def seeded_algebras(field, seed, count):

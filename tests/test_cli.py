@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from liecap import catalog, covers, homology, linalg
 from liecap.algebra import (
+    LieAlgebra,
     adapted_basis,
     direct_sum,
     dumps,
@@ -330,6 +331,31 @@ def test_deeply_nested_document_names_its_file(tmp_path, capsys):
     code, out, err = run(capsys, "invariants", "--file", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: {path}: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"dim": 3, "brackets": [1] * 100_000},
+     "'brackets' must be an array of objects, not a list of length 100000"),
+    ({"dim": "1" * 100_000}, "'dim' must be an integer, not a str of length 100000"),
+    ({"dim": 3, "brackets": [{"i": 1, "j": 2, "out": [{"k": 3, "c": "1/" + "0" * 100_000}]}]},
+     "coefficient a str of length 100002 is not an element of Q"),
+    ({"dim": 3, "labels": ["x"] * 2 + [1] * 100_000},
+     "'labels' must be an array of strings, not a list of length 100002"),
+], ids=["brackets", "dim", "coefficient", "labels"])
+def test_long_bad_value_is_named_not_echoed(tmp_path, capsys, doc, message):
+    # a malformed value is named by its type and length, so the error is one
+    # short line however large the document
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "invariants", "--file", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_short_bad_value_is_echoed(tmp_path, capsys):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"dim": "3"}))
+    code, out, err = run(capsys, "invariants", "--file", str(path))
+    assert (code, out, err) == (2, "", "error: 'dim' must be an integer, not '3'\n")
 
 
 def coordinate_terms(L):
@@ -718,6 +744,35 @@ class TestVerifyTables:
         # the shared results die with the call: a second call computes afresh
         run_suites(["multipliers5"], field, eps)
         assert len(tables) == len(set(tables)) + 9
+
+    def test_shares_by_table_equality(self, monkeypatch):
+        # one table given in two entry orders shares one result; the same
+        # integer table over Q and GF(3) compares equal as a dict, and the
+        # field in the bucket key keeps the two apart; [x1,x2]=x3 and
+        # [x1,x3]=x2 share a bucket and not a result
+        table = {(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1}, (0, 3): {4: 1}}
+        computed, seen = [], {}
+
+        def counted(algebra):
+            computed.append(algebra)
+            return schur_multiplier(algebra)
+
+        def probe(field, eps, homology):
+            for name, f, brackets in (
+                    ("Q", QQ, table), ("Q reversed", QQ, dict(reversed(table.items()))),
+                    ("GF3", PrimeField(3), table),
+                    ("GF3 reversed", PrimeField(3), dict(reversed(table.items()))),
+                    ("H x3", QQ, {(0, 1): {2: 1}}), ("H x2", QQ, {(0, 2): {1: 1}})):
+                dim = 3 if name.startswith("H") else 5
+                seen[name] = homology(LieAlgebra(f, dim, brackets))
+            return []
+        monkeypatch.setattr(cli_module, "schur_multiplier", counted)
+        monkeypatch.setitem(SUITES, "probe", probe)
+        assert run_suites(["probe"], QQ, ()) == []
+        assert seen["Q"] is seen["Q reversed"] and seen["GF3"] is seen["GF3 reversed"]
+        assert seen["Q"] is not seen["GF3"] and seen["H x3"] is not seen["H x2"]
+        assert seen["Q"].algebra.field == QQ and seen["GF3"].algebra.field == PrimeField(3)
+        assert len(computed) == 4
 
     def test_jobs_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

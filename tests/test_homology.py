@@ -997,10 +997,13 @@ class TestExteriorSquareOracle:
 
 
 class TestSquareWork:
-    """exterior_square reduces d(d-1)/2 wedges u_s ^ u_t of the RREF rows of
-    L^2, d = dim L^2, and reads no kept pair when they all lie in im d3, as
-    in class 2, where L^2 ^ L^2 is in im d3.  It reads d2 of a kept pair off
-    the table by coordinate, never through bracket_basis."""
+    """exterior_square reduces the wedges u_s ^ u_t of the live RREF rows of
+    L^2, those outside Z(L), and no other: d3(a ^ b ^ z) = [a, b] ^ z for a
+    central z, so L^2 ^ z lies in im d3 and a central row forms no residue.
+    With l live rows that is l(l-1)/2 reductions, none when L^2 has fewer
+    than two rows.  It reads no kept pair when the residues all lie in im d3,
+    as in class 2, where L^2 ^ L^2 is in im d3.  It reads d2 of a kept pair
+    off the table by coordinate, never through bracket_basis."""
 
     @staticmethod
     def counted(monkeypatch, L):
@@ -1049,12 +1052,47 @@ class TestSquareWork:
             assert reduced <= d * (d - 1) // 2 and brackets == read == 0, name
 
     def test_class_four_reads_pairs(self, monkeypatch):
-        # F(2,4) has dim L^2 = 6 and a nonabelian square, so phi is not zero
+        # F(2,4) has dim L^2 = 6 and a nonabelian square, so phi is not zero;
+        # its three weight-4 rows of L^2 are central, so 3 of the 15 wedges
+        # of its rows are reduced
         L = covers.free_nilpotent(2, 4).algebra_over(QQ)
         square, reduced, brackets, read = self.counted(monkeypatch, L)
         assert not square.is_abelian()
-        assert reduced == 15 and brackets == 0
+        assert reduced == 3 and brackets == 0
         assert read == len(schur_multiplier(L).kept)
+
+    @staticmethod
+    def live_rows(L):
+        """The RREF rows of L^2 outside Z(L), by the center's own test."""
+        z = center(L)
+        return [u for u in derived_subalgebra(L).sparse_rows() if not z.contains(u)]
+
+    @FIELDS3
+    def test_central_rows_form_no_residue(self, field, monkeypatch):
+        # F(3,3) is class 3: its eight weight-3 rows of L^2 are central, so
+        # only the wedges of its three weight-2 rows are reduced, not 55
+        L = covers.free_nilpotent(3, 3).algebra_over(field)
+        assert derived_subalgebra(L).dim == 11 and len(self.live_rows(L)) == 3
+        square, reduced, _, _ = self.counted(monkeypatch, L)
+        assert reduced == 3
+        assert square.table_key() == exterior_square_reference(schur_multiplier(L)).table_key()
+
+    @FIELDS3
+    def test_scrambled_count_and_square(self, field, monkeypatch):
+        # on a scrambled basis the RREF rows of L^2 are dense, and the count
+        # is still l(l-1)/2 for the l rows outside Z(L)
+        rng = random.Random(71)
+        cases = [covers.free_nilpotent(2, 4).algebra_over(field),
+                 central_extension(covers.free_nilpotent(2, 3).algebra_over(field), 2, rng)]
+        cases += [catalog.build(catalog.parse_key(key, field), field).algebra
+                  for key in ("L5_6", "L6_14", "L6_19(e=2)")]
+        for n, L in enumerate(cases):
+            L = transform(L, random_basis_change(rng, L.dim, field))
+            live = len(self.live_rows(L))
+            square, reduced, _, _ = self.counted(monkeypatch, L)
+            assert reduced == live * (live - 1) // 2, n
+            reference = exterior_square_reference(schur_multiplier(L))
+            assert (square.dim, square.table_key()) == (reference.dim, reference.table_key()), n
 
 
 class TestKunneth:

@@ -103,6 +103,7 @@ NO_CALLER = {
     "linalg.Subspace.basis_vectors": "bench/tracer.py times it",
     "covers.tensor_square": "bench/tracer.py times the cover route's tensor square",
     # references the tests compare the user paths against
+    "algebra.LieAlgebra.table_key": "bench/tests/test_bench.py and the oracle tests compare tables by it",
     "capability.dagger_test": "capability through multiplier dimensions",
     "capability.central_test_lines": "the lines dagger_test is checked on",
     "homology.induced_map_injective": "capability through the induced multiplier map",
