@@ -40,6 +40,7 @@ from .linalg import (
     kernel_from_rows,
     _check_same_field,
     _prepare,
+    _shown,
 )
 
 
@@ -562,22 +563,6 @@ def to_json(algebra):
     field_obj = "Q" if isinstance(f, type(QQ)) else {"p": f.p}
     return {"dim": algebra.dim, "labels": list(algebra.labels),
             "field": field_obj, "brackets": brackets}
-
-
-# the longest value an error message repeats; a longer one is named by its
-# type and length, so a malformed document never prints itself back
-SHOWN_CHARS = 40
-
-
-def _shown(v):
-    text = repr(v)
-    if len(text) <= SHOWN_CHARS:
-        return text
-    kind = type(v).__name__
-    article = "an" if kind[0] in "aeiou" else "a"
-    if isinstance(v, (str, list, dict)):
-        return f"{article} {kind} of length {len(v)}"
-    return f"{article} {kind} of {len(text)} characters"
 
 
 def _json_int(obj, name):

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from .algebra import MAX_DIM, LieAlgebra
-from .linalg import MAX_EXPONENT, QQ, LiecapError
+from .linalg import MAX_EXPONENT, QQ, LiecapError, _shown
 
 
 class CatalogError(LiecapError):
@@ -175,10 +175,10 @@ def heisenberg_algebra(m, field=QQ):
 def _build_indexed(dim, index, epsilon, field):
     if dim not in INDEX_RANGES:
         raise UnsupportedDimension(
-            f"indexed entries cover dimensions 3..6 only, got {dim}")
+            f"indexed entries cover dimensions 3..6 only, got {_shown(dim)}")
     if not 1 <= index <= INDEX_RANGES[dim]:
-        raise UnknownKey(
-            f"L{dim}_{index}: dimension {dim} has indices 1..{INDEX_RANGES[dim]}")
+        raise UnknownKey(f"{_shown(f'L{dim}_{index}', str)}: "
+                         f"dimension {dim} has indices 1..{INDEX_RANGES[dim]}")
     family = (dim, index) in _EPSILON_BRACKET
     if family and epsilon is None:
         raise EpsilonRequired(f"L{dim}_{index} needs an epsilon value")
@@ -218,7 +218,8 @@ def build(key, field=QQ):
 def list_keys(dim):
     """All keys of one dimension; epsilon families appear once, unparameterized."""
     if dim < 1:
-        raise UnsupportedDimension(f"dimension {dim} is outside the supported range 1..6")
+        raise UnsupportedDimension(
+            f"dimension {_shown(dim)} is outside the supported range 1..6")
     if dim > 6:
         raise UnsupportedDimension(
             "classification stops at dimension 6; dimension 7 already has "
@@ -256,13 +257,14 @@ def parse_key(text, field=QQ):
     """Parse the CLI key syntax: A3, H2, L5_4, L6_19(e=2)."""
     m = _KEY_RE.match(text.strip())
     if not m:
-        raise UnknownKey(f"cannot parse key {text!r}")
+        raise UnknownKey(f"cannot parse key {_shown(text)}")
     an, hm = m.group("an"), m.group("hm")
     if an is not None or hm is not None:
         # the work on Lambda^2 grows with its C(dim, 2) coordinates (MAX_DIM)
         dim = int(an) if an is not None else 2 * int(hm) + 1
         if dim > MAX_DIM:
-            raise CatalogError(f"{text.strip()} has dimension {dim}, beyond {MAX_DIM}")
+            raise CatalogError(f"{_shown(text.strip(), str)} has dimension {_shown(dim)}, "
+                               f"beyond {MAX_DIM}")
         return abelian_key(int(an)) if an is not None else heisenberg_key(int(hm))
     dim, idx = int(m.group("dim")), int(m.group("idx"))
     if dim not in INDEX_RANGES:
@@ -278,7 +280,8 @@ def parse_epsilon(text, field):
     try:
         return field.parse(text)
     except ZeroDivisionError:
-        raise CatalogError(f"epsilon {text} has a zero denominator in {field!r}") from None
+        raise CatalogError(f"epsilon {_shown(text, str)} has a zero denominator "
+                           f"in {field!r}") from None
     except ValueError:
-        raise CatalogError(f"epsilon {text!r} is not an integer, p/q or decimal with "
+        raise CatalogError(f"epsilon {_shown(text)} is not an integer, p/q or decimal with "
                            f"exponent within +-{MAX_EXPONENT} in {field!r}") from None

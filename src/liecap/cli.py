@@ -28,7 +28,7 @@ from .algebra import (
 from .capability import noncapable_census, theorem2_bound_check
 from .covers import Cover, exterior_center
 from .homology import diagonal_square_dim, schur_multiplier, sum_exterior_dim
-from .linalg import QQ, LiecapError, PrimeField
+from .linalg import QQ, LiecapError, PrimeField, _shown
 from .recognize import recognize
 
 
@@ -40,7 +40,7 @@ def _field_from_arg(text):
     except ValueError:  # Fp:abc or Fp:
         p = None
     if p is None:
-        raise ValueError(f"unknown field {text!r} (use Q or Fp:<p>)")
+        raise ValueError(f"unknown field {_shown(text)} (use Q or Fp:<p>)")
     return PrimeField(p)
 
 

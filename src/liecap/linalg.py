@@ -49,6 +49,24 @@ class LiecapError(Exception):
     """Base of every error liecap raises on bad input or an unmet hypothesis."""
 
 
+# the longest value an error message repeats; a longer one is named by its
+# type and length, so a malformed input never prints itself back
+SHOWN_CHARS = 40
+
+
+def _shown(v, form=repr):
+    """``form(v)`` when it is at most SHOWN_CHARS long, else v named by its
+    type and length."""
+    text = form(v)
+    if len(text) <= SHOWN_CHARS:
+        return text
+    kind = type(v).__name__
+    article = "an" if kind[0] in "aeiou" else "a"
+    if isinstance(v, (str, list, dict)):
+        return f"{article} {kind} of length {len(v)}"
+    return f"{article} {kind} of {len(text)} characters"
+
+
 class LinalgError(LiecapError):
     pass
 
@@ -152,9 +170,9 @@ class PrimeField:
 
     def __init__(self, p):
         if not isinstance(p, int) or p < 3 or p % 2 == 0:
-            raise ValueError(f"prime field needs an odd prime >= 3, got {p!r}")
+            raise ValueError(f"prime field needs an odd prime >= 3, got {_shown(p)}")
         if p >= MAX_PRIME:
-            raise ValueError(f"prime field needs p < 2^32, got {p}")
+            raise ValueError(f"prime field needs p < 2^32, got {_shown(p)}")
         d = 3
         while d * d <= p:
             if p % d == 0:

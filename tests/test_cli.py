@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import random
+import re
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -46,6 +48,67 @@ def validate_calls(monkeypatch):
         return walk(algebra)
     monkeypatch.setattr(cli_module, "validate", counted)
     return calls
+
+
+def _hall(d, c, field=QQ):
+    return covers.free_nilpotent(d, c).algebra_over(field)
+
+
+def _scrambled(L):
+    return transform(L, random_basis_change(random.Random(7), L.dim))
+
+
+def _upper_triangular(L):
+    # e_j -> e_1 + ... + e_j fills the table: F(3,3) gets 55 brackets, not
+    # 12, and no RREF row of L^2 and no pivot of im d3 is a unit
+    return transform(L, [{i: 1 for i in range(j + 1)} for j in range(L.dim)])
+
+
+def _extension(field):
+    # the central extension of F(2,4) by A(4) whose 15 brackets all have
+    # two or more terms
+    E = central_extension(_hall(2, 4, field), 4, random.Random(7))
+    assert len(E.table) == 15 and all(len(row) > 1 for row in E.table.values())
+    return E
+
+
+def _cover_multiplier(E):
+    cover = covers.Cover(E)
+    assert cover.free.dim == 23
+    return {"multiplier_dim": cover.multiplier_dim}
+
+
+def _numbers(multiplier, derived, zw):
+    return {"multiplier_dim": multiplier, "derived_dim": derived, "exterior_center_dim": zw}
+
+
+# the types of F(3,3) and F(4,3), on the Hall basis and on any other: their
+# derz field is dim L^2 + dim Z - dim(L^2 + Z)
+_F33_TYPES = {"exterior_type": "UNRECOGNIZED[dim=29;lcs=29,3,0;ucs=26,29;der=3;z=26;"
+                               "derz=3;cent=29,29;m=330]",
+              "tensor_type": "UNRECOGNIZED[dim=35;lcs=35,3,0;ucs=32,35;der=3;z=32;"
+                             "derz=3;cent=35,35;m=501]"}
+_F43_TYPE = {"exterior_type": "UNRECOGNIZED[dim=86;lcs=86,15,0;ucs=80,86;der=15;z=80;"
+                              "derz=15;cent=86,86;m=2540]"}
+
+# (the algebra of a --file document, the report fields it must give, or a
+# function of the algebra that gives them): the Witt closed forms of F(d,c),
+# basis changes that must keep every type, and the cover's multiplier
+_FILE_REPORTS = [
+    (lambda: _hall(5, 3), _numbers(150, 50, 0)),
+    (lambda: _hall(2, 6), _numbers(18, 21, 0)),
+    (lambda: _hall(3, 3), {**_numbers(18, 11, 0), **_F33_TYPES}),
+    (lambda: _upper_triangular(_hall(3, 3)), {**_numbers(18, 11, 0), **_F33_TYPES}),
+    (lambda: _hall(4, 3), {**_numbers(60, 26, 0), **_F43_TYPE}),
+    (lambda: _scrambled(_hall(4, 3)), {**_numbers(60, 26, 0), **_F43_TYPE}),
+    # both branches of the class-2 split label a re-based table
+    (lambda: _scrambled(catalog.build(catalog.parse_key("L6_21(e=2)")).algebra),
+     {"exterior_type": "L5_8+A(3)", "tensor_type": "L5_8+A(6)"}),
+    (lambda: _scrambled(catalog.build(catalog.parse_key("L5_7")).algebra),
+     {"exterior_type": "H(1)+A(3)", "tensor_type": "H(1)+A(6)"}),
+    (lambda: _extension(QQ), _cover_multiplier),
+    (lambda: _extension(PrimeField(101)), _cover_multiplier),
+]
 
 
 class TestList:
@@ -133,6 +196,22 @@ class TestInvariants:
         assert code == 0
         assert json.loads(out)["exterior_type"] == "A(3)"
 
+    @pytest.mark.parametrize("make, want", _FILE_REPORTS, ids=[
+        "F(5,3)", "F(2,6)", "F(3,3)", "F(3,3)-upper-triangular", "F(4,3)",
+        "F(4,3)-scrambled", "L6_21(e=2)-scrambled", "L5_7-scrambled",
+        "extension-Q", "extension-GF101"])
+    def test_file_reports(self, tmp_path, capsys, make, want):
+        algebra = make()
+        path = tmp_path / "algebra.json"
+        path.write_text(dumps(algebra))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "invariants", "--file", str(path), "--format", "json")
+        assert time.perf_counter() - start < 60
+        assert code == 0
+        report = json.loads(out)
+        want = want(algebra) if callable(want) else want
+        assert {name: report[name] for name in want} == want
+
     def test_not_nilpotent_exit2(self, tmp_path, capsys):
         # [x1,x2]=x2 is a valid solvable algebra but not nilpotent
         doc = {"dim": 2, "field": "Q",
@@ -198,6 +277,18 @@ class TestInvariants:
         d = json.loads(out)
         assert d["multiplier_dim"] == 2 * 20 * 20 - 20 - 1
         assert d["exterior_type"] == "A(780)" and d["capable"] is False
+
+    @pytest.mark.parametrize("key, want", [
+        ("A300", {"multiplier_dim": 44850, "exterior_center_dim": 0, "capable": True}),
+        ("H149", {"multiplier_dim": 44252, "exterior_center_dim": 1, "capable": False}),
+    ], ids=["A300", "H149"])
+    def test_largest_keys(self, capsys, key, want):
+        # dim M(A(n)) = n(n-1)/2 and A(n) is capable; dim M(H(m)) = 2m^2 - m - 1
+        # and Z^(H(m)) is the center line
+        code, out, _ = run(capsys, "invariants", key, "--format", "json")
+        assert code == 0
+        d = json.loads(out)
+        assert {name: d[name] for name in want} == want
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "invariants", "L6_10", "--format", "json")
@@ -351,6 +442,35 @@ def test_long_bad_value_is_named_not_echoed(tmp_path, capsys, doc, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+_NOT_A_NUMBER = "is not an integer, p/q or decimal with exponent within +-1000 in"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify-tables", "exterior6", "--epsilon-set", "x" * 50_000),
+     f"epsilon a str of length 50000 {_NOT_A_NUMBER} Q"),
+    (("invariants", "L5_4", "--field", "Fp:" + "7" * 3000),
+     "prime field needs p < 2^32, got an int of 3000 characters"),
+    (("invariants", "L5_4", "--field", "Fp:" + "7" * 5000),
+     "unknown field a str of length 5003 (use Q or Fp:<p>)"),
+    (("invariants", "L5_" + "7" * 3000), "a str of length 3003: dimension 5 has indices 1..9"),
+    (("invariants", "Q" * 5000), "cannot parse key a str of length 5000"),
+    (("invariants", "A" + "7" * 3000),
+     "a str of length 3001 has dimension an int of 3000 characters, beyond 300"),
+    (("invariants", "L6_19(e=" + "7" * 5000 + ")"),
+     f"epsilon a str of length 5000 {_NOT_A_NUMBER} Q"),
+    (("invariants", "L6_19(e=1/" + "3" * 3000 + ")", "--field", "Fp:3"),
+     "epsilon a str of length 3002 has a zero denominator in GF(3)"),
+    (("list", "-" + "7" * 3000),
+     "dimension an int of 3001 characters is outside the supported range 1..6"),
+], ids=["epsilon-set", "field-prime", "field-digits", "key-index", "key", "key-abelian",
+        "key-epsilon", "key-epsilon-zero-den", "list-dim"])
+def test_long_command_line_value_is_named_not_echoed(capsys, argv, message):
+    # as with a --file value: one short line, whatever the length of the value
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert len(err.encode()) < 200
+
+
 def test_short_bad_value_is_echoed(tmp_path, capsys):
     path = tmp_path / "short.json"
     path.write_text(json.dumps({"dim": "3"}))
@@ -429,8 +549,8 @@ class TestReportOnScrambledInput:
     def test_coordinate_series_kept(self, monkeypatch):
         # the central extension's 15 brackets all have two or more terms,
         # but each term of its series is a coordinate span
-        E = central_extension(covers.free_nilpotent(2, 4).algebra, 4, random.Random(7))
-        assert all(len(row) > 1 for row in E.table.values()) and all(coordinate_terms(E))
+        E = _extension(QQ)
+        assert all(coordinate_terms(E))
         want = invariant_report(transform(E, adapted_basis(E)), "E").as_dict()
         with monkeypatch.context() as patch:
             self.forbid_adapted_basis(patch)
@@ -466,21 +586,24 @@ class TestReportOnScrambledInput:
         assert cli_module._rebased(S) is S
 
 
-class TestNoFreeAlgebra:
-    """The user paths never build the free nilpotent algebra of a cover."""
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"a user path built {what}")
+    return refuse
 
-    @pytest.fixture(autouse=True)
-    def forbid_free_algebras(self, monkeypatch):
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("a user path built a free algebra")
-        monkeypatch.setattr(covers.FreeNilpotent, "__init__", refuse)
-        monkeypatch.setattr(covers, "_FREE_CACHE", {})
+
+class _UserPaths:
+    """``verify-tables all`` and a report on every catalog key, each run
+    under the ban that the subclass's fixture applies."""
 
     def test_verify_tables_all(self, capsys):
-        code, out, _ = run(capsys, "verify-tables", "all")
-        assert code == 1
-        failing = [l for l in out.splitlines() if l.startswith("FAIL")]
-        assert len(failing) == 1 and "L6_14" in failing[0]
+        # the one failing row is the published L6_14 exterior square
+        # (tables.EXTERIOR_6_ERRATA), over each field
+        for field in ("Q", "Fp:3"):
+            code, out, _ = run(capsys, "verify-tables", "all", "--field", field)
+            assert code == 1
+            failing = [l for l in out.splitlines() if l.startswith("FAIL")]
+            assert len(failing) == 1 and re.match(r"FAIL +exterior6 +L6_14 ", failing[0])
 
     def test_invariant_reports(self):
         for key in catalog.all_keys(6):
@@ -492,43 +615,33 @@ class TestNoFreeAlgebra:
         assert report.tensor_dim == kunneth_tensor_dim(h, k)
 
 
-class TestNoDenseBoundary:
+class TestNoFreeAlgebra(_UserPaths):
+    """The user paths never build the free nilpotent algebra of a cover."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_free_algebras(self, monkeypatch):
+        monkeypatch.setattr(covers.FreeNilpotent, "__init__", _refuse("a free algebra"))
+        monkeypatch.setattr(covers, "_FREE_CACHE", {})
+
+
+class TestNoDenseBoundary(_UserPaths):
     """The user paths read ker d2 and im d3 off the sparse bracket table;
     the dense boundary matrices are a reference for the tests only."""
 
     @pytest.fixture(autouse=True)
     def forbid_dense_boundaries(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a user path built a dense boundary matrix")
-        monkeypatch.setattr(homology, "ce_d2", refuse)
-        monkeypatch.setattr(homology, "ce_d3", refuse)
-
-    def test_verify_tables_all(self, capsys):
-        code, out, _ = run(capsys, "verify-tables", "all")
-        assert code == 1
-        failing = [l for l in out.splitlines() if l.startswith("FAIL")]
-        assert len(failing) == 1 and "L6_14" in failing[0]
-
-    def test_invariant_reports(self):
-        for key in catalog.all_keys(6):
-            invariant_report(catalog.build(key).algebra, str(key))
+        monkeypatch.setattr(homology, "ce_d2", _refuse("a dense boundary matrix"))
+        monkeypatch.setattr(homology, "ce_d3", _refuse("a dense boundary matrix"))
 
 
-class TestNoDenseMatrix:
+class TestNoDenseMatrix(_UserPaths):
     """Maps, basis changes and recognition bases are sparse columns on the
-    user paths; the dense Matrix serves only ce_d2/ce_d3 and the tests."""
+    user paths, ``cover``'s star table and the maps around it included; the
+    dense Matrix serves only ce_d2/ce_d3 and the tests."""
 
     @pytest.fixture(autouse=True)
     def forbid_dense_matrices(self, monkeypatch):
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("a user path built a dense Matrix")
-        monkeypatch.setattr(linalg.Matrix, "__init__", refuse)
-
-    def test_verify_tables_all(self, capsys):
-        code, out, _ = run(capsys, "verify-tables", "all")
-        assert code == 1
-        failing = [l for l in out.splitlines() if l.startswith("FAIL")]
-        assert len(failing) == 1 and "L6_14" in failing[0]
+        monkeypatch.setattr(linalg.Matrix, "__init__", _refuse("a dense Matrix"))
 
     def test_cover_dump_star(self, capsys):
         code, out, _ = run(capsys, "cover", "L6_14", "--dump-star")
@@ -536,35 +649,20 @@ class TestNoDenseMatrix:
         info = json.loads(out)
         assert info["star"]["dim"] == info["star_dim"] == 8
 
-    def test_invariant_reports(self):
-        for key in catalog.all_keys(6):
-            invariant_report(catalog.build(key).algebra, str(key))
-
     def test_beyond_the_catalog(self, capsys):
         code, out, _ = run(capsys, "invariants", "H20", "--format", "json")
         assert code == 0
         assert json.loads(out)["multiplier_dim"] == 2 * 20 * 20 - 20 - 1
 
 
-class TestNoMultiplierBasis:
+class TestNoMultiplierBasis(_UserPaths):
     """Every user path reads the multiplier dimension, the squares and the
     exterior center off im d3; none needs a basis of M(L)."""
 
     @pytest.fixture(autouse=True)
     def forbid_multiplier_basis(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("a user path built the multiplier basis")
-        monkeypatch.setattr(homology.MultiplierResult, "basis", property(refuse))
-
-    def test_verify_tables_all(self, capsys):
-        code, out, _ = run(capsys, "verify-tables", "all")
-        assert code == 1
-        failing = [l for l in out.splitlines() if l.startswith("FAIL")]
-        assert len(failing) == 1 and "L6_14" in failing[0]
-
-    def test_invariant_reports(self):
-        for key in catalog.all_keys(6):
-            invariant_report(catalog.build(key).algebra, str(key))
+        monkeypatch.setattr(homology.MultiplierResult, "basis",
+                            property(_refuse("the multiplier basis")))
 
 
 # JSON documents of dim <= 4 in which any field may hold a value of the wrong type

@@ -23,6 +23,7 @@ from liecap.algebra import (
     center,
     derived_subalgebra,
     direct_sum,
+    quotient,
     subalgebra_on,
     transform,
     validate,
@@ -942,6 +943,49 @@ class TestExteriorCenterOracle:
         monkeypatch.setattr(homology, "kernel_from_rows", counting)
         assert schur_multiplier(catalog.abelian_algebra(40)).exterior_center().dim == 0
         assert 0 < len(read) < 40 * 39 // 2
+
+
+class TestQuotientByExteriorCenter:
+    """Z^(L) is the largest central ideal N for which L ^ L -> (L/N) ^ (L/N)
+    is an isomorphism (G. Ellis, Glasgow Math. J. 33 (1991); F. Niroomand,
+    M. Parvizi and F. G. Russo, J. Algebra 384 (2013)).  With the exact
+    sequence 0 -> M(Q) -> Q ^ Q -> Q^2 -> 0 for Q = L/Z^(L), this gives
+    dim L ^ L = dim M(Q) + dim Q^2, and L ^ L and Q ^ Q get one label.  The
+    right side is a second multiplier computation, on the quotient.  Q^2 is
+    the derived algebra of Q, not L^2/Z^(L): for A(1), Z^ = L lies outside
+    L^2 = 0."""
+
+    @staticmethod
+    def noncapable(L, name):
+        """Whether Z^(L) is nonzero, once the identity has held on L."""
+        m = schur_multiplier(L)
+        zw = m.exterior_center()
+        Q, _ = quotient(L, zw)
+        mq = schur_multiplier(Q)
+        wedge = m.exterior_square()
+        assert wedge.dim == mq.dim + derived_subalgebra(Q).dim, name
+        assert recognize(wedge).label() == recognize(mq.exterior_square()).label(), name
+        return zw.dim > 0
+
+    @FIELDS3
+    def test_catalog(self, field):
+        assert sum(self.noncapable(catalog.build(key, field).algebra, str(key))
+                   for key in catalog.all_keys(6, field))
+
+    @FIELDS3
+    def test_free_nilpotent_and_extensions(self, field):
+        rng = random.Random(13)
+        cases = []
+        for d, c in ((2, 3), (3, 2), (2, 4), (3, 3), (4, 2)):
+            F = covers.free_nilpotent(d, c).algebra_over(field)
+            cases.append((F, f"F({d},{c})"))
+            cases += [(central_extension(F, kdim, rng), f"F({d},{c}) by A({kdim})")
+                      for kdim in (1, 2, 3)]
+        for text in ("L5_6", "L6_14", "L6_19(e=1)", "L6_25"):
+            L = catalog.build(catalog.parse_key(text, field), field).algebra
+            cases += [(central_extension(L, kdim, rng), f"{text} by A({kdim})")
+                      for kdim in (1, 2)]
+        assert sum(self.noncapable(L, name) for L, name in cases)
 
 
 class TestExteriorSquareOracle:
