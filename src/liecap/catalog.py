@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from .algebra import MAX_DIM, LieAlgebra
-from .linalg import MAX_EXPONENT, QQ, LiecapError, _shown
+from .linalg import MAX_EXPONENT, QQ, SHOWN_CHARS, LiecapError, _shown
 
 
 class CatalogError(LiecapError):
@@ -172,13 +172,16 @@ def heisenberg_algebra(m, field=QQ):
     return LieAlgebra(field, 2 * m + 1, brackets, labels=labels)
 
 
+def _index_out_of_range(key, dim):
+    return UnknownKey(f"{_shown(key, str)}: dimension {dim} has indices 1..{INDEX_RANGES[dim]}")
+
+
 def _build_indexed(dim, index, epsilon, field):
     if dim not in INDEX_RANGES:
         raise UnsupportedDimension(
             f"indexed entries cover dimensions 3..6 only, got {_shown(dim)}")
     if not 1 <= index <= INDEX_RANGES[dim]:
-        raise UnknownKey(f"{_shown(f'L{dim}_{index}', str)}: "
-                         f"dimension {dim} has indices 1..{INDEX_RANGES[dim]}")
+        raise _index_out_of_range(f"L{dim}_{index}", dim)
     family = (dim, index) in _EPSILON_BRACKET
     if family and epsilon is None:
         raise EpsilonRequired(f"L{dim}_{index} needs an epsilon value")
@@ -258,17 +261,30 @@ def parse_key(text, field=QQ):
     m = _KEY_RE.match(text.strip())
     if not m:
         raise UnknownKey(f"cannot parse key {_shown(text)}")
+    # a number of more than SHOWN_CHARS digits is out of range, and is named
+    # by its length before int(), which refuses more than 4,300 digits
     an, hm = m.group("an"), m.group("hm")
     if an is not None or hm is not None:
         # the work on Lambda^2 grows with its C(dim, 2) coordinates (MAX_DIM)
-        dim = int(an) if an is not None else 2 * int(hm) + 1
-        if dim > MAX_DIM:
-            raise CatalogError(f"{_shown(text.strip(), str)} has dimension {_shown(dim)}, "
-                               f"beyond {MAX_DIM}")
-        return abelian_key(int(an)) if an is not None else heisenberg_key(int(hm))
-    dim, idx = int(m.group("dim")), int(m.group("idx"))
+        digits = (an or hm).lstrip("0")
+        if len(digits) > SHOWN_CHARS:
+            # the length _shown gives the dimension n or 2m + 1, which has a
+            # digit more than m when m leads with 5 or more
+            size = len(digits) + (hm is not None and digits[0] >= "5")
+            shown = f"an int of {size} characters"
+        else:
+            dim = int(an) if an is not None else 2 * int(hm) + 1
+            if dim <= MAX_DIM:
+                return abelian_key(int(an)) if an is not None else heisenberg_key(int(hm))
+            shown = _shown(dim)
+        raise CatalogError(f"{_shown(text.strip(), str)} has dimension {shown}, "
+                           f"beyond {MAX_DIM}")
+    dim, idx = int(m.group("dim")), m.group("idx")
     if dim not in INDEX_RANGES:
         raise UnknownKey(f"no indexed entries in dimension {dim}")
+    if len(idx.lstrip("0")) > SHOWN_CHARS:
+        raise _index_out_of_range(text.strip(), dim)
+    idx = int(idx)
     eps = m.group("eps")
     if eps is None:
         return indexed_key(dim, idx)

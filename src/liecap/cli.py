@@ -8,8 +8,10 @@ every error reading the input ends in ``error: ...`` and exit 2, in ``main``.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -30,6 +32,26 @@ from .covers import Cover, exterior_center
 from .homology import diagonal_square_dim, schur_multiplier, sum_exterior_dim
 from .linalg import QQ, LiecapError, PrimeField, _shown
 from .recognize import recognize
+
+
+# a value argparse quotes in an error message: the repr of a str
+_QUOTED = re.compile(r"'(?:[^'\\]|\\.)*'" + r'|"(?:[^"\\]|\\.)*"')
+_UNRECOGNIZED = "unrecognized arguments: "
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors pass every value they repeat
+    through ``_shown``: a bad choice or int, which argparse quotes, and the
+    unrecognized arguments, which it lists bare.  A long value is named by
+    its type and length, so the error stays one short line."""
+
+    def error(self, message):
+        head, unrecognized, rest = message.partition(_UNRECOGNIZED)
+        if unrecognized:
+            message = head + unrecognized + _shown(rest, str)
+        else:
+            message = _QUOTED.sub(lambda m: _shown(ast.literal_eval(m.group())), message)
+        super().error(message)
 
 
 def _field_from_arg(text):
@@ -421,8 +443,7 @@ def cmd_cover(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="liecap",
-                                     description=__doc__.splitlines()[0])
+    parser = _Parser(prog="liecap", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser("list", help="catalog entries of one dimension")

@@ -68,10 +68,12 @@ exactly the columns they replace, so the check sees the same span; d2
 sends each of them, r ^ e_c or u ^ e_c for a central c, to [., e_c] = 0.
 
 ``MultiplierResult`` keeps that elimination as it stands.  Its pivots give
-``dim`` and ``kept``; the back-substitution to the canonical RREF
-(``Echelon.finalize``) runs on the first read of ``image``, which the
-squares, the exterior center, the multiplier basis and the induced maps
-make.
+``dim`` and ``kept``.  The squares, the exterior center and the induced
+maps read a residue modulo im d3 off the elimination as it stands
+(``Elimination.reduce``): a unit column is dropped, and the rest is reduced
+by the echelon rows, back-substituted (``Echelon.finalize``) on first use.
+No unit row is built on these paths; the canonical RREF of im d3
+(``image``), one unit row per unit column, is built only when read.
 
 One object carries every invariant: L ^ L = Lambda^2 L / im d3, with
 bracket [a, b] = d2(a) ^ d2(b) (Ellis, "A non-abelian tensor product of Lie
@@ -216,8 +218,9 @@ class MultiplierResult:
     lexicographic Lambda^2 order, so induced-map matrices are reproducible.
     The multiplier is an abelian Lie algebra of this dimension.  im d3 is
     held as its elimination (``span``), whose pivots give ``kept`` and
-    ``dim``; its canonical RREF (``image``), from which the squares and
-    the exterior center are read, is built on first read.  L^2 and Z(L)
+    ``dim``, and off which the squares, the exterior center and the
+    induced maps read their residues (``Elimination.reduce``); its
+    canonical RREF (``image``) is built only when read.  L^2 and Z(L)
     are read from the algebra, which computes each once.  The bracket of
     L ^ L is the alternating form phi(s, t) = u_s ^ u_t mod im d3 on the
     RREF rows u_s of L^2; phi vanishes at a central row, so it takes
@@ -289,7 +292,7 @@ class MultiplierResult:
         der = derived_subalgebra(alg)
         rows = der.sparse_rows()
         live = [s for s, u in enumerate(rows) if _ad_images(alg, u)] if len(rows) > 1 else ()
-        residues = [(s, t, self.image.reduce(_wedge(f, base, rows[s], rows[t])))
+        residues = [(s, t, self.span.reduce(_wedge(f, base, rows[s], rows[t])))
                     for s, t in combinations(live, 2)]
         if not any(r for _, _, r in residues):
             return LieAlgebra(f, self.ext.width - self.span.rank, {})
@@ -341,23 +344,26 @@ class MultiplierResult:
         Z^(L) lies in Z(L), so l runs over Z(L): l = sum of a_s z_s on the
         RREF basis z_s of Z(L), and each residue coordinate of l ^ e_j mod
         im d3 is one functional on the coefficients a.  The residue of a
-        pair is read off the RREF of im d3: a kept pair is its own residue,
-        and a pivot pair t is minus its row with the unit entry at t
-        removed.  The functionals come one j at a time, so the kernel stops
-        reading them once single-coefficient ones reach full rank, as on
-        A(n) after two values of j.  The coefficient kernel is lifted
-        through the RREF rows of Z(L) without a second elimination
-        (``Subspace.lift``).
+        pair t is read off the elimination of im d3: zero at a unit column,
+        minus its back-substituted echelon row less the entry at t at an
+        echelon pivot, and t itself at a kept pair.  The functionals come
+        one j at a time, so the kernel stops reading them once
+        single-coefficient ones reach full rank, as on A(n) after two
+        values of j.  The coefficient kernel is lifted through the RREF
+        rows of Z(L) without a second elimination (``Subspace.lift``).
         """
         alg = self.algebra
         f = alg.field
         add, mul, neg, zero, one = f.add, f.mul, f.neg, f.zero, f.one
         base = self.ext.base
-        by_pivot = self.image._by_pivot
+        units = self.span.units
+        by_pivot = dict(self.span.echelon.rows())
         zspace = center(alg)
         zrows = zspace.sparse_rows()
 
         def residue(t):
+            if t in units:
+                return {}
             row = by_pivot.get(t)
             return {t: one} if row is None else {r: neg(v) for r, v in row.items() if r != t}
 
@@ -380,7 +386,7 @@ class MultiplierResult:
 
         space = kernel_from_rows(f, len(zrows), functionals()).lift(zspace)
         # l ^ e_j in im d3 for every basis vector l and every j
-        assert not any(self.image.reduce(_wedge(f, base, l, {j: one}))
+        assert not any(self.span.reduce(_wedge(f, base, l, {j: one}))
                        for l in space.sparse_rows() for j in range(alg.dim))
         return space
 
@@ -520,7 +526,7 @@ def _im_d3(algebra, ext):
 
 def schur_multiplier(algebra):
     """im d3 of algebra and the invariants read off it, in one walk from
-    the table; the RREF of im d3 is built when ``image`` is first read."""
+    the table; the RREF of im d3 is built only when ``image`` is read."""
     ext = ExteriorBasis(algebra.dim)
     return MultiplierResult(_im_d3(algebra, ext), algebra, ext)
 
@@ -553,7 +559,7 @@ def induced_multiplier_map(algebra, ideal):
     m_q = schur_multiplier(q)
     lam2 = _lambda2_map(proj, m_q.ext.base)
     # a cycle maps to a cycle; NotContained here would mean it did not
-    return [m_q.basis.coords(m_q.image.reduce(apply_columns(algebra.field, lam2, v)))
+    return [m_q.basis.coords(m_q.span.reduce(apply_columns(algebra.field, lam2, v)))
             for v in schur_multiplier(algebra).basis.sparse_rows()]
 
 

@@ -23,19 +23,22 @@ subspace, every kernel and im d3 come from one elimination,
 nonzero entry spans a unit row, whose column is struck from the others,
 until no new singleton appears) and row-reduces only what is left with
 ``Echelon``.  The unit columns and the echelon rows are then a basis of
-the span, and their pivots are those of its RREF; the back-substitution
-that makes the RREF runs only when the RREF is read.  A caller that finds
-unit columns while building its vectors hands them over as columns, with
-no vector built.  A kernel takes one elimination and no second: its
+the span, and their pivots are those of its RREF.  A residue modulo the
+span is read off that pair as it stands (``Elimination.reduce``): the unit
+columns stay a set, whose entries are dropped, and only the echelon rows
+are back-substituted, on first use; the RREF, with a unit row per unit
+column, is built only for a ``Subspace``.  A caller that finds unit
+columns while building its vectors hands them over as columns, with no
+vector built.  A kernel takes one elimination and no second: its
 functionals are eliminated in reversed column order, and the kernel's RREF
-is read straight off the rows (``kernel_from_rows``).  Likewise the images
-of an RREF coefficient basis under RREF rows are already in RREF
-(``Subspace.lift``).  Coordinates on a basis of F^n are read off the
-echelon of its columns before back-substitution (``basis_coordinates``),
-by clearing a scaled row against it with the same steps, with no inverse
-formed.  The dense ``Matrix`` only stores the boundary matrices ``ce_d2``
-and ``ce_d3``, the reference that the tests compare the sparse route
-against.
+is read straight off the echelon rows (``kernel_from_rows``), with no unit
+row built.  Likewise the images of an RREF coefficient basis under RREF
+rows are already in RREF (``Subspace.lift``).  Coordinates on a basis of
+F^n are read off the echelon of its columns before back-substitution
+(``basis_coordinates``), by clearing a scaled row against it with the same
+steps, with no inverse formed.  The dense ``Matrix`` only stores the
+boundary matrices ``ce_d2`` and ``ce_d3``, the reference that the tests
+compare the sparse route against.
 """
 
 from __future__ import annotations
@@ -393,8 +396,10 @@ class Elimination:
 
     The echelon rows vanish on the unit columns, so the unit columns and
     the echelon rows as they stand are a basis of the span, and their
-    pivots are the pivots of its RREF.  ``rref`` back-substitutes
-    (``Echelon.finalize``) only when it is called.
+    pivots are the pivots of its RREF.  ``reduce`` and the kernels read
+    the span as that pair and back-substitute the echelon rows
+    (``Echelon.finalize``) on first use; ``rref``, which adds a unit row
+    per unit column, is called only for a ``Subspace``.
     """
 
     __slots__ = ("field", "width", "units", "echelon")
@@ -429,6 +434,17 @@ class Elimination:
     @property
     def rank(self):
         return len(self.units) + self.echelon.rank
+
+    def reduce(self, vec):
+        """Residue of the sparse vector vec modulo the span, equal to
+        ``subspace().reduce(vec)`` with no unit row built: the entries at
+        the unit columns are dropped, and what is left is reduced by the
+        echelon rows, back-substituted on first use (``Echelon.reduce``).
+        The echelon rows vanish on the unit columns, so no step writes one
+        back."""
+        coerce, units = self.field.coerce, self.units
+        return self.echelon.reduce(
+            {j: y for j, x in vec.items() if x and j not in units and (y := coerce(x))})
 
     def echelon_rows(self):
         """The echelon rows as they stand, not back-substituted; with the
@@ -606,16 +622,20 @@ def kernel_from_rows(field, width, rows):
     e_f minus the sum of row_P[f] e_P, the kernel vector of a free column
     f, leads at f with the value 1 and vanishes at every other free column:
     by ascending f, these vectors are already the kernel's canonical RREF.
+    A unit row {P: 1} has no entry at a free column, so only the echelon
+    rows are read, and a span of full rank, whose kernel is zero, reads
+    none.
     """
     last = width - 1
-    pivots, prows = Elimination(field, width, (_prepare(field, r, last) for r in rows)).rref()
-    pivot_set = set(pivots)
-    neg, one = field.neg, field.one
-    basis = {f: {f: one} for f in range(width) if last - f not in pivot_set}
-    for p, row in zip(pivots, prows):
-        for c, v in row.items():
-            if c != p:
-                basis[last - c][last - p] = neg(v)
+    span = Elimination(field, width, (_prepare(field, r, last) for r in rows))
+    basis = {}
+    if span.rank < width:
+        neg, one = field.neg, field.one
+        basis = {last - c: {last - c: one} for c in reversed(span.free_columns())}
+        for p, row in span.echelon.rows():
+            for c, v in row.items():
+                if c != p:
+                    basis[last - c][last - p] = neg(v)
     return Subspace(field, width, tuple(basis.values()), tuple(basis), _internal=True)
 
 

@@ -1,6 +1,7 @@
 import inspect
 import random
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from conftest import (
@@ -9,6 +10,7 @@ from conftest import (
     exterior_center_reference,
     exterior_square_reference,
     generalized_heisenberg,
+    intersection_reference,
     random_basis_change,
 )
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from liecap.algebra import (
     transform,
     validate,
 )
-from liecap.cli import invariant_report
+from liecap.cli import SUITES, _epsilon_set, invariant_report, run_suites
 from liecap.homology import (
     ExteriorBasis,
     NotCentral,
@@ -888,6 +890,74 @@ class TestLazyImage:
         assert all(inserted)
 
 
+class TestEliminatedReads:
+    """The square, the exterior center and the induced maps read residues
+    modulo im d3 off its elimination (``Elimination.reduce``): the unit
+    columns as a set and the echelon rows, with no unit row built.  The
+    canonical RREF of im d3 (``image``) is built on no report or suite
+    path, and the residues equal those read off it."""
+
+    @pytest.fixture
+    def results(self, monkeypatch):
+        """Every ``MultiplierResult`` made while the test runs."""
+        made = []
+        make = homology.MultiplierResult
+
+        def recorded(*args):
+            made.append(make(*args))
+            return made[-1]
+        monkeypatch.setattr(homology, "MultiplierResult", recorded)
+        return made
+
+    @FIELDS3
+    def test_reports_and_suites_build_no_image(self, field, results):
+        for key in catalog.all_keys(6, field):
+            invariant_report(catalog.build(key, field).algebra, str(key))
+        reports = len(results)
+        run_suites(list(SUITES), field, _epsilon_set(field, ""))
+        assert 0 < reports < len(results)
+        assert all("image" not in m.__dict__ for m in results)
+
+    @staticmethod
+    def tables(field):
+        rng = random.Random(31)
+        for key in catalog.all_keys(6, field):
+            yield str(key), catalog.build(key, field).algebra
+        for d, c in ((2, 3), (3, 2), (2, 4), (3, 3), (4, 2)):
+            F = covers.free_nilpotent(d, c).algebra_over(field)
+            yield f"F({d},{c})", F
+            yield f"F({d},{c}) by A(2)", central_extension(F, 2, rng)
+            yield f"F({d},{c}) scrambled", transform(F, random_basis_change(rng, F.dim, field))
+        for text in ("L5_6", "L6_14", "L6_19(e=1)", "L6_25"):
+            L = catalog.build(catalog.parse_key(text, field), field).algebra
+            E = central_extension(L, 2, rng)
+            yield f"{text} by A(2)", E
+            yield f"{text} by A(2) scrambled", transform(E, random_basis_change(rng, E.dim, field))
+
+    @FIELDS3
+    def test_reduce_matches_subspace_reduce(self, field):
+        rng = random.Random(37)
+        raw = [0, 1, -1, 2, -3, 7, field.char or 5]
+        if not field.char:
+            raw += [Fraction(1, 2), Fraction(-4, 3), Fraction(6, 3)]
+        units = 0
+        for name, L in self.tables(field):
+            m = schur_multiplier(L)
+            width, span = m.ext.width, m.span
+            vectors = [{t: field.one} for t in range(width)]
+            vectors += [{t: rng.choice(raw) for t in rng.sample(range(width), min(width, 5))}
+                        for _ in range(20)]
+            # the first reduce back-substitutes the echelon; image is read after
+            got = [span.reduce(v) for v in vectors]
+            want = [m.image.reduce(v) for v in vectors]
+            # the same entries in the same order, with the same scalar types
+            assert [list(r.items()) for r in got] == [list(r.items()) for r in want], name
+            assert all(type(a) is type(b) for g, w in zip(got, want)
+                       for a, b in zip(g.values(), w.values())), name
+            units += bool(span.units) and bool(span.echelon.rank)
+        assert units
+
+
 class TestExteriorCenterOracle:
     """exterior_center, solved inside Z(L) with the functionals generated
     one j at a time, equals the all-pairs formulation over all of L."""
@@ -924,6 +994,28 @@ class TestExteriorCenterOracle:
         assert zw == exterior_center_reference(m)
         # Z^(H(m) + A(k)) is the center of H(m) when m >= 2, and 0 for H(1)
         assert zw.dim == (0 if hm == 1 else 1)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+    def test_direct_sums(self, field):
+        # for H and K nonzero, (H + K) ^ (H + K) = H ^ H + K ^ K + H/H^2 x K/K^2,
+        # so h + k lies in Z^ exactly when h ^ H and k ^ K vanish and the
+        # cross terms h x K/K^2 and H/H^2 x k do, that is when h lies in
+        # Z^(H) cap H^2 and k in Z^(K) cap K^2, K/K^2 and H/H^2 being nonzero
+        parts = []
+        for key in catalog.all_keys(5, field):
+            L = catalog.build(key, field).algebra
+            inner = intersection_reference(schur_multiplier(L).exterior_center(),
+                                           derived_subalgebra(L))
+            parts.append((str(key), L, inner.sparse_rows()))
+        assert len(parts) == 16
+        nonzero = 0
+        for (hname, H, hrows), (kname, K, krows) in product(parts, repeat=2):
+            S = direct_sum(H, K)
+            want = Subspace.from_vectors(
+                field, S.dim, hrows + [{H.dim + i: c for i, c in r.items()} for r in krows])
+            assert schur_multiplier(S).exterior_center() == want, f"{hname}+{kname}"
+            nonzero += want.dim > 0
+        assert nonzero
 
     def test_stops_at_full_rank(self, monkeypatch):
         # A(40) is capable: its 40 coefficients meet full rank long before
@@ -1053,9 +1145,10 @@ class TestSquareWork:
     def counted(monkeypatch, L):
         """(square, reductions, bracket_basis calls, kept pairs read) of
         exterior_square on L, with im d3 and L^2 built before the count
-        starts."""
+        starts.  A reduction is a residue modulo im d3 read off its
+        elimination (``Elimination.reduce``)."""
         m = schur_multiplier(L)
-        m.image, derived_subalgebra(L)
+        derived_subalgebra(L)
         reduced, brackets, read = [], [], []
 
         class CountedD2(dict):
@@ -1063,7 +1156,7 @@ class TestSquareWork:
                 read.append(t)
                 return dict.get(self, t, default)
         m.__dict__["_d2"] = CountedD2(m._d2)
-        reduce, bracket_basis = Subspace.reduce, LieAlgebra.bracket_basis
+        reduce, bracket_basis = Elimination.reduce, LieAlgebra.bracket_basis
 
         def counted_reduce(self, vec):
             reduced.append(vec)
@@ -1073,7 +1166,7 @@ class TestSquareWork:
             brackets.append((i, j))
             return bracket_basis(self, i, j)
         with monkeypatch.context() as patch:
-            patch.setattr(Subspace, "reduce", counted_reduce)
+            patch.setattr(Elimination, "reduce", counted_reduce)
             patch.setattr(LieAlgebra, "bracket_basis", counted_bracket)
             square = m.exterior_square()
         return square, len(reduced), len(brackets), len(read)

@@ -95,6 +95,7 @@ NO_CALLER = {
     # bound by bench/tracer.py or bench/workloads.py (tests/test_bench_bindings.py)
     "homology.ExteriorBasis.for_dim": "bench/workloads.py builds the dense d3 with it",
     "homology.ce_d2": "bench/tracer.py times the dense d2",
+    "homology.MultiplierResult.image": "bench/tracer.py reads result.image.dim",
     "homology.ce_d3": "bench/workloads.py reads the dense d3 of its cocycle items",
     "homology.kunneth_exterior_dim": "bench/workloads.py oracle of the sum items",
     "homology.kunneth_tensor_dim": "bench/workloads.py oracle of the sum items",
@@ -102,6 +103,8 @@ NO_CALLER = {
     "linalg.kernel": "bench/tracer.py times the dense kernel",
     "linalg.Subspace.basis_vectors": "bench/tracer.py times it",
     "covers.tensor_square": "bench/tracer.py times the cover route's tensor square",
+    # a hook that a library calls
+    "cli._Parser.error": "argparse calls it on every usage error",
     # references the tests compare the user paths against
     "algebra.LieAlgebra.table_key": "bench/tests/test_bench.py and the oracle tests compare tables by it",
     "capability.dagger_test": "capability through multiplier dimensions",

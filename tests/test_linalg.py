@@ -689,6 +689,20 @@ class TestPeeledRref:
                 assert all(type(x) is int for x in row.values())
                 assert row[pivot] > 0 and gcd(*row.values()) == 1
 
+    @given(peel_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reduce_matches_rref(self, case, data):
+        # the residue read off the unit columns and the echelon rows equals
+        # the one read off the RREF, entry for entry and in the same order
+        field, n, vecs = case
+        fresh = [{j: y for j, x in v.items() if (y := field.coerce(x))} for v in vecs]
+        span = Elimination(field, n, fresh)
+        probes = data.draw(st.lists(st.dictionaries(st.integers(0, n - 1), raw_values(field),
+                                                    max_size=n), max_size=6))
+        got = [list(span.reduce(v).items()) for v in probes]
+        space = span.subspace()
+        assert got == [list(space.reduce(v).items()) for v in probes]
+
     @given(peel_cases())
     @settings(max_examples=150, deadline=None)
     def test_held_rows_are_primitive(self, case):
@@ -797,6 +811,28 @@ class TestOnePassKernel:
                    for r in got.sparse_rows() for x in r.values())
         # the rows are left as they were given
         assert rows == case[2]
+
+    @pytest.mark.parametrize("field", PEEL_FIELDS, ids=repr)
+    def test_builds_no_unit_row(self, field, monkeypatch):
+        # a unit row {P: 1} has no entry at a free column, so the kernel reads
+        # the echelon rows alone, and a span of full rank not even those
+        n = 6
+        units = [{j: field.from_int((-1) ** j)} for j in range(n)]
+        # J - I, invertible over Q, GF(3) and GF(101) (det -5), all echelon rows
+        echelon = [{j: field.one for j in range(n) if j != i} for i in range(n)]
+        mixed = [{0: field.one}, {1: field.one, 2: field.one}, {3: field.one, 4: field.one}]
+        want = two_pass_kernel(field, n, mixed)
+
+        def refuse(*args):
+            raise AssertionError("a row dict was built")
+        monkeypatch.setattr(Elimination, "rref", refuse)
+        zero = Subspace(field, n, (), (), _internal=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(Echelon, "finalize", refuse)
+            patch.setattr(Echelon, "rows", refuse)
+            assert kernel_from_rows(field, n, units) == zero
+            assert kernel_from_rows(field, n, echelon) == zero
+        assert kernel_from_rows(field, n, mixed) == want and want.dim == 3
 
     @pytest.mark.parametrize("field", PEEL_FIELDS, ids=repr)
     def test_widths_zero_and_one(self, field):
