@@ -37,20 +37,25 @@ from .recognize import recognize
 # a value argparse quotes in an error message: the repr of a str
 _QUOTED = re.compile(r"'(?:[^'\\]|\\.)*'" + r'|"(?:[^"\\]|\\.)*"')
 _UNRECOGNIZED = "unrecognized arguments: "
+# the tail argparse puts after an invalid choice
+_CHOICES = re.compile(r" \(choose from .*\)$", re.DOTALL)
 
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors pass every value they repeat
     through ``_shown``: a bad choice or int, which argparse quotes, and the
     unrecognized arguments, which it lists bare.  A long value is named by
-    its type and length, so the error stays one short line."""
+    its type and length, and the ``(choose from ...)`` list of a bad
+    choice, which the usage line above it already shows, is dropped, so
+    the error stays one short line."""
 
     def error(self, message):
         head, unrecognized, rest = message.partition(_UNRECOGNIZED)
         if unrecognized:
             message = head + unrecognized + _shown(rest, str)
         else:
-            message = _QUOTED.sub(lambda m: _shown(ast.literal_eval(m.group())), message)
+            message = _QUOTED.sub(lambda m: _shown(ast.literal_eval(m.group())),
+                                  _CHOICES.sub("", message))
         super().error(message)
 
 

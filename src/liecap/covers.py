@@ -258,7 +258,7 @@ class Cover:
         if self._star is not None:
             return
         free_alg = self._free_alg
-        # the finalized echelon rows are already the canonical RREF
+        # the echelon's canonical RREF rows, formed on their first read
         rref = self._span.rows()
         span = Subspace(free_alg.field, free_alg.dim, tuple(row for _, row in rref),
                         tuple(p for p, _ in rref), _internal=True)

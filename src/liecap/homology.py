@@ -72,8 +72,13 @@ sends each of them, r ^ e_c or u ^ e_c for a central c, to [., e_c] = 0.
 maps read a residue modulo im d3 off the elimination as it stands
 (``Elimination.reduce``): a unit column is dropped, and the rest is reduced
 by the echelon rows, back-substituted (``Echelon.finalize``) on first use.
-No unit row is built on these paths; the canonical RREF of im d3
-(``image``), one unit row per unit column, is built only when read.
+Over Q those rows stay integer, each with a positive lead: a residue is
+divided only at the end, once per surviving entry, and the exterior center
+reads the integer rows themselves, every functional scaled by the one lcm
+of their leads, so on an integer table with an integer Z(L) it does no
+Fraction arithmetic.  No unit row is built on these paths; the canonical
+RREF of im d3 (``image``), one unit row per unit column, is built only
+when read.
 
 One object carries every invariant: L ^ L = Lambda^2 L / im d3, with
 bracket [a, b] = d2(a) ^ d2(b) (Ellis, "A non-abelian tensor product of Lie
@@ -102,6 +107,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 
 from .algebra import (
     LieAlgebra,
@@ -344,20 +350,26 @@ class MultiplierResult:
         Z^(L) lies in Z(L), so l runs over Z(L): l = sum of a_s z_s on the
         RREF basis z_s of Z(L), and each residue coordinate of l ^ e_j mod
         im d3 is one functional on the coefficients a.  The residue of a
-        pair t is read off the elimination of im d3: zero at a unit column,
-        minus its back-substituted echelon row less the entry at t at an
-        echelon pivot, and t itself at a kept pair.  The functionals come
-        one j at a time, so the kernel stops reading them once
-        single-coefficient ones reach full rank, as on A(n) after two
-        values of j.  The coefficient kernel is lifted through the RREF
-        rows of Z(L) without a second elimination (``Subspace.lift``).
+        pair t is read off the elimination of im d3, scaled by the lcm M
+        of the leads L_t of its back-substituted echelon rows R_t, which
+        are integer over Q (``Echelon.reduced_rows``): zero at a unit
+        column, -(R_t - L_t e_t) M/L_t at an echelon pivot, and M e_t at a
+        kept pair.  Every functional is scaled by the same M, so the kernel
+        is unchanged, and the functionals are integer whenever the rows of
+        Z(L) are: no Fraction is formed.  Over GF(p) every lead is 1, and
+        so is M.  The functionals come one j at a time, so the kernel stops
+        reading them once single-coefficient ones reach full rank, as on
+        A(n) after two values of j.  The coefficient kernel is lifted
+        through the RREF rows of Z(L) without a second elimination
+        (``Subspace.lift``).
         """
         alg = self.algebra
         f = alg.field
         add, mul, neg, zero, one = f.add, f.mul, f.neg, f.zero, f.one
         base = self.ext.base
         units = self.span.units
-        by_pivot = dict(self.span.echelon.rows())
+        by_pivot = self.span.echelon.reduced_rows()
+        scale = lcm(*(row[t] for t, row in by_pivot.items()))  # M
         zspace = center(alg)
         zrows = zspace.sparse_rows()
 
@@ -365,7 +377,10 @@ class MultiplierResult:
             if t in units:
                 return {}
             row = by_pivot.get(t)
-            return {t: one} if row is None else {r: neg(v) for r, v in row.items() if r != t}
+            if row is None:
+                return {t: scale}
+            c = scale // row[t]
+            return {r: neg(v) * c for r, v in row.items() if r != t}
 
         def functionals():
             for j in range(alg.dim):

@@ -6,7 +6,12 @@ a canonical residue ``0..p-1``.  There is no per-element wrapper type.  Row
 reduction over Q is fraction-free: integer rows, each stored primitive
 (content 1, positive lead) and stripped of its content after a combination
 that scaled it, so entries stay small during elimination and results are
-exact bit for bit.
+exact bit for bit.  The rows stay integer through the back-substitution:
+``Echelon.finalize`` divides no row by its lead, a residue is cleared
+against the integer rows and divided once per surviving entry
+(``Echelon.reduce``), and a caller that can carry one common scale reads
+the integer rows as they stand (``Echelon.reduced_rows``).  Only
+``Echelon.rows`` divides, forming the canonical RREF on its first call.
 
 Vectors are sparse ``{index: value}`` dicts, and a linear map is a list of
 sparse columns, column i being the image of the i-th basis vector.
@@ -15,14 +20,14 @@ sparse columns, column i being the image of the i-th basis vector.
 combinations.  ``apply_columns`` is one ``accumulate`` per column, and so
 is a residue modulo finished RREF rows.  Every column cleared against the
 working rows of an echelon, whether in its insertion, in its
-back-substitution or in ``basis_coordinates``, is cleared by one of the
-two steps.  Subspaces are stored in reduced row echelon form, which makes
-equality structural: two equal subspaces have identical basis matrices.  Every
-subspace, every kernel and im d3 come from one elimination,
-``Elimination``: it peels the structural pivots (a vector with a single
-nonzero entry spans a unit row, whose column is struck from the others,
-until no new singleton appears) and row-reduces only what is left with
-``Echelon``.  The unit columns and the echelon rows are then a basis of
+back-substitution, in a residue over Q or in ``basis_coordinates``, is
+cleared by one of the two steps.  Subspaces are stored in reduced row
+echelon form, which makes equality structural: two equal subspaces have
+identical basis matrices.  Every subspace, every kernel and im d3 come
+from one elimination, ``Elimination``: it peels the structural pivots (a
+vector with a single nonzero entry spans a unit row, whose column is struck
+from the others, until no new singleton appears) and row-reduces only what
+is left with ``Echelon``.  The unit columns and the echelon rows are then a basis of
 the span, and their pivots are those of its RREF.  A residue modulo the
 span is read off that pair as it stands (``Elimination.reduce``): the unit
 columns stay a set, whose entries are dropped, and only the echelon rows
@@ -114,9 +119,12 @@ class RationalField:
 
     The canonical scalar is an ``int`` when integral and a ``Fraction`` with
     denominator above 1 otherwise.  ``add``/``mul``/``neg`` may return
-    a ``Fraction`` with denominator 1, which is the same value; ``coerce``
-    and ``Echelon.finalize`` restore the canonical form where values are
-    stored, in every algebra table and every ``Subspace``.
+    a ``Fraction`` with denominator 1, which is the same value; ``coerce``,
+    ``Echelon.rows`` and the residues of ``Echelon.reduce`` and
+    ``Subspace.reduce`` give the canonical form where values are stored or
+    returned, in every algebra table and every ``Subspace``.  Elimination
+    itself works on integer rows and forms no scalar until a row or a
+    residue is read.
     """
 
     char = 0
@@ -244,16 +252,19 @@ class Echelon:
 
     Rows are sparse ``{column: value}`` dicts, held as ``{pivot: row}``.
     Over Q the working rows are integer vectors, denominators cleared on
-    entry.  Insertion, back-substitution and ``basis_coordinates`` clear a
-    column against a held working row by the same step per field, and no
-    other code does: ``_clear_int`` over Q, which keeps integers, and
-    ``_clear_mod`` over GF(p).  Each row is made primitive with a positive
-    lead when it is stored, so the held rows are the same whichever steps
-    skipped the strip of their content: each is the one primitive multiple
-    of the same vector.  Over GF(p) every row is scaled to a unit pivot
-    when stored.  ``finalize`` back-substitutes and, over
-    Q, divides each row by its pivot entry, yielding the canonical RREF
-    basis of the row space with canonical Q scalars.
+    entry.  Insertion, back-substitution, ``reduce`` over Q and
+    ``basis_coordinates`` clear a column against a held working row by the
+    same step per field, and no other code does: ``_clear_int`` over Q,
+    which keeps integers, and ``_clear_mod`` over GF(p).  Each row is made
+    primitive with a positive lead when it is stored, so the held rows are
+    the same whichever steps skipped the strip of their content: each is
+    the one primitive multiple of the same vector.  Over GF(p) every row is scaled to a unit pivot
+    when stored.  ``finalize`` back-substitutes and divides nothing: over
+    Q each held row stays an integer row with a positive lead, zero at
+    every other pivot (``reduced_rows``), and ``reduce`` clears against
+    those rows with one running scale.  ``rows`` divides each row by its
+    lead, on its first call, and keeps the canonical RREF basis of the row
+    space with canonical Q scalars.
 
     ``Elimination`` hands it, through ``_insert``, only the prepared
     vectors left after the structural pivots are peeled; ``covers``,
@@ -268,6 +279,7 @@ class Echelon:
         self._rows = {}  # pivot column -> row dict
         self._final = False
         self._sorted_pivots = None
+        self._rref = None  # the canonical rows, formed by the first ``rows``
 
     @property
     def rank(self):
@@ -307,7 +319,8 @@ class Echelon:
         return False
 
     def finalize(self):
-        """Back-substitute and normalize pivots to 1 (canonical RREF).
+        """Back-substitute: afterwards each held row vanishes at every other
+        pivot, and over Q it stays an integer row with a positive lead.
 
         Rows are cleared from the last pivot up, so each row is combined only
         with rows that are already reduced; those vanish on every other pivot
@@ -315,7 +328,7 @@ class Echelon:
         Over Q a row keeps its positive lead: the row it is cleared against
         is zero at that column, so a step only scales the lead by that row's
         own positive lead over a gcd, and a strip divides it by a positive
-        content.
+        content.  No row is divided by its lead here; ``rows`` does that.
         """
         if self._final:
             return
@@ -327,31 +340,66 @@ class Echelon:
             for q in [c for c in row if c != p0 and c in rows]:
                 row = _clear_mod(row, rows[q], q, p) if p else _clear_int(row, rows[q], q)
             rows[p0] = row
-        if not p:
-            for p0 in pivots:
-                row = rows[p0]
-                lead = row[p0]
-                if lead != 1:
-                    rows[p0] = {c: v // lead if v % lead == 0 else Fraction(v, lead)
-                                for c, v in row.items()}
         self._sorted_pivots = pivots
         self._final = True
 
+    def reduced_rows(self):
+        """The back-substituted rows as held, ``{pivot: row}`` (finalizes
+        first): each vanishes at every other pivot and leads at its own
+        with a positive integer over Q, 1 over GF(p).  The canonical RREF
+        row at a pivot is the held row divided by its lead."""
+        if not self._final:
+            self.finalize()
+        return self._rows
+
     def reduce(self, vec):
-        """Residue of vec modulo the row space (finalizes first).
+        """Residue of vec modulo the row space (finalizes first), with
+        canonical values when vec's are, as ``Elimination.reduce`` hands
+        them over.
 
         The residue is the unique representative supported off the pivot
-        columns.
+        columns.  A held row vanishes at every other pivot, so only the
+        pivots in vec's own support need a step, and no step sets another
+        pivot entry.  Over Q it is fraction-free, as ``basis_coordinates``
+        is: the row (vec | 1), its scale s at column ``width``, where no
+        row has an entry, is scaled to integers and cleared against the
+        held integer rows with ``_clear_int``, which scales and strips s
+        with the rest, and each surviving entry is divided by s once.
         """
         if not self._final:
             self.finalize()
-        return _reduce(self.field, self._rows, {c: x for c, x in vec.items() if x})
+        rows = self._rows
+        v = {c: x for c, x in vec.items() if x}
+        hit = [c for c in v if c in rows]
+        if not hit:
+            return v
+        if self.field.char:
+            return _reduce(self.field, rows, v)
+        scale = self.width
+        v[scale] = 1
+        # a sum of ints is an int, and one Fraction makes it a Fraction
+        if type(sum(v.values())) is not int:
+            v = _prepare(self.field, v)
+        for t in hit:
+            v = _clear_int(v, rows[t], t)
+        s = v.pop(scale)
+        if s == 1:
+            return v
+        return {c: x // s if x % s == 0 else Fraction(x, s) for c, x in v.items()}
 
     def rows(self):
-        """Canonical RREF rows as (pivot, row dict) pairs, pivots ascending."""
-        if not self._final:
-            self.finalize()
-        return [(p, self._rows[p]) for p in self._sorted_pivots]
+        """Canonical RREF rows as (pivot, row dict) pairs, pivots ascending,
+        with canonical scalars: over Q each held row divided by its lead,
+        formed on the first call and kept."""
+        if self._rref is None:
+            rows = self.reduced_rows()
+            if not self.field.char:
+                rows = {t: row if (lead := row[t]) == 1 else
+                        {c: v // lead if v % lead == 0 else Fraction(v, lead)
+                         for c, v in row.items()}
+                        for t, row in rows.items()}
+            self._rref = [(t, rows[t]) for t in self._sorted_pivots]
+        return self._rref
 
 
 def _prepare(field, row, last=None):
@@ -505,11 +553,18 @@ def _reduce(field, by_pivot, v):
 
     Only the pivots in v's own support get a step: an RREF row vanishes on
     every other pivot column, so subtracting it sets no other pivot entry,
-    and the order of the steps does not matter.
+    and the order of the steps does not matter.  Over Q an entry that a
+    step made an integral Fraction becomes an int, so canonical values
+    give canonical values.
     """
     neg = field.neg
-    for p in [c for c in v if c in by_pivot]:
+    hit = [c for c in v if c in by_pivot]
+    for p in hit:
         accumulate(field, v, neg(v[p]), by_pivot[p])
+    if hit and not field.char:
+        for c, x in v.items():
+            if type(x) is not int and x.denominator == 1:
+                v[c] = x.numerator
     return v
 
 
@@ -775,7 +830,8 @@ class Subspace:
                         tuple(space.pivots[s] for s in self.pivots), _internal=True)
 
     def reduce(self, vec):
-        """Residue of the sparse vector vec modulo this subspace, as a sparse dict."""
+        """Residue of the sparse vector vec modulo this subspace, as a sparse
+        dict of canonical scalars."""
         coerce = self.field.coerce
         v = {j: y for j, x in vec.items() if x and (y := coerce(x))}
         return _reduce(self.field, self._by_pivot, v)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from liecap import homology
@@ -52,6 +54,33 @@ def echelon_rref(field, n, vectors):
     for v in vectors:
         ech.add(dict(v))
     return ech.pivots(), tuple(row for _, row in ech.rows())
+
+
+def gauss_jordan_rref(n, vectors):
+    """(pivots, RREF rows) of the span of sparse vectors over Q, by dense
+    Gauss-Jordan elimination on Fractions: each pivot row is divided by
+    its pivot entry and cleared from every other row.  It shares no code
+    with ``linalg``, whose ``Echelon`` keeps integer rows and divides only
+    when its RREF is read, so it is the reference for that RREF, with
+    canonical scalars: an int when integral, else a Fraction."""
+    rows = [[Fraction(v.get(j, 0)) for j in range(n)] for v in vectors]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return tuple(pivots), tuple({j: x.numerator if x.denominator == 1 else x
+                                 for j, x in enumerate(row) if x}
+                                for row in rows[:len(pivots)])
 
 
 def inverse_columns(field, cols):

@@ -954,8 +954,64 @@ class TestEliminatedReads:
             assert [list(r.items()) for r in got] == [list(r.items()) for r in want], name
             assert all(type(a) is type(b) for g, w in zip(got, want)
                        for a, b in zip(g.values(), w.values())), name
+            # canonical scalars on both sides: == takes Fraction(1, 1) for 1
+            assert not any(type(x) is Fraction and x.denominator == 1
+                           for r in got + want for x in r.values()), name
             units += bool(span.units) and bool(span.echelon.rank)
         assert units
+
+    @pytest.fixture
+    def functionals(self, monkeypatch):
+        """The rows that each ``_exterior_center`` hands to
+        ``kernel_from_rows``, one list per call."""
+        calls = []
+        kernel = homology.kernel_from_rows
+
+        def spied(field, width, rows):
+            calls.append(list(rows))
+            return kernel(field, width, calls[-1])
+        monkeypatch.setattr(homology, "kernel_from_rows", spied)
+        return calls
+
+    @staticmethod
+    def integral(rows):
+        return all(type(x) is int for r in rows for x in r.values())
+
+    def test_exterior_center_functionals_are_integers(self, functionals):
+        # over Q the residues are read off the integer echelon rows of
+        # im d3, each scaled by the lcm of their leads, so on a table whose
+        # Z(L) rows are integers every functional is: no Fraction is formed
+        integral = scaled = 0
+        for name, L in self.tables(QQ):
+            zrows = center(L).sparse_rows()
+            if not (self.integral(L.table.values()) and self.integral(zrows)):
+                continue
+            m = schur_multiplier(L)
+            functionals.clear()
+            assert m.exterior_center() == exterior_center_reference(m), name
+            (rows,) = functionals
+            assert self.integral(rows), name
+            integral += 1
+            scaled += any(row[t] > 1 for t, row in m.span.echelon.reduced_rows().items())
+        # more tables than the catalog holds pass the filter, and some
+        # lead above 1 is scaled
+        assert integral > len(catalog.all_keys(6, QQ)) and scaled
+
+    def test_exterior_center_on_fraction_tables(self, functionals):
+        # Z(L) rows with Fractions, here after a basis change of a table
+        # with Fractions, give Fraction functionals, which the kernel
+        # scales to integers on their way in (``_prepare``)
+        rng = random.Random(41)
+        fractions = 0
+        for text in ("L5_6", "L6_14", "L6_19(e=1)", "L6_25"):
+            L = catalog.build(catalog.parse_key(text, QQ), QQ).algebra
+            E = central_extension(L, 2, rng, denominators=(1, 2, 3))
+            for X in (E, transform(E, random_basis_change(rng, E.dim))):
+                m = schur_multiplier(X)
+                functionals.clear()
+                assert m.exterior_center() == exterior_center_reference(m), text
+                fractions += not self.integral(functionals[0])
+        assert fractions
 
 
 class TestExteriorCenterOracle:

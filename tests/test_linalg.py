@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     central_extension,
     echelon_rref,
+    gauss_jordan_rref,
     intersection_reference,
     inverse_columns,
     random_basis_change,
@@ -36,6 +37,7 @@ from liecap.linalg import (
     subspace_sum,
     _clear_int,
     _clear_mod,
+    _prepare,
 )
 
 
@@ -774,6 +776,68 @@ class TestPeeledRref:
         # the kernel eliminates its rows in reversed column order
         reversed_rows = [{n - 1 - j: x for j, x in r.items()} for r in rows[:n]]
         assert added == reversed_rows + rows[:n]
+
+
+@st.composite
+def rational_cases(draw):
+    """Vectors over Q in F^n, with ints up to 9 and Fractions among their
+    entries, so that the held integer rows lead above 1, and probes of the
+    same kind."""
+    n = draw(st.integers(2, 7))
+    value = st.one_of(st.integers(-9, 9),
+                      st.fractions(min_value=-4, max_value=4, max_denominator=6))
+    vector = st.dictionaries(st.integers(0, n - 1), value, max_size=n)
+    return n, draw(st.lists(vector, min_size=1, max_size=n + 2)), draw(st.lists(vector, max_size=4))
+
+
+def typed(rows):
+    """Sparse rows with each scalar paired with its type: == takes
+    Fraction(1, 1) for 1, and a canonical Q scalar is an int."""
+    return [{c: (type(x), x) for c, x in r.items()} for r in rows]
+
+
+class TestGaussJordanReference:
+    """Over Q the echelon keeps integer rows through the back-substitution
+    and divides only when its RREF is read.  That RREF, the peeled RREF,
+    the residues and the one-pass kernel equal dense Gauss-Jordan
+    elimination on Fractions (``conftest.gauss_jordan_rref``), which shares
+    no code with ``linalg``: entry for entry, scalar type included."""
+
+    @given(rational_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_gauss_jordan(self, case):
+        n, vecs, probes = case
+        pivots, rows = gauss_jordan_rref(n, vecs)
+        ech = Echelon(QQ, n)
+        for v in vecs:
+            ech.add(v)
+        # a lead above 1 is what the integer rows carry and RREF rows do not
+        assume(any(row[t] > 1 for t, row in ech.reduced_rows().items()))
+        got = ech.rows()
+        assert tuple(t for t, _ in got) == pivots
+        assert typed(r for _, r in got) == typed(rows)
+        span = Elimination(QQ, n, [_prepare(QQ, v) for v in vecs])
+        assert span.rref()[0] == pivots
+        assert typed(span.rref()[1]) == typed(rows)
+        for v in probes:
+            # v less v[p] times the RREF row at p, for each pivot p
+            want = {j: Fraction(x) for j, x in v.items() if x}
+            for p, row in zip(pivots, rows):
+                c = want.get(p, 0)
+                for j, x in row.items():
+                    want[j] = want.get(j, 0) - c * x
+            want = {j: x.numerator if x.denominator == 1 else x for j, x in want.items() if x}
+            # Echelon.reduce takes canonical values, as Elimination.reduce
+            # hands them over
+            canonical = {j: QQ.coerce(x) for j, x in v.items()}
+            assert typed([span.reduce(v)]) == typed([ech.reduce(canonical)]) == typed([want])
+        # the kernel vector of a free column f is e_f less row_p[f] e_p
+        basis = [{f: 1, **{p: -row[f] for p, row in zip(pivots, rows) if f in row}}
+                 for f in range(n) if f not in pivots]
+        want_pivots, want_rows = gauss_jordan_rref(n, basis)
+        ker = kernel_from_rows(QQ, n, vecs)
+        assert ker.pivots == want_pivots
+        assert typed(ker.sparse_rows()) == typed(want_rows)
 
 
 @st.composite

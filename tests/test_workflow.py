@@ -8,7 +8,9 @@ tier-1 command, so this test fails on it.
 
 The two benchmark smoke steps each loop over the workloads; both loops and
 the ``--workload`` choices of bench/run.py must name every workload of
-BENCHMARK.json, so that no workload drops out of the smoke run unseen.
+BENCHMARK.json, so that no workload drops out of the smoke run unseen.  The
+untraced step pins the seed-1 output digest of each workload, and the pin
+must name each workload of BENCHMARK.json exactly once.
 """
 
 import ast
@@ -120,3 +122,34 @@ def test_checker_finds_a_dropped_workload():
     source = ("p.add_argument('--seed', type=int)\n"
               "p.add_argument('--workload', required=True, choices=['a', 'b'])\n")
     assert workload_choices(source) == ["a", "b"]
+
+
+def digest_pins(text):
+    """The (workload, digest) pairs of each ``declare -A pinned=(...)`` in a
+    ``run:`` block that calls bench/run.py, one list per block that pins."""
+    pins = []
+    for b in run_blocks(text):
+        if "bench/run.py" in b:
+            for m in re.finditer(r"declare -A pinned=\(([^)]*)\)", b):
+                pins.append(re.findall(r"\[([\w.-]+)\]=(\S+)", m.group(1)))
+    return pins
+
+
+def test_benchmark_smoke_pins_every_workload_once():
+    names = [w["name"] for w in json.loads(BENCHMARK.read_text(encoding="utf-8"))["workloads"]]
+    (pins,) = digest_pins(WORKFLOW.read_text(encoding="utf-8"))
+    assert sorted(name for name, _ in pins) == sorted(names)
+    assert all(re.fullmatch(r"[0-9a-f]{16}", digest) for _, digest in pins)
+
+
+def test_checker_finds_the_pins():
+    text = ("      - name: Benchmark smoke\n"
+            "        run: |\n"
+            "          declare -A pinned=([a]=0123456789abcdef [b]=fedcba9876543210 [a]=00)\n"
+            "          for workload in a b; do\n"
+            "            python bench/run.py --workload \"$workload\"\n"
+            "          done\n"
+            "      - name: Not the benchmark\n"
+            "        run: declare -A pinned=([c]=1)\n")
+    assert digest_pins(text) == [[("a", "0123456789abcdef"), ("b", "fedcba9876543210"),
+                                  ("a", "00")]]
